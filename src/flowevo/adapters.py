@@ -3,8 +3,7 @@
 Protocol: the adapter starts the external command once and exchanges one
 JSON object per call over its standard streams, newline-delimited. Request
 objects carry a ``kind`` field (``propose`` / ``judge`` / ``evaluate``);
-each response is a single JSON object on one line. Adapters declare
-``concurrent_safe = False``, so the engine never calls them in parallel.
+each response is a single JSON object on one line.
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ class _JsonLineProcess:
 class SubprocessProposer:
     """External proposer: receives parents plus previous-attempt errors."""
 
-    concurrent_safe = False
-
     def __init__(self, command):
         self._process = _JsonLineProcess(command)
 
@@ -93,8 +90,6 @@ class SubprocessProposer:
 class SubprocessJudge:
     """External judge: returns the five rubric dimensions per candidate."""
 
-    concurrent_safe = False
-
     def __init__(self, command):
         self._process = _JsonLineProcess(command)
 
@@ -123,8 +118,6 @@ class SubprocessJudge:
 
 class SubprocessEvaluator:
     """External evaluator: maps a workflow source to a score in [0, 1]."""
-
-    concurrent_safe = False
 
     def __init__(self, command):
         self._process = _JsonLineProcess(command)

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from .adapters import SubprocessEvaluator, SubprocessJudge, SubprocessProposer
 from .codegen import EmissionError, default_templates, emit, load_templates, lower_to_ir, structural_diff
 from .dot import export_dot
 from .engine import (
@@ -56,6 +58,14 @@ def _registry_from(args):
     if getattr(args, "registry", None):
         return load_registry(args.registry)
     return default_registry()
+
+
+def _split_command(command: str) -> list[str]:
+    """Shell-style words, so quoted paths with spaces stay one argument."""
+    try:
+        return shlex.split(command)
+    except ValueError as exc:
+        raise ConfigError(f"bad command {command!r}: {exc}") from None
 
 
 def _load_graph(path: str, args, registry) -> tuple[str, WorkflowGraph]:
@@ -152,31 +162,24 @@ def cmd_evolve(args) -> int:
                 raise ConfigError(f"seed {seed_path} has syntax errors")
             seed_graph, _ = lower_to_graph(doc, registry=registry, domain=config.evolution.domain)
             seeds.append(seed_graph)
+        evo = config.evolution
+        proposer = (
+            SubprocessProposer(_split_command(config.proposer_cmd))
+            if config.proposer_cmd
+            else OperatorProposer(evo.weights(), evo.site_budget)
+        )
+        judge = SubprocessJudge(_split_command(config.judge_cmd)) if config.judge_cmd else StructuralJudge()
+        evaluator = (
+            SubprocessEvaluator(_split_command(config.evaluator_cmd))
+            if config.evaluator_cmd
+            else SyntheticTaskEvaluator(evo.scenario)
+        )
     except (OSError, ConfigError, RegistryError) as exc:
         return _fail(str(exc), EXIT_INPUT_FAILURE)
 
-    if config.proposer_cmd or config.judge_cmd or config.evaluator_cmd:
-        from .adapters import SubprocessEvaluator, SubprocessJudge, SubprocessProposer
-
-        proposer = (
-            SubprocessProposer(config.proposer_cmd.split())
-            if config.proposer_cmd
-            else OperatorProposer(config.evolution.weights(), config.evolution.site_budget)
-        )
-        judge = SubprocessJudge(config.judge_cmd.split()) if config.judge_cmd else StructuralJudge()
-        evaluator = (
-            SubprocessEvaluator(config.evaluator_cmd.split())
-            if config.evaluator_cmd
-            else SyntheticTaskEvaluator(config.evolution.scenario)
-        )
-    else:
-        proposer = OperatorProposer(config.evolution.weights(), config.evolution.site_budget)
-        judge = StructuralJudge()
-        evaluator = SyntheticTaskEvaluator(config.evolution.scenario)
-
     out_dir = Path(args.out) if args.out else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_evolution(seeds, config.evolution, proposer, judge, evaluator)
+    result = run_evolution(seeds, evo, proposer, judge, evaluator)
 
     history_path = out_dir / config.history
     manifest_path = out_dir / config.manifest

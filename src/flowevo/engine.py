@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import WorkflowGraph
+from .graph import WorkflowGraph, prompt_refs
 from .mermaid import lower_to_graph, parse_workflow, serialize_workflow
 from .operators import OperatorKind, apply_random, default_operator_weights
 from .sampling import sample_parent, sample_parent_pair
@@ -50,7 +50,6 @@ class EvolutionConfig:
     site_budget: int = 8
     domain: str = "math"
     scenario: str = "math_ensemble_refine"
-    complexity_band: tuple[int, int] = (6, 14)
 
     def __post_init__(self):
         if not 0.0 <= self.lambda_ <= 1.0:
@@ -175,8 +174,6 @@ class OperatorProposer:
     primary parent unchanged rather than failing the round.
     """
 
-    concurrent_safe = True
-
     def __init__(self, weights=None, site_budget: int = 8):
         self.weights = weights
         self.site_budget = site_budget
@@ -199,6 +196,9 @@ class OperatorProposer:
 
 # -- shipped judge ----------------------------------------------------------------
 
+COMPLEXITY_BAND = (6, 14)  # node counts the judge scores as well balanced
+PROMPT_LENGTH_BAND = (10, 1200)  # prompt text lengths it scores as well formed
+
 
 class StructuralJudge:
     """Deterministic surrogate for rubric-based candidate selection.
@@ -209,12 +209,6 @@ class StructuralJudge:
     node-count band, prompt quality from reference resolution, and rationale
     from the modification record.
     """
-
-    concurrent_safe = True
-
-    def __init__(self, complexity_band=(6, 14), prompt_length_band=(10, 1200)):
-        self.complexity_band = complexity_band
-        self.prompt_length_band = prompt_length_band
 
     def score_candidates(self, candidates, parents, history) -> list[JudgeScore]:
         parent_graphs = [p.workflow for p in parents]
@@ -251,7 +245,7 @@ class StructuralJudge:
         return max(1, min(10, 1 + round(9 * min(1.0, 2.0 * ratio))))
 
     def _complexity(self, graph) -> int:
-        low, high = self.complexity_band
+        low, high = COMPLEXITY_BAND
         count = len(graph.nodes)
         if low <= count <= high:
             return 10
@@ -260,21 +254,14 @@ class StructuralJudge:
 
     def _prompt_quality(self, graph) -> int:
         refs = resolved = in_band = 0
-        low, high = self.prompt_length_band
-        for node in graph.nodes:
-            schema = graph.registry.get(node.kind)
-            if schema is None:
-                continue
-            for attr in schema.attribute_keys:
-                value = node.attributes.get(attr.key)
-                if not attr.prompt_ref or value is None or not value.isidentifier():
-                    continue
-                refs += 1
-                text = graph.prompts.get(value)
-                if text is not None:
-                    resolved += 1
-                    if low <= len(text) <= high:
-                        in_band += 1
+        low, high = PROMPT_LENGTH_BAND
+        for _, _, name in prompt_refs(graph):
+            refs += 1
+            text = graph.prompts.get(name)
+            if text is not None:
+                resolved += 1
+                if low <= len(text) <= high:
+                    in_band += 1
         if refs == 0:
             return 5
         quality = 0.7 * (resolved / refs) + 0.3 * (in_band / refs)
@@ -378,8 +365,6 @@ def graph_features(graph: WorkflowGraph) -> dict:
 
 class SyntheticTaskEvaluator:
     """Deterministic score in [0, 1]: structural similarity to a target profile."""
-
-    concurrent_safe = True
 
     def __init__(self, profile: TargetProfile | str = "math_ensemble_refine"):
         if isinstance(profile, str):

@@ -14,7 +14,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .registry import NodeTypeSchema, default_registry
+from .registry import default_registry
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -39,9 +39,6 @@ class Node:
     kind: str
     attributes: dict = field(default_factory=dict)
     display_label: str = ""
-
-    def attr(self, key: str, default=None):
-        return self.attributes.get(key, default)
 
 
 @dataclass(frozen=True)
@@ -178,9 +175,6 @@ class WorkflowGraph:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(self._by_id)
 
-    def schema_of(self, node_id: str) -> NodeTypeSchema | None:
-        return self.registry.get(self.node(node_id).kind)
-
     def predecessors(self, node_id: str) -> list[tuple[str, str | None]]:
         """Incoming (source id, edge label) pairs, sorted by source then label."""
         if node_id not in self._by_id:
@@ -250,18 +244,6 @@ class WorkflowGraph:
             tuple(sorted(mid)),
             tuple(sorted(isolated)),
         )
-
-    def entry_node(self) -> str:
-        roles = self.interface_roles()
-        if not roles.problem_entries:
-            raise MissingInterfaceError("graph has no entry interface node")
-        return roles.problem_entries[0]
-
-    def exit_node(self) -> str:
-        roles = self.interface_roles()
-        if not roles.exits:
-            raise MissingInterfaceError("graph has no exit interface node")
-        return roles.exits[0]
 
     # -- reachability -------------------------------------------------------
 
@@ -444,6 +426,23 @@ def build_graph(nodes, edges, prompts=None, domain="math", registry=None) -> Wor
     are construction errors.
     """
     return WorkflowGraph(nodes, edges, prompts=prompts, domain=domain, registry=registry)
+
+
+def prompt_refs(graph: WorkflowGraph, nodes=None):
+    """Yield (node, attribute key, prompt name) for each prompt reference.
+
+    Walks ``nodes`` (default: every node of ``graph``) in order, and each
+    node's prompt-ref attributes in schema order. Only identifier values are
+    references; any other value is inline prompt text.
+    """
+    for node in graph.nodes if nodes is None else nodes:
+        schema = graph.registry.get(node.kind)
+        if schema is None:
+            continue
+        for attr in schema.attribute_keys:
+            value = node.attributes.get(attr.key)
+            if attr.prompt_ref and value is not None and IDENT_RE.match(value):
+                yield node, attr.key, value
 
 
 def type_of_output(graph: WorkflowGraph, node_id: str) -> str | None:

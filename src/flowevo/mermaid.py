@@ -122,6 +122,8 @@ _EDGE_LABELED_RE = re.compile(r"(\w+)\s*-->\s*\|([^|]*)\|\s*(\w+)\s*$")
 _EDGE_TEXT_RE = re.compile(r"(\w+)\s*--\s+(.+?)\s+-->\s*(\w+)\s*$")
 _EDGE_PLAIN_RE = re.compile(r"(\w+)\s*-->\s*(\w+)\s*$")
 _PROMPT_ENTRY_RE = re.compile(r"(\w+)\s*=\s*\"(.*)\"\s*$")
+_PROMPT_ESCAPE_RE = re.compile(r'\\([n"\\])')
+_UNTERMINATED_DECL_RE = re.compile(r"\w+\[\"")
 
 
 def _unescape_label(text: str) -> str:
@@ -156,23 +158,8 @@ def _escape_attr_key(text: str) -> str:
 
 
 def _unescape_prompt(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt in ('"', "\\"):
-                out.append(nxt)
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    # a backslash before anything but n, " or \ is kept literally
+    return _PROMPT_ESCAPE_RE.sub(lambda m: "\n" if m.group(1) == "n" else m.group(1), text)
 
 
 def _escape_prompt(text: str) -> str:
@@ -424,11 +411,6 @@ def parse_workflow(text: str) -> MermaidDocument:
                 else:
                     declared[decl.id] = decl
                 statements.append(decl)
-                continue
-            if decl is None and not _looks_like_decl(stripped):
-                diagnostics.append(
-                    Diagnostic(SYNTAX, ERROR, f"unrecognized statement: {stripped!r}", span=span)
-                )
 
     if in_prompt:
         diagnostics.append(
@@ -454,17 +436,12 @@ def _parse_node_decl(stripped, span, raw, diagnostics) -> NodeDecl | None:
     if match:
         display, attrs = split_label(match.group(2))
         return NodeDecl(span, raw, match.group(1), "diamond", display, attrs)
-    if re.match(r"\w+\[\"", stripped):
-        diagnostics.append(
-            Diagnostic(SYNTAX, ERROR, f"unterminated string in node declaration: {stripped!r}", span=span)
-        )
-        return None
+    if _UNTERMINATED_DECL_RE.match(stripped):
+        message = f"unterminated string in node declaration: {stripped!r}"
+    else:
+        message = f"unrecognized statement: {stripped!r}"
+    diagnostics.append(Diagnostic(SYNTAX, ERROR, message, span=span))
     return None
-
-
-def _looks_like_decl(stripped: str) -> bool:
-    # already reported as unterminated-string
-    return bool(re.match(r"\w+\[\"", stripped))
 
 
 # -- lowering ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from .graph import Edge, Node, WorkflowGraph, type_of_output
+from .graph import Edge, Node, WorkflowGraph, prompt_refs, type_of_output
 from .registry import NodeTypeSchema, port_accepts
 from .validator import Verdict, bind_input_ports, validate
 
@@ -266,6 +266,12 @@ class Fragment:
     label: str = "fragment"
 
 
+def _referenced_prompts(graph: WorkflowGraph, nodes) -> dict:
+    """The prompt texts of ``graph`` that ``nodes`` name, so they travel with the nodes."""
+    refs = prompt_refs(graph, nodes)
+    return {name: graph.prompts.get(name) for _, _, name in refs if name in graph.prompts}
+
+
 def _region_boundary(graph: WorkflowGraph, region: frozenset):
     incoming, outgoing = [], []
     for e in graph.edges:
@@ -449,23 +455,12 @@ def _graft_downstream(own: WorkflowGraph, v_own: str, donor: WorkflowGraph, v_do
         if src_in and e.target in imported:
             edges.append(Edge(rename[e.source], rename[e.target], e.label))
 
-    # carry over prompt texts referenced by migrated nodes
-    extra = {}
-    for n in donor.nodes:
-        if n.id not in imported:
-            continue
-        schema = donor.registry.get(n.kind)
-        if schema is None:
-            continue
-        for attr in schema.attribute_keys:
-            value = n.attributes.get(attr.key)
-            if attr.prompt_ref and value and value in donor.prompts:
-                extra[value] = donor.prompts.get(value)
-    prompts = own.prompts.merged(extra)
+    migrated = [n for n in donor.nodes if n.id in imported]
+    prompts = own.prompts.merged(_referenced_prompts(donor, migrated))
     return own.with_changes(nodes=tuple(nodes), edges=tuple(edges), prompts=prompts)
 
 
-def crossover(g1: WorkflowGraph, g2: WorkflowGraph, selection_rule=None) -> RewriteOutcome:
+def crossover(g1: WorkflowGraph, g2: WorkflowGraph) -> RewriteOutcome:
     """Exchange the strictly-downstream subgraphs at a shared interface node.
 
     All-or-nothing: both children must re-validate or the whole operation is
@@ -476,8 +471,7 @@ def crossover(g1: WorkflowGraph, g2: WorkflowGraph, selection_rule=None) -> Rewr
     for i, parent in enumerate((g1, g2), start=1):
         if validate(parent).q != 1:
             raise OperatorPreconditionError(f"crossover parent {i} does not validate")
-    rule = selection_rule or default_crossover_point
-    point = rule(g1, g2)
+    point = default_crossover_point(g1, g2)
     if point is None:
         raise OperatorPreconditionError("no crossover point: parents share no common interface node")
     v1, v2 = point
@@ -676,78 +670,6 @@ def motif_fragments(graph: WorkflowGraph, rng) -> list[Fragment]:
     return fragments
 
 
-def _try_substitution(graph, rng, budget):
-    sites = [
-        n.id
-        for n in graph.nodes
-        if (s := graph.registry.get(n.kind)) is not None
-        and not s.is_interface
-        and s.attribute_keys
-    ]
-    sites.sort()
-    for idx in rng.permutation(len(sites))[:budget]:
-        node = graph.node(sites[int(idx)])
-        schema = graph.registry.get(node.kind)
-        try:
-            return substitute_node(graph, node.id, _substitution_attributes(graph, node, schema, rng))
-        except (OperatorPreconditionError, RewriteRejectedError):
-            continue
-    return None
-
-
-def _try_addition(graph, rng, budget):
-    schemas = _insertable_schemas(graph)
-    sites = [(e, s) for e in graph.edges for s in schemas]
-    for idx in rng.permutation(len(sites))[:budget]:
-        victim, schema = sites[int(idx)]
-        node_id = _fresh_id(set(graph.node_ids()), _ID_PREFIX.get(schema.kind, "N"))
-        node = Node(node_id, schema.kind, _attributes_for(schema, graph, rng), schema.display_name)
-        try:
-            return add_node(graph, (victim.source, victim.target, victim.label), node)
-        except (OperatorPreconditionError, RewriteRejectedError):
-            continue
-    return None
-
-
-def _try_rewiring(graph, rng, budget):
-    sites = []
-    keys = graph.edge_multiset()
-    for e in graph.edges:
-        for third in graph.node_ids():
-            if third in (e.source, e.target):
-                continue
-            if (e.source, third, e.label) not in keys:
-                sites.append((e, third, "to_third"))
-            if (third, e.target, e.label) not in keys:
-                sites.append((e, third, "from_third"))
-    for idx in rng.permutation(len(sites))[:budget]:
-        victim, third, direction = sites[int(idx)]
-        try:
-            return rewire_edge(graph, (victim.source, victim.target, victim.label), third, direction)
-        except (OperatorPreconditionError, RewriteRejectedError):
-            continue
-    return None
-
-
-def _try_deletion(graph, rng, budget):
-    sites = [
-        n.id
-        for n in graph.nodes
-        if graph.in_degree(n.id) == 1
-        and graph.out_degree(n.id) == 1
-        and not (
-            (s := graph.registry.get(n.kind)) is not None and s.is_interface
-        )
-    ]
-    sites.sort()
-    for idx in rng.permutation(len(sites))[:budget]:
-        try:
-            return delete_node(graph, sites[int(idx)])
-        except (OperatorPreconditionError, RewriteRejectedError):
-            continue
-    return None
-
-
 def donor_fragments(donor: WorkflowGraph, rng) -> list[Fragment]:
     """Replacement fragments lifted from another workflow's subgraphs.
 
@@ -755,19 +677,6 @@ def donor_fragments(donor: WorkflowGraph, rng) -> list[Fragment]:
     feeding one of the donor's ensembles. Prompt texts referenced by the
     lifted nodes travel with the fragment.
     """
-
-    def prompts_for(nodes):
-        out = {}
-        for node in nodes:
-            schema = donor.registry.get(node.kind)
-            if schema is None:
-                continue
-            for attr in schema.attribute_keys:
-                value = node.attributes.get(attr.key)
-                if attr.prompt_ref and value and value in donor.prompts:
-                    out[value] = donor.prompts.get(value)
-        return out
-
     solvers = [
         n
         for n in donor.nodes
@@ -782,7 +691,7 @@ def donor_fragments(donor: WorkflowGraph, rng) -> list[Fragment]:
         fragments.append(
             Fragment(
                 nodes=(lifted,),
-                prompts=prompts_for([lifted]),
+                prompts=_referenced_prompts(donor, [lifted]),
                 inputs=(lifted.id,),
                 outputs=(lifted.id,),
                 label=f"donor-node-{node.id}",
@@ -808,7 +717,7 @@ def donor_fragments(donor: WorkflowGraph, rng) -> list[Fragment]:
         fragments.append(
             Fragment(
                 nodes=lifted,
-                prompts=prompts_for(lifted),
+                prompts=_referenced_prompts(donor, lifted),
                 inputs=tuple(n.id for n in lifted),
                 outputs=tuple(n.id for n in lifted),
                 label=f"donor-branches-{ens_id}",
@@ -817,23 +726,118 @@ def donor_fragments(donor: WorkflowGraph, rng) -> list[Fragment]:
     return fragments
 
 
-def _try_subgraph_mutation(graph, rng, budget, partner=None):
-    sites = [
+# -- one row per kind: the sites of a graph, and the rewrite at one site ------------------
+#
+# Site lists are built in a fixed order so a seeded permutation over them
+# replays exactly; rewrites that need randomness draw from the same rng.
+
+
+def _substitution_sites(graph):
+    return sorted(
+        n.id
+        for n in graph.nodes
+        if (s := graph.registry.get(n.kind)) is not None and not s.is_interface and s.attribute_keys
+    )
+
+
+def _substitute_at(graph, node_id, rng, partner):
+    node = graph.node(node_id)
+    attrs = _substitution_attributes(graph, node, graph.registry.get(node.kind), rng)
+    return substitute_node(graph, node_id, attrs)
+
+
+def _addition_sites(graph):
+    schemas = _insertable_schemas(graph)
+    return [(e, s) for e in graph.edges for s in schemas]
+
+
+def _add_at(graph, site, rng, partner):
+    victim, schema = site
+    node_id = _fresh_id(set(graph.node_ids()), _ID_PREFIX.get(schema.kind, "N"))
+    node = Node(node_id, schema.kind, _attributes_for(schema, graph, rng), schema.display_name)
+    return add_node(graph, victim.key(), node)
+
+
+def _rewiring_sites(graph):
+    sites = []
+    keys = graph.edge_multiset()
+    for e in graph.edges:
+        for third in graph.node_ids():
+            if third in (e.source, e.target):
+                continue
+            if (e.source, third, e.label) not in keys:
+                sites.append((e, third, "to_third"))
+            if (third, e.target, e.label) not in keys:
+                sites.append((e, third, "from_third"))
+    return sites
+
+
+def _rewire_at(graph, site, rng, partner):
+    victim, third, direction = site
+    return rewire_edge(graph, victim.key(), third, direction)
+
+
+def _deletion_sites(graph):
+    return sorted(
+        n.id
+        for n in graph.nodes
+        if graph.in_degree(n.id) == 1
+        and graph.out_degree(n.id) == 1
+        and not ((s := graph.registry.get(n.kind)) is not None and s.is_interface)
+    )
+
+
+def _delete_at(graph, node_id, rng, partner):
+    return delete_node(graph, node_id)
+
+
+def _mutation_sites(graph):
+    return sorted(
         n.id
         for n in graph.nodes
         if not ((s := graph.registry.get(n.kind)) is not None and s.is_interface)
-    ]
-    sites.sort()
+    )
+
+
+def _mutate_at(graph, node_id, rng, partner):
+    fragments = motif_fragments(graph, rng)
+    if partner is not None and partner.domain == graph.domain:
+        fragments.extend(donor_fragments(partner, rng))
+    outcome = _first_rewrite(rng, fragments, lambda fragment: mutate_subgraph(graph, {node_id}, fragment))
+    if outcome is None:
+        raise OperatorPreconditionError(f"no fragment fits at node {node_id}")
+    return outcome
+
+
+def _crossover_sites(graph):
+    return [None]  # the crossover point is chosen deterministically
+
+
+def _crossover_at(graph, site, rng, partner):
+    return crossover(graph, partner)
+
+
+_REWRITES = {
+    OperatorKind.SUBSTITUTION: (_substitution_sites, _substitute_at),
+    OperatorKind.ADDITION: (_addition_sites, _add_at),
+    OperatorKind.REWIRING: (_rewiring_sites, _rewire_at),
+    OperatorKind.DELETION: (_deletion_sites, _delete_at),
+    OperatorKind.SUBGRAPH_MUTATION: (_mutation_sites, _mutate_at),
+    OperatorKind.CROSSOVER: (_crossover_sites, _crossover_at),
+}
+
+
+def _first_rewrite(rng, sites, rewrite, budget=None) -> RewriteOutcome | None:
+    """Rewrite at up to ``budget`` sites in seeded random order; the first product wins.
+
+    A failed precondition or a closure-guard rejection discards that attempt
+    whole, and the next site is tried.
+    """
     for idx in rng.permutation(len(sites))[:budget]:
-        region = {sites[int(idx)]}
-        fragments = motif_fragments(graph, rng)
-        if partner is not None and partner.domain == graph.domain:
-            fragments.extend(donor_fragments(partner, rng))
-        for frag_idx in rng.permutation(len(fragments)):
-            try:
-                return mutate_subgraph(graph, region, fragments[int(frag_idx)])
-            except (OperatorPreconditionError, RewriteRejectedError):
-                continue
+        try:
+            return rewrite(sites[int(idx)])
+        except (OperatorPreconditionError, RewriteRejectedError):
+            continue
     return None
 
 
@@ -869,21 +873,10 @@ def apply_random(target, rng, weights=None, site_budget: int = 8) -> RewriteOutc
         weights.pop(OperatorKind.CROSSOVER, None)
 
     for kind in _weighted_kind_order(weights, rng):
-        if kind is OperatorKind.SUBSTITUTION:
-            outcome = _try_substitution(primary, rng, site_budget)
-        elif kind is OperatorKind.ADDITION:
-            outcome = _try_addition(primary, rng, site_budget)
-        elif kind is OperatorKind.REWIRING:
-            outcome = _try_rewiring(primary, rng, site_budget)
-        elif kind is OperatorKind.DELETION:
-            outcome = _try_deletion(primary, rng, site_budget)
-        elif kind is OperatorKind.SUBGRAPH_MUTATION:
-            outcome = _try_subgraph_mutation(primary, rng, site_budget, partner)
-        else:
-            try:
-                outcome = crossover(primary, partner)
-            except (OperatorPreconditionError, RewriteRejectedError):
-                outcome = None
+        sites, rewrite = _REWRITES[kind]
+        outcome = _first_rewrite(
+            rng, sites(primary), lambda site: rewrite(primary, site, rng, partner), site_budget
+        )
         if outcome is not None:
             return outcome
     return None

@@ -124,11 +124,6 @@ class Registry:
     def __contains__(self, kind: str) -> bool:
         return self.resolve_kind(kind) is not None
 
-    def with_schema(self, schema: NodeTypeSchema) -> "Registry":
-        merged = dict(self._schemas)
-        merged[schema.kind] = schema
-        return Registry(merged.values())
-
 
 # Style palette matching the published classDef block; kept verbatim so
 # serialized sources render identically to the reference corpus.

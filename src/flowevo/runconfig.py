@@ -36,7 +36,7 @@ _SCALAR_KEYS = {
     "scenario": str,
 }
 
-_PATH_KEYS = ("history", "manifest", "registry", "templates")
+_PATH_KEYS = ("history", "manifest", "registry")
 _CMD_KEYS = ("proposer_cmd", "judge_cmd", "evaluator_cmd")
 
 
@@ -49,7 +49,6 @@ class RunConfig:
     history: str = "history.jsonl"
     manifest: str = "manifest.json"
     registry: str | None = None
-    templates: str | None = None
     proposer_cmd: str | None = None
     judge_cmd: str | None = None
     evaluator_cmd: str | None = None
@@ -72,7 +71,6 @@ class RunConfig:
             "history": self.history,
             "manifest": self.manifest,
             "registry": self.registry,
-            "templates": self.templates,
             "proposer_cmd": self.proposer_cmd,
             "judge_cmd": self.judge_cmd,
             "evaluator_cmd": self.evaluator_cmd,
@@ -150,10 +148,7 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
         part.strip() for part in raw.pop("seeds", "").split(",") if part.strip()
     )
     config = RunConfig(evolution=evolution, seeds=seeds)
-    for key in _PATH_KEYS:
-        if key in raw:
-            setattr(config, key, raw.pop(key) or None)
-    for key in _CMD_KEYS:
+    for key in _PATH_KEYS + _CMD_KEYS:
         if key in raw:
             setattr(config, key, raw.pop(key) or None)
     if raw:

@@ -33,11 +33,11 @@ from .diagnostics import (
     sort_diagnostics,
 )
 from .graph import (
-    IDENT_RE,
     RESERVED_AUX_ENTRY,
     RESERVED_ENTRY,
     RESERVED_EXIT,
     WorkflowGraph,
+    prompt_refs,
     type_of_output,
 )
 from .mermaid import UNCLASSIFIED, lower_to_graph, parse_workflow
@@ -349,27 +349,18 @@ def _check_struct(graph):
 def _check_prompts(graph):
     out = []
     used = set()
-    for node in graph.nodes:
-        schema = graph.registry.get(node.kind)
-        if schema is None:
-            continue
-        for attr in schema.attribute_keys:
-            if not attr.prompt_ref:
-                continue
-            value = node.attributes.get(attr.key)
-            if value is None or not IDENT_RE.match(value):
-                continue  # inline text, not a reference
-            if value in graph.prompts:
-                used.add(value)
-            else:
-                out.append(
-                    Diagnostic(
-                        STRUCT,
-                        WARNING,
-                        f"unresolved prompt reference {value!r} in attribute {attr.key!r}",
-                        subject=node.id,
-                    )
+    for node, key, name in prompt_refs(graph):
+        if name in graph.prompts:
+            used.add(name)
+        else:
+            out.append(
+                Diagnostic(
+                    STRUCT,
+                    WARNING,
+                    f"unresolved prompt reference {name!r} in attribute {key!r}",
+                    subject=node.id,
                 )
+            )
     for name in sorted(graph.prompts):
         if name not in used:
             out.append(Diagnostic(STRUCT, WARNING, f"unused prompt entry {name!r}"))

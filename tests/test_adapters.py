@@ -82,9 +82,3 @@ def test_broken_adapter_raises(gsm8k):
             evaluator.evaluate(gsm8k)
     finally:
         evaluator.close()
-
-
-def test_adapters_declare_serialized_access():
-    assert SubprocessProposer.concurrent_safe is False
-    assert SubprocessJudge.concurrent_safe is False
-    assert SubprocessEvaluator.concurrent_safe is False

@@ -222,6 +222,53 @@ def test_evolve_with_external_adapters(tmp_path, corpus_dir, capsys):
     assert (out / "history.jsonl").exists()
 
 
+def test_evolve_templates_key_exits_2(tmp_path, corpus_dir, capsys):
+    config = tmp_path / "templates.cfg"
+    config.write_text(
+        f"seeds = {corpus_dir / 'seed_math_minimal.mmd'}\ntemplates = x\n", encoding="utf-8"
+    )
+    assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown config keys: templates" in capsys.readouterr().err
+
+
+def test_evolve_adapter_command_with_quoted_path(tmp_path, corpus_dir, capsys):
+    import shlex
+    import shutil
+    import sys
+
+    spaced = tmp_path / "adapter dir"
+    spaced.mkdir()
+    stub = spaced / "stub adapter.py"
+    shutil.copy(Path(__file__).parent / "data" / "stub_adapter.py", stub)
+    config = tmp_path / "quoted.cfg"
+    config.write_text(
+        "domain = math\n"
+        f"seeds = {corpus_dir / 'seed_math_minimal.mmd'}\n"
+        "max_rounds = 2\n"
+        "candidate_pool = 2\n"
+        "seed = 1\n"
+        f"evaluator_cmd = {shlex.join([sys.executable, str(stub)])}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "quoted"
+    assert main(["evolve", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for line in (out / "history.jsonl").read_text(encoding="utf-8").splitlines():
+        entry = json.loads(line)
+        # the stub scores by source length, so every score came from it
+        assert entry["score"] == min(1.0, len(entry["source"]) / 10000.0)
+
+
+def test_evolve_unbalanced_quote_in_command_exits_2(tmp_path, corpus_dir, capsys):
+    config = tmp_path / "unbalanced.cfg"
+    config.write_text(
+        f"seeds = {corpus_dir / 'seed_math_minimal.mmd'}\nevaluator_cmd = python 'unclosed\n",
+        encoding="utf-8",
+    )
+    assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "bad command" in capsys.readouterr().err
+
+
 def test_emit_gsm8k(tmp_path, capsys):
     out = tmp_path / "emitted"
     assert main(["emit", str(corpus_path("gsm8k_round16")), "--out", str(out), "--json"]) == 0

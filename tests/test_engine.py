@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -151,6 +152,19 @@ def test_judge_tie_breaks_to_first(gsm8k):
     candidate = Candidate(gsm8k, serialize_workflow(gsm8k), "<modification>same</modification>")
     best, _ = judge_select([candidate, candidate], [entry_for(gsm8k)], [], StructuralJudge())
     assert best == 0
+
+
+def test_judge_treats_non_ascii_prompt_value_as_inline_text():
+    # the judge and the validator agree on what a prompt reference is
+    from flowevo import Edge, Node, build_graph
+
+    graph = build_graph(
+        [Node("PROBLEM", "Interface"), Node("C", "CustomOp", {"role": "café"}), Node("RETURN", "Interface")],
+        [Edge("PROBLEM", "C"), Edge("C", "RETURN")],
+    )
+    candidate = Candidate(graph, serialize_workflow(graph), "<modification>x</modification>")
+    (score,) = StructuralJudge().score_candidates([candidate], [], [])
+    assert score.dims["prompt_quality"] == 5  # no references at all
 
 
 def test_judge_score_range_enforced():
@@ -336,6 +350,8 @@ def test_demo_trajectory_golden(seed_minimal):
         0.725, 0.875, 0.675, 0.725, 0.675, 0.775, 0.575, 0.85, 0.725, 0.45,
         0.275,
     ]
+    digest = hashlib.sha256(history_to_jsonl(result.history).encode()).hexdigest()
+    assert digest == "4df25287f4cb60d683a4981ce8d4d01a67e08f273b4ed4be1567c50bdcfc18f1"
 
 
 def test_code_domain_evolution(humaneval):

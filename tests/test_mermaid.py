@@ -16,7 +16,7 @@ from flowevo import (
     parse_workflow,
     serialize_workflow,
 )
-from flowevo.mermaid import split_label
+from flowevo.mermaid import _escape_prompt, _unescape_prompt, split_label
 
 from conftest import CORPUS_NAMES, corpus_path, load_corpus_graph
 
@@ -69,6 +69,8 @@ def test_duplicate_node_declaration():
 def test_unterminated_string():
     doc = parse_workflow(HEADER + 'A["Custom\n')
     assert any("unterminated string" in d.message for d in doc.diagnostics)
+    # one finding per bad line: it is not also an unrecognized statement
+    assert not any("unrecognized statement" in d.message for d in doc.diagnostics)
 
 
 def test_stray_token_has_line_number():
@@ -104,6 +106,24 @@ def test_prompt_block_escapes():
     doc = parse_workflow(text)
     assert doc.prompts[0].name == "p1"
     assert doc.prompts[0].text == 'line one\nline "two"'
+
+
+@pytest.mark.parametrize(
+    ("escaped", "text"),
+    [
+        ("a\\xb", "a\\xb"),  # unknown escape: the backslash stays
+        ("tail\\", "tail\\"),  # a trailing backslash stays
+        ("\\\\n", "\\n"),  # escaped backslash, then a plain n
+    ],
+)
+def test_prompt_unescape_edge_cases(escaped, text):
+    assert _unescape_prompt(escaped) == text
+
+
+@given(st.text())
+@settings(max_examples=300)
+def test_prompt_escape_round_trip(text):
+    assert _unescape_prompt(_escape_prompt(text)) == text
 
 
 def test_duplicate_prompt_name():

@@ -461,3 +461,43 @@ def test_mutate_rejects_duplicate_fragment_ids(gsm8k):
     )
     with pytest.raises(OperatorPreconditionError, match="duplicate node ids"):
         mutate_subgraph(gsm8k, {"C"}, fragment)
+
+
+# frozen after the first derivation: one digest per weight setting over every
+# ordered corpus pair (and each graph alone) for seeds 0-2; any drift means
+# site enumeration, rng draw order, or an operator's product changed
+_APPLY_RANDOM_DIGESTS = {
+    "substitution": "515ca9ca22c98b28eb0fcfc7eb16f523996c17375f3f7200de424c066043e896",
+    "addition": "cabe66402b1c39ddcb32d60ad5b1f0f703abc86ea758b35e1d0f7fdebb171b81",
+    "rewiring": "d54b2edfb0e04e146e8cc80290a1fbd137449fad347ae9d256d729896e0745d3",
+    "deletion": "facceecb4df87d2f3c30fab0cb7737c193918236fe28e3ce024eb18318ad5d87",
+    "subgraph_mutation": "deb02562f9c9e98d70bf488827de8628ee08942aac8c3809f1d3a6e4639e179b",
+    "crossover": "4d8031e643e5cb5b12ec339933378702eab0fecd3ad0e86872b513894009ca2c",
+    "default": "daf4e7dedcfee301ecbef98bb59df9b818fd3e9f08d8ed9496717225d713ca4a",
+}
+
+
+def _apply_random_digest(corpus_graphs, weights) -> str:
+    import hashlib
+
+    from flowevo import serialize_workflow
+
+    graphs = [corpus_graphs[name] for name in sorted(corpus_graphs)]
+    targets = graphs + [(a, b) for a in graphs for b in graphs if a is not b]
+    digest = hashlib.sha256()
+    for target in targets:
+        for seed in range(3):
+            outcome = apply_random(target, np.random.default_rng(seed), weights)
+            if outcome is None:
+                digest.update(b"none\n")
+                continue
+            digest.update(outcome.description.encode() + b"\n")
+            for product in outcome.graphs:
+                digest.update(serialize_workflow(product).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("setting", sorted(_APPLY_RANDOM_DIGESTS))
+def test_apply_random_digest_golden(corpus_graphs, setting):
+    weights = None if setting == "default" else {OperatorKind(setting): 1.0}
+    assert _apply_random_digest(corpus_graphs, weights) == _APPLY_RANDOM_DIGESTS[setting]

@@ -68,6 +68,14 @@ def test_unknown_key_rejected(tmp_path):
         load_run_config(path)
 
 
+def test_templates_key_rejected(tmp_path):
+    # emission templates are a flag of `emit`, not a run setting
+    path = tmp_path / "run.cfg"
+    path.write_text("templates = x\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown config keys: templates"):
+        load_run_config(path)
+
+
 def test_bad_scalar_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("lambda = nine\n", encoding="utf-8")

@@ -239,6 +239,16 @@ def test_unused_prompt_entry_is_warning(gsm8k):
     assert any("unused prompt entry" in d.message for d in verdict.warnings)
 
 
+def test_non_ascii_prompt_value_is_inline_text():
+    # only ASCII identifiers name prompt entries; anything else is the prompt itself
+    graph = build_graph(
+        [Node("PROBLEM", "Interface"), Node("C", "CustomOp", {"role": "café"}), Node("RETURN", "Interface")],
+        [Edge("PROBLEM", "C"), Edge("C", "RETURN")],
+    )
+    assert validate(graph).q == 1
+    assert not any("unresolved" in d.message for d in soft_check(graph))
+
+
 def test_quoted_attribute_is_not_a_reference(gsm8k):
     # inline analysis strings must not be treated as prompt references
     assert not any("unresolved" in d.message for d in soft_check(gsm8k))
