@@ -32,7 +32,6 @@ from .registry import (
     Registry,
     default_registry,
     load_registry,
-    save_registry,
 )
 from .validator import soft_check, validate
 
@@ -60,7 +59,6 @@ __all__ = [
     "load_registry",
     "lower_to_graph",
     "parse_workflow",
-    "save_registry",
     "serialize_workflow",
     "soft_check",
     "type_of_input",

@@ -68,14 +68,9 @@ def _split_command(command: str) -> list[str]:
         raise ConfigError(f"bad command {command!r}: {exc}") from None
 
 
-def _load_graph(path: str, args, registry) -> tuple[str, WorkflowGraph]:
-    text = _read_text(path)
-    doc = parse_workflow(text)
-    if not doc.ok:
-        bad = [d for d in doc.diagnostics if d.is_error]
-        raise LoweringError("; ".join(d.render() for d in bad[:4]))
-    graph, _ = lower_to_graph(doc, registry=registry, domain=getattr(args, "domain", None))
-    return text, graph
+def _load_graph(path: str, registry, domain) -> WorkflowGraph:
+    graph, _ = lower_to_graph(parse_workflow(_read_text(path)), registry=registry, domain=domain)
+    return graph
 
 
 # -- commands ----------------------------------------------------------------------
@@ -98,10 +93,10 @@ def cmd_validate(args) -> int:
 def cmd_mutate(args) -> int:
     try:
         registry = _registry_from(args)
-        _, graph = _load_graph(args.path, args, registry)
+        graph = _load_graph(args.path, registry, args.domain)
         partner = None
         if args.path2:
-            _, partner = _load_graph(args.path2, args, registry)
+            partner = _load_graph(args.path2, registry, args.domain)
     except (OSError, RegistryError, LoweringError) as exc:
         return _fail(str(exc), EXIT_INPUT_FAILURE)
     for i, g in enumerate((graph, partner)):
@@ -157,11 +152,10 @@ def cmd_evolve(args) -> int:
             resolved = Path(seed_path)
             if not resolved.is_absolute():
                 resolved = base / resolved
-            doc = parse_workflow(resolved.read_text(encoding="utf-8"))
-            if not doc.ok:
-                raise ConfigError(f"seed {seed_path} has syntax errors")
-            seed_graph, _ = lower_to_graph(doc, registry=registry, domain=config.evolution.domain)
-            seeds.append(seed_graph)
+            try:
+                seeds.append(_load_graph(str(resolved), registry, config.evolution.domain))
+            except LoweringError as exc:
+                raise ConfigError(f"seed {seed_path}: {exc}") from None
         evo = config.evolution
         proposer = (
             SubprocessProposer(_split_command(config.proposer_cmd))
@@ -225,7 +219,7 @@ def cmd_evolve(args) -> int:
 def cmd_emit(args) -> int:
     try:
         registry = _registry_from(args)
-        _, graph = _load_graph(args.path, args, registry)
+        graph = _load_graph(args.path, registry, args.domain)
         templates = load_templates(args.templates) if args.templates else default_templates()
     except (OSError, RegistryError, LoweringError, EmissionError) as exc:
         return _fail(str(exc), EXIT_INPUT_FAILURE)
@@ -263,7 +257,7 @@ def cmd_emit(args) -> int:
 def cmd_export_dot(args) -> int:
     try:
         registry = _registry_from(args)
-        _, graph = _load_graph(args.path, args, registry)
+        graph = _load_graph(args.path, registry, args.domain)
     except (OSError, RegistryError, LoweringError) as exc:
         return _fail(str(exc), EXIT_INPUT_FAILURE)
     dot = export_dot(graph)
@@ -284,11 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, domain=True):
+    def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--registry", help="node-type registry config file")
-        if domain:
-            p.add_argument("--domain", choices=["math", "code"], help="task domain (default: inferred)")
+        p.add_argument("--domain", choices=["math", "code"], help="task domain (default: inferred)")
 
     p = sub.add_parser("validate", help="hard + soft check a workflow source")
     p.add_argument("path", help="workflow file or - for stdin")

@@ -2,44 +2,27 @@
 
 Export works on any parseable graph, valid or not, so it can be used to
 inspect broken workflows; validation findings are included as comment
-lines at the top of the output.
+lines at the top of the output. Fill colours come from each kind's
+registry style and shapes from the serializer's declaration shape, so a
+custom registry restyles the export as it does the source.
 """
 
 from __future__ import annotations
 
-from .graph import WorkflowGraph
+from .graph import Node, WorkflowGraph
+from .mermaid import node_shape
 from .validator import soft_check
 
-_FILL = {
-    "CustomOp": "#d0e1f9",
-    "ProgrammerOp": "#f9c2c2",
-    "ScEnsembleOp": "#f9e4b7",
-    "TestOp": "#d8f0d8",
-    "CustomCodeGenerateOp": "#f9c2c2",
-    "Interface": "#e2e2f2",
-    "DecisionOp": "#ffffff",
-}
+_DOT_SHAPE = {"stadium": "ellipse", "diamond": "diamond", "rect": "box"}
 
 
-def _fill_for(graph: WorkflowGraph, kind: str) -> str:
-    resolved = graph.registry.resolve_kind(kind)
-    if resolved in _FILL:
-        return _FILL[resolved]
-    schema = graph.registry.get(kind)
-    if schema is not None and schema.style:
+def _fill_for(graph: WorkflowGraph, node: Node) -> str:
+    schema = graph.registry.get(node.kind)
+    if schema is not None:
         for token in schema.style.split(","):
             if token.strip().startswith("fill:"):
                 return token.strip()[5:]
     return "#ffffff"
-
-
-def _shape_for(graph: WorkflowGraph, kind: str) -> str:
-    schema = graph.registry.get(kind)
-    if schema is not None and schema.is_interface:
-        return "ellipse"
-    if graph.registry.resolve_kind(kind) == "DecisionOp":
-        return "diamond"
-    return "box"
 
 
 def _escape(text: str) -> str:
@@ -50,12 +33,8 @@ def _quote(text: str) -> str:
     return '"' + _escape(text) + '"'
 
 
-def export_dot(graph: WorkflowGraph, include_diagnostics: bool = True) -> str:
-    lines = []
-    if include_diagnostics:
-        findings = soft_check(graph)
-        for diag in findings:
-            lines.append(f"// {diag.render()}")
+def export_dot(graph: WorkflowGraph) -> str:
+    lines = [f"// {diag.render()}" for diag in soft_check(graph)]
     lines.append("digraph workflow {")
     lines.append("  rankdir=TB;")
     lines.append('  node [style="filled"];')
@@ -65,8 +44,8 @@ def export_dot(graph: WorkflowGraph, include_diagnostics: bool = True) -> str:
         parts.extend(_escape(f"{k}: {v}") for k, v in sorted(node.attributes.items()))
         label = '"' + "\\n".join(parts) + '"'
         lines.append(
-            f"  {nid} [label={label}, shape={_shape_for(graph, node.kind)}, "
-            f'fillcolor="{_fill_for(graph, node.kind)}"];'
+            f"  {nid} [label={label}, shape={_DOT_SHAPE[node_shape(graph, node)]}, "
+            f'fillcolor="{_fill_for(graph, node)}"];'
         )
     edge_rows = sorted(
         ((e.source, e.target, e.label) for e in graph.edges),

@@ -60,6 +60,8 @@ class EvolutionConfig:
             raise ValueError("candidate_pool must be >= 1")
         if self.num_tries < 1:
             raise ValueError("num_tries must be >= 1")
+        if self.site_budget < 1:
+            raise ValueError("site_budget must be >= 1")
         weights = self.weights()
         total = sum(weights.values())
         if abs(total - 1.0) > 1e-9:

@@ -186,11 +186,8 @@ def split_label(label: str) -> tuple[str, dict]:
         return display, {}
     if not rest.startswith("("):
         return display, {"_text": _unescape_label(rest)}
-    body, closed = _scan_paren_body(rest)
-    if not closed:
-        body = body.rstrip("])").strip()
     attrs: dict = {}
-    for part in _split_top_level(body):
+    for part in _attr_parts(rest):
         key, _, value = part.partition(":")
         key = _unescape_label(key.strip())
         value = value.strip()
@@ -200,75 +197,37 @@ def split_label(label: str) -> tuple[str, dict]:
     return display, attrs
 
 
-def _scan_paren_body(text: str) -> tuple[str, bool]:
-    """Return the content of the leading parenthesized group and whether it closed."""
+# a quoted value (backslash escapes, maybe unterminated), a bracket or comma,
+# or a run of anything else
+_LABEL_TOKEN_RE = re.compile(r"'(?:\\[\s\S]|[^'\\])*'?|[(),]|[^'(),]+")
+
+
+def _attr_parts(rest: str) -> list[str]:
+    """The top-level comma-separated parts of the leading parenthesized group.
+
+    Quoted values are opaque. A group that never closes loses its stray
+    trailing brackets.
+    """
+    parts: list[str] = []
+    current: list[str] = []
     depth = 0
-    in_quote = False
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_quote:
-            if ch == "\\" and i + 1 < len(text):
-                out.append(text[i : i + 2])
-                i += 2
-                continue
-            if ch == "'":
-                in_quote = False
-            out.append(ch)
-            i += 1
-            continue
-        if ch == "'":
-            in_quote = True
-            out.append(ch)
-        elif ch == "(":
+    for token in _LABEL_TOKEN_RE.findall(rest):
+        if token == "(":
             depth += 1
-            if depth > 1:
-                out.append(ch)
-        elif ch == ")":
+            if depth == 1:
+                continue
+        elif token == ")":
             depth -= 1
             if depth == 0:
-                return "".join(out), True
-            out.append(ch)
-        else:
-            out.append(ch)
-        i += 1
-    return "".join(out), False
-
-
-def _split_top_level(body: str) -> list[str]:
-    parts = []
-    current = []
-    depth = 0
-    in_quote = False
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if in_quote:
-            if ch == "\\" and i + 1 < len(body):
-                current.append(body[i : i + 2])
-                i += 2
-                continue
-            if ch == "'":
-                in_quote = False
-            current.append(ch)
-        elif ch == "'":
-            in_quote = True
-            current.append(ch)
-        elif ch == "(":
-            depth += 1
-            current.append(ch)
-        elif ch == ")":
-            depth -= 1
-            current.append(ch)
-        elif ch == "," and depth == 0:
+                break
+        elif token == "," and depth == 1:
             parts.append("".join(current))
             current = []
-        else:
-            current.append(ch)
-        i += 1
-    if current:
-        parts.append("".join(current))
+            continue
+        current.append(token)
+    else:
+        current = ["".join(current).rstrip("])")]
+    parts.append("".join(current))
     return [p.strip() for p in parts if p.strip()]
 
 
@@ -469,7 +428,8 @@ def lower_to_graph(
 ) -> tuple[WorkflowGraph, list[Diagnostic]]:
     """Bind kinds and build a graph value; returns the graph plus lowering findings."""
     if not doc.ok:
-        raise LoweringError("cannot lower a document with syntax errors")
+        errors = [d.render() for d in doc.diagnostics if d.is_error]
+        raise LoweringError("syntax errors: " + "; ".join(errors[:4]))
     registry = registry or default_registry()
     if domain is None:
         domain = infer_domain(doc, registry)
@@ -569,7 +529,8 @@ def lower_to_graph(
 # -- serialization -------------------------------------------------------------
 
 
-def _shape_for(graph: WorkflowGraph, node: Node) -> str:
+def node_shape(graph: WorkflowGraph, node: Node) -> str:
+    """The declaration shape of ``node``: stadium, diamond or rect."""
     schema = graph.registry.get(node.kind)
     if schema is not None and schema.is_interface:
         return "stadium"
@@ -580,7 +541,7 @@ def _shape_for(graph: WorkflowGraph, node: Node) -> str:
 
 def _node_decl_line(graph: WorkflowGraph, node: Node) -> str:
     display = effective_display(graph, node)
-    shape = _shape_for(graph, node)
+    shape = node_shape(graph, node)
     if shape == "stadium":
         return f"{node.id}([{_escape_label(display)}])"
     if node.attributes:

@@ -3,14 +3,17 @@
 Every workflow node carries a kind tag; the registry maps kind tags to
 schemas describing input ports, output payload type, attribute keys, the
 style class used in flowchart sources, and an optional domain restriction.
-The registry is data-driven so new kinds can be added through a config file
-without touching code.
+The table lives in one place, the config file: the default registry is the
+``registry.cfg`` shipped next to this module, and a copy of it, with kinds
+added or restyled, can stand in for it wherever ``--registry`` is accepted.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 
 class RegistryError(Exception):
@@ -125,18 +128,8 @@ class Registry:
         return self.resolve_kind(kind) is not None
 
 
-# Style palette matching the published classDef block; kept verbatim so
-# serialized sources render identically to the reference corpus.
-_STYLES = {
-    "CustomOp": "fill:#d0e1f9,stroke:#4378a2,stroke-width:2px",
-    "ProgrammerOp": "fill:#f9c2c2,stroke:#c23737,stroke-width:2px",
-    "ScEnsembleOp": "fill:#f9e4b7,stroke:#b99b37,stroke-width:2px",
-    "TestOp": "fill:#d8f0d8,stroke:#2e8b57,stroke-width:2px",
-    "CustomCodeGenerateOp": "fill:#f9c2c2,stroke:#c23737,stroke-width:2px",
-    "Interface": "fill:#e2e2f2,stroke:#6a6ab2,stroke-width:2px",
-    "DecisionOp": "fill:#ffffff,stroke:#444444,stroke-width:1px,stroke-dasharray:2 2",
-}
-
+# The classDef order of serialized sources, which differs from the table's
+# kind order.
 STANDARD_CLASSES = (
     "CustomOp",
     "ProgrammerOp",
@@ -147,92 +140,13 @@ STANDARD_CLASSES = (
 )
 
 
+@functools.cache
 def default_registry() -> Registry:
-    """The six documented kinds plus the optional code-domain DecisionOp."""
-    return Registry(
-        [
-            NodeTypeSchema(
-                kind="Interface",
-                style_class="Interface",
-                style=_STYLES["Interface"],
-                interface_role="auto",
-                insertable=False,
-            ),
-            NodeTypeSchema(
-                kind="CustomOp",
-                input_ports=(PortSpec("input", accepts=("any",)),),
-                output_port=OutputSpec("solution"),
-                attribute_keys=(AttrSpec("role", required=True, prompt_ref=True),),
-                style_class="CustomOp",
-                style=_STYLES["CustomOp"],
-                display_name="Custom",
-            ),
-            NodeTypeSchema(
-                kind="ProgrammerOp",
-                input_ports=(
-                    PortSpec("problem", accepts=("problem", "solution")),
-                    PortSpec("analysis", required=False, accepts=("solution", "analysis")),
-                ),
-                output_port=OutputSpec("solution"),
-                attribute_keys=(AttrSpec("analysis"),),
-                style_class="ProgrammerOp",
-                style=_STYLES["ProgrammerOp"],
-                domain_restriction="math",
-                display_name="Programmer",
-            ),
-            NodeTypeSchema(
-                kind="ScEnsembleOp",
-                input_ports=(
-                    PortSpec("solution", min_count=2, variadic=True, accepts=("solution",)),
-                ),
-                output_port=OutputSpec("solution"),
-                style_class="ScEnsembleOp",
-                style=_STYLES["ScEnsembleOp"],
-                display_name="ScEnsemble",
-                insertable=False,
-            ),
-            NodeTypeSchema(
-                kind="TestOp",
-                input_ports=(
-                    PortSpec("solution", accepts=("solution",)),
-                    PortSpec("problem", required=False, ambient=True, accepts=("problem",)),
-                    PortSpec("entry_point", required=False, ambient=True, accepts=("entry_point",)),
-                ),
-                output_port=OutputSpec("solution"),
-                style_class="TestOp",
-                style=_STYLES["TestOp"],
-                domain_restriction="code",
-                display_name="Test",
-                insertable=False,
-            ),
-            NodeTypeSchema(
-                kind="CustomCodeGenerateOp",
-                input_ports=(
-                    PortSpec("problem", accepts=("problem", "solution")),
-                    PortSpec("entry_point", required=False, ambient=True, accepts=("entry_point",)),
-                ),
-                output_port=OutputSpec("solution"),
-                attribute_keys=(AttrSpec("instruction", required=True, prompt_ref=True),),
-                style_class="CustomCodeGenerateOp",
-                style=_STYLES["CustomCodeGenerateOp"],
-                domain_restriction="code",
-                display_name="CustomCodeGenerate",
-            ),
-            # Declared by published code-domain sources but absent from the
-            # documented kind list; registered with the pass/fail fan-out
-            # shape only.
-            NodeTypeSchema(
-                kind="DecisionOp",
-                input_ports=(PortSpec("condition", accepts=("any",)),),
-                output_port=OutputSpec("any"),
-                style_class="DecisionOp",
-                style=_STYLES["DecisionOp"],
-                domain_restriction="code",
-                display_name="Decision",
-                insertable=False,
-            ),
-        ]
-    )
+    """The table in the shipped ``registry.cfg``, loaded once per process.
+
+    A Registry has no mutators, so every caller shares the one instance.
+    """
+    return load_registry(Path(__file__).with_name("registry.cfg"))
 
 
 # ---------------------------------------------------------------------------
@@ -332,53 +246,3 @@ def load_registry(path) -> Registry:
     if not schemas:
         raise RegistryError(f"no [kind:*] sections in {path!r}")
     return Registry(schemas)
-
-
-def save_registry(registry: Registry, path) -> None:
-    parser = configparser.ConfigParser()
-    for schema in registry.schemas():
-        section = f"kind:{schema.kind}"
-        parser.add_section(section)
-        sec = parser[section]
-        if schema.input_ports:
-            lines = []
-            for port in schema.input_ports:
-                tokens = [port.label]
-                if port.accepts != ("any",):
-                    tokens.append("accepts=" + ",".join(port.accepts))
-                if port.ambient:
-                    tokens.append("ambient")
-                elif not port.required:
-                    tokens.append("optional")
-                if port.variadic:
-                    tokens.append("variadic")
-                if port.min_count != 1:
-                    tokens.append(f"min={port.min_count}")
-                lines.append(" ".join(tokens))
-            sec["inputs"] = "\n" + "\n".join(lines)
-        if schema.output_port is not None:
-            value = schema.output_port.type
-            if schema.output_port.label:
-                value += f" label={schema.output_port.label}"
-            sec["output"] = value
-        if schema.attribute_keys:
-            lines = []
-            for attr in schema.attribute_keys:
-                tokens = [attr.key]
-                if attr.required:
-                    tokens.append("required")
-                if attr.prompt_ref:
-                    tokens.append("prompt")
-                lines.append(" ".join(tokens))
-            sec["attributes"] = "\n" + "\n".join(lines)
-        sec["style_class"] = schema.style_class or schema.kind
-        if schema.style:
-            sec["style"] = schema.style
-        sec["domain"] = schema.domain_restriction or "any"
-        if schema.interface_role:
-            sec["interface"] = schema.interface_role
-        if schema.display_name:
-            sec["display"] = schema.display_name
-        sec["insertable"] = "yes" if schema.insertable else "no"
-    with open(path, "w", encoding="utf-8") as handle:
-        parser.write(handle)

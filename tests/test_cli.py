@@ -231,6 +231,34 @@ def test_evolve_templates_key_exits_2(tmp_path, corpus_dir, capsys):
     assert "unknown config keys: templates" in capsys.readouterr().err
 
 
+def test_evolve_site_budget_zero_exits_2(tmp_path, corpus_dir, capsys):
+    config = tmp_path / "budget.cfg"
+    config.write_text(
+        f"seeds = {corpus_dir / 'seed_math_minimal.mmd'}\nsite_budget = 0\n", encoding="utf-8"
+    )
+    assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "site_budget must be >= 1" in capsys.readouterr().err
+
+
+def test_evolve_seed_syntax_error_names_seed(tmp_path, capsys):
+    seed = tmp_path / "broken_seed.mmd"
+    seed.write_text("flowchart TD\n??\n", encoding="utf-8")
+    config = tmp_path / "broken.cfg"
+    config.write_text(f"seeds = {seed}\n", encoding="utf-8")
+    assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"seed {seed}: syntax errors: SYNTAX error" in err
+
+
+def test_evolve_non_utf8_seed_exits_2(tmp_path, capsys):
+    seed = tmp_path / "latin1_seed.mmd"
+    seed.write_bytes("flowchart TD\n  PROBLEM([Probl\xe9m])\n".encode("latin-1"))
+    config = tmp_path / "latin1.cfg"
+    config.write_text(f"seeds = {seed}\n", encoding="utf-8")
+    assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "input is not valid UTF-8" in capsys.readouterr().err
+
+
 def test_evolve_adapter_command_with_quoted_path(tmp_path, corpus_dir, capsys):
     import shlex
     import shutil
@@ -372,22 +400,13 @@ def test_shipped_demo_config(tmp_path, capsys):
     assert "best score:" in captured.out
 
 
-def test_shipped_registry_config_matches_default():
-    from flowevo.registry import default_registry, load_registry
-
-    repo_root = Path(__file__).resolve().parent.parent
-    loaded = load_registry(repo_root / "configs" / "registry.cfg")
-    default = default_registry()
-    assert set(loaded.kinds()) == set(default.kinds())
-    for kind in default.kinds():
-        assert loaded.get(kind) == default.get(kind)
-
-
 def test_validate_with_registry_flag(tmp_path, capsys):
-    from flowevo.registry import default_registry, save_registry
+    import shutil
+
+    import flowevo
 
     registry_path = tmp_path / "registry.cfg"
-    save_registry(default_registry(), registry_path)
+    shutil.copyfile(Path(flowevo.__file__).with_name("registry.cfg"), registry_path)
     assert main(["validate", str(corpus_path("gsm8k_round16")), "--registry", str(registry_path)]) == 0
 
 

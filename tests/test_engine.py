@@ -289,6 +289,10 @@ def test_config_validation():
         EvolutionConfig(lambda_=1.5)
     with pytest.raises(ValueError, match="candidate_pool"):
         EvolutionConfig(candidate_pool=0)
+    # 0 would skip every operator, -1 would quietly try all sites but one
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="site_budget"):
+            EvolutionConfig(site_budget=budget)
     with pytest.raises(ValueError, match="sum to 1"):
         EvolutionConfig(operator_weights={"substitution": 0.5})
 

@@ -19,6 +19,7 @@ from flowevo import (
 from flowevo.mermaid import _escape_prompt, _unescape_prompt, split_label
 
 from conftest import CORPUS_NAMES, corpus_path, load_corpus_graph
+from label_scan_reference import reference_split_label
 
 
 HEADER = "flowchart TD\n"
@@ -126,6 +127,18 @@ def test_prompt_escape_round_trip(text):
     assert _unescape_prompt(_escape_prompt(text)) == text
 
 
+_LABEL_TAIL = st.text(alphabet="ab :,()'\\]\n", max_size=40)
+
+
+@given(st.text(alphabet="ab<>/(", max_size=6), _LABEL_TAIL)
+@settings(max_examples=500, deadline=None)
+def test_split_label_matches_reference(display, tail):
+    # quotes, escapes, nesting, stray brackets and unclosed groups, scanned
+    # the way the two character loops before the token walk did
+    for label in (f"{display}<br/>({tail}", f"{display}<br/>{tail}", tail):
+        assert split_label(label) == reference_split_label(label)
+
+
 def test_duplicate_prompt_name():
     text = HEADER + '<prompt>\np1="a"\np1="b"\n</prompt>\n'
     doc = parse_workflow(text)
@@ -200,6 +213,15 @@ def test_lower_refuses_syntax_errors():
     doc = parse_workflow(HEADER + "??\n")
     with pytest.raises(LoweringError):
         lower_to_graph(doc)
+
+
+def test_lowering_error_names_syntax_errors():
+    doc = parse_workflow(HEADER + "??\n!!\n")
+    errors = [d.render() for d in doc.diagnostics if d.is_error]
+    assert len(errors) == 2
+    with pytest.raises(LoweringError) as info:
+        lower_to_graph(doc)
+    assert str(info.value) == "syntax errors: " + "; ".join(errors)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

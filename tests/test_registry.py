@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import shutil
+from pathlib import Path
+
 import pytest
 
+import flowevo
 from flowevo.registry import (
     NodeTypeSchema,
     PortSpec,
@@ -10,8 +15,9 @@ from flowevo.registry import (
     default_registry,
     load_registry,
     port_accepts,
-    save_registry,
 )
+
+SHIPPED_REGISTRY = Path(flowevo.__file__).with_name("registry.cfg")
 
 
 def test_default_kinds_present():
@@ -72,13 +78,29 @@ def test_duplicate_kind_rejected():
 
 
 def test_config_round_trip(tmp_path):
+    # a copy of the shipped table, the documented starting point for
+    # --registry, loads to the default registry
     path = tmp_path / "registry.cfg"
-    original = default_registry()
-    save_registry(original, path)
+    shutil.copyfile(SHIPPED_REGISTRY, path)
     loaded = load_registry(path)
-    assert set(loaded.kinds()) == set(original.kinds())
+    original = default_registry()
+    assert loaded.kinds() == original.kinds()
     for kind in original.kinds():
         assert loaded.get(kind) == original.get(kind)
+
+
+def test_default_registry_digest_golden():
+    # pinned from the Python literal the shipped registry.cfg replaced
+    registry = default_registry()
+    text = repr(registry.schemas()) + repr(registry.kinds())
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "aa389ac10881d289d5fe68ec5b0143ada51b248fb26aae2c6edf471cc58329a4"
+    )
+
+
+def test_default_registry_is_shared():
+    assert default_registry() is default_registry()
 
 
 def test_load_missing_file(tmp_path):

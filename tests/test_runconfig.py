@@ -90,6 +90,13 @@ def test_invalid_evolution_values_rejected(tmp_path):
         load_run_config(path)
 
 
+def test_site_budget_below_one_rejected(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("site_budget = 0\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="site_budget must be >= 1"):
+        load_run_config(path)
+
+
 def test_manifest_round_trip(tmp_path):
     config = load_run_config(None, {"seed": 42, "max_rounds": 5})
     path = tmp_path / "manifest.json"
