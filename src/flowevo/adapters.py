@@ -25,13 +25,12 @@ class _JsonLineProcess:
 
     def _ensure(self):
         if self._process is None or self._process.poll() is not None:
-            self._process = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
+            try:
+                self._process = subprocess.Popen(
+                    self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
+                )
+            except OSError as exc:
+                raise AdapterError(f"cannot start adapter {self.command[0]!r}: {exc}") from exc
         return self._process
 
     def call(self, request: dict) -> dict:
@@ -56,11 +55,18 @@ class _JsonLineProcess:
         self._process = None
 
 
-class SubprocessProposer:
-    """External proposer: receives parents plus previous-attempt errors."""
+class _Adapter:
+    """One external role: the command is started on first use."""
 
     def __init__(self, command):
         self._process = _JsonLineProcess(command)
+
+    def close(self):
+        self._process.close()
+
+
+class SubprocessProposer(_Adapter):
+    """External proposer: receives parents plus previous-attempt errors."""
 
     def propose(self, request: ProposalRequest, rng) -> Proposal:
         payload = {
@@ -83,15 +89,9 @@ class SubprocessProposer:
             raise AdapterError("proposer response lacks 'text'")
         return Proposal(response["text"], response.get("modification", ""))
 
-    def close(self):
-        self._process.close()
 
-
-class SubprocessJudge:
+class SubprocessJudge(_Adapter):
     """External judge: returns the five rubric dimensions per candidate."""
-
-    def __init__(self, command):
-        self._process = _JsonLineProcess(command)
 
     def score_candidates(self, candidates, parents, history) -> list[JudgeScore]:
         payload = {
@@ -112,15 +112,9 @@ class SubprocessJudge:
             raise AdapterError("judge response must score every candidate")
         return [JudgeScore({k: int(v) for k, v in dims.items()}) for dims in scores]
 
-    def close(self):
-        self._process.close()
 
-
-class SubprocessEvaluator:
+class SubprocessEvaluator(_Adapter):
     """External evaluator: maps a workflow source to a score in [0, 1]."""
-
-    def __init__(self, command):
-        self._process = _JsonLineProcess(command)
 
     def evaluate(self, graph) -> float:
         from .mermaid import serialize_workflow
@@ -130,6 +124,3 @@ class SubprocessEvaluator:
         if not isinstance(score, (int, float)) or not 0.0 <= float(score) <= 1.0:
             raise AdapterError(f"evaluator score out of range: {score!r}")
         return float(score)
-
-    def close(self):
-        self._process.close()

@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import SubprocessEvaluator, SubprocessJudge, SubprocessProposer
+from .adapters import AdapterError, SubprocessEvaluator, SubprocessJudge, SubprocessProposer
 from .codegen import EmissionError, default_templates, emit, load_templates, lower_to_ir, structural_diff
 from .dot import export_dot
 from .engine import (
+    EvolutionError,
     OperatorProposer,
     StructuralJudge,
     SyntheticTaskEvaluator,
@@ -173,7 +174,14 @@ def cmd_evolve(args) -> int:
 
     out_dir = Path(args.out) if args.out else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_evolution(seeds, evo, proposer, judge, evaluator)
+    try:
+        result = run_evolution(seeds, evo, proposer, judge, evaluator)
+    except (AdapterError, EvolutionError) as exc:
+        return _fail(str(exc), EXIT_DOMAIN_FAILURE)
+    finally:
+        for role in (proposer, judge, evaluator):
+            if hasattr(role, "close"):
+                role.close()
 
     history_path = out_dir / config.history
     manifest_path = out_dir / config.manifest

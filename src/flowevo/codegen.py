@@ -10,10 +10,12 @@ from the emitted text to audit the node/call bijection and dataflow.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 from .graph import WorkflowGraph
 from .validator import bind_input_ports, validate
@@ -318,7 +320,7 @@ class EmissionTemplate:
     program: str
     prompts_module: str
     branch: str
-    calls: dict  # kind -> CallTemplate
+    calls: MappingProxyType  # kind -> CallTemplate
 
 
 _HOLE_RE = re.compile(r"\{\{(\w+)\}\}")
@@ -359,10 +361,12 @@ def load_templates(directory) -> EmissionTemplate:
     program = (directory / "program.tmpl").read_text(encoding="utf-8")
     prompts_module = (directory / "prompts.tmpl").read_text(encoding="utf-8")
     branch = (directory / "branch.tmpl").read_text(encoding="utf-8")
-    return EmissionTemplate(program, prompts_module, branch, calls)
+    return EmissionTemplate(program, prompts_module, branch, MappingProxyType(calls))
 
 
+@functools.cache
 def default_templates() -> EmissionTemplate:
+    """The shipped template set, read once per process."""
     return load_templates(Path(__file__).parent / "templates" / "default")
 
 

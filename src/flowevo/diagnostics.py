@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from .graph import WorkflowGraph
 
 ERROR = "error"
 WARNING = "warning"
@@ -80,10 +82,16 @@ def sort_diagnostics(diags) -> list[Diagnostic]:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Binary membership verdict plus the findings behind it."""
+    """Binary membership verdict plus the findings behind it.
+
+    ``graph`` is the graph a passing source text lowered to, so a caller
+    keeps the value that was checked instead of rebuilding it; it is None
+    for failing verdicts and for verdicts on graph values.
+    """
 
     q: int
     diagnostics: tuple[Diagnostic, ...]
+    graph: WorkflowGraph | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         has_error = any(d.is_error for d in self.diagnostics)
@@ -109,7 +117,7 @@ class Verdict:
         )
 
 
-def make_verdict(diagnostics) -> Verdict:
+def make_verdict(diagnostics, graph=None) -> Verdict:
     diags = tuple(diagnostics)
     q = 0 if any(d.is_error for d in diags) else 1
-    return Verdict(q, diags)
+    return Verdict(q, diags, graph if q == 1 else None)

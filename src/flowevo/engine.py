@@ -134,18 +134,6 @@ class JudgeScore:
 
 
 @dataclass(frozen=True)
-class OptimizeResult:
-    """Outcome of the checked proposal loop; ``ok`` is False on exhaustion."""
-
-    ok: bool
-    graph: WorkflowGraph | None
-    text: str
-    modification: str
-    applied: OperatorKind | None
-    attempts: tuple  # (text, Verdict) per try
-
-
-@dataclass(frozen=True)
 class RoundRecord:
     round: int
     status: str  # "ok" | "skipped"
@@ -392,15 +380,16 @@ class SyntheticTaskEvaluator:
 # -- optimization loop ------------------------------------------------------------------
 
 
-def optimize_workflow(parents, cfg: EvolutionConfig, proposer, checker, rng) -> OptimizeResult:
+def optimize_workflow(parents, cfg: EvolutionConfig, proposer, checker, rng) -> tuple[Candidate | None, tuple]:
     """Propose, check, and retry with error feedback up to ``num_tries``.
 
-    Returns the first candidate passing both the hard and soft checks; on
-    exhaustion returns ``ok=False`` carrying every attempt's diagnostics.
+    Returns the first candidate passing both the hard and soft checks (None
+    on exhaustion) and every attempt's (text, verdict). The candidate's graph
+    is the one the checker lowered and checked, so a passing verdict must
+    carry it.
     """
     prev: PrevAttempt | None = None
     attempts = []
-    proposal = None
     for _ in range(cfg.num_tries):
         proposal = proposer.propose(
             ProposalRequest(parents=tuple(parents), domain=cfg.domain, prev_attempt=prev), rng
@@ -408,28 +397,13 @@ def optimize_workflow(parents, cfg: EvolutionConfig, proposer, checker, rng) -> 
         verdict = checker(proposal.text)
         attempts.append((proposal.text, verdict))
         if verdict.q == 1:
-            graph, _ = lower_to_graph(
-                parse_workflow(proposal.text),
-                registry=parents[0].workflow.registry,
-                domain=cfg.domain,
-            )
-            return OptimizeResult(
-                ok=True,
-                graph=graph,
-                text=serialize_workflow(graph),
-                modification=proposal.modification,
-                applied=proposal.applied,
-                attempts=tuple(attempts),
-            )
+            if verdict.graph is None:
+                raise EvolutionError("checker passed a proposal without the graph it checked")
+            graph = verdict.graph
+            candidate = Candidate(graph, serialize_workflow(graph), proposal.modification, proposal.applied)
+            return candidate, tuple(attempts)
         prev = PrevAttempt(text=proposal.text, errors=verdict.diagnostics)
-    return OptimizeResult(
-        ok=False,
-        graph=None,
-        text=proposal.text if proposal else "",
-        modification=proposal.modification if proposal else "",
-        applied=None,
-        attempts=tuple(attempts),
-    )
+    return None, tuple(attempts)
 
 
 def generate_candidates(parents, cfg: EvolutionConfig, proposer, checker, seed_sequence) -> list[Candidate]:
@@ -439,24 +413,20 @@ def generate_candidates(parents, cfg: EvolutionConfig, proposer, checker, seed_s
     tries all fail are dropped. An empty result is the round-failure signal.
     """
     streams = seed_sequence.spawn(cfg.candidate_pool * 2)
-    candidates: list[Candidate | None] = []
-    for i in range(cfg.candidate_pool):
-        result = optimize_workflow(parents, cfg, proposer, checker, np.random.default_rng(streams[i]))
-        candidates.append(
-            Candidate(result.graph, result.text, result.modification, result.applied)
-            if result.ok
-            else None
-        )
+    candidates: list[Candidate | None] = [
+        optimize_workflow(parents, cfg, proposer, checker, np.random.default_rng(streams[i]))[0]
+        for i in range(cfg.candidate_pool)
+    ]
     seen: dict[str, int] = {}
     for i, candidate in enumerate(candidates):
         if candidate is None:
             continue
         if candidate.text in seen:
-            retry = optimize_workflow(
+            retry, _ = optimize_workflow(
                 parents, cfg, proposer, checker, np.random.default_rng(streams[cfg.candidate_pool + i])
             )
-            if retry.ok:
-                candidates[i] = Candidate(retry.graph, retry.text, retry.modification, retry.applied)
+            if retry is not None:
+                candidates[i] = retry
         else:
             seen[candidate.text] = i
     return [c for c in candidates if c is not None]

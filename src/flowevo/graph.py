@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -33,12 +34,19 @@ class MissingInterfaceError(Exception):
 
 @dataclass(frozen=True)
 class Node:
-    """One typed, attributed workflow node."""
+    """One typed, attributed workflow node.
+
+    ``attributes`` is stored as a read-only copy, so nodes that parent and
+    child graphs share cannot be changed through either of them.
+    """
 
     id: str
     kind: str
-    attributes: dict = field(default_factory=dict)
+    attributes: Mapping = field(default_factory=dict)
     display_label: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "attributes", MappingProxyType(dict(self.attributes)))
 
 
 @dataclass(frozen=True)
@@ -130,6 +138,7 @@ class WorkflowGraph:
         "_out",
         "_in",
         "_roles",
+        "_verdict",
     )
 
     def __init__(self, nodes, edges, prompts=None, domain="math", registry=None):
@@ -160,6 +169,7 @@ class WorkflowGraph:
         self._out = {k: tuple(sorted(v, key=_pair_key)) for k, v in out.items()}
         self._in = {k: tuple(sorted(v, key=_pair_key)) for k, v in inc.items()}
         self._roles = None
+        self._verdict = None  # the soft-check verdict, filled once by validator.validate
 
     # -- basic queries ------------------------------------------------------
 

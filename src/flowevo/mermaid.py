@@ -507,7 +507,7 @@ def lower_to_graph(
                     span=decl.span,
                 )
             )
-        nodes.append(Node(node_id, kind, dict(decl.attributes), decl.display))
+        nodes.append(Node(node_id, kind, decl.attributes, decl.display))
     for node_id, span in implicit.items():
         diagnostics.append(
             Diagnostic(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from .graph import Edge, Node, WorkflowGraph, prompt_refs, type_of_output
 from .registry import NodeTypeSchema, port_accepts
-from .validator import Verdict, bind_input_ports, validate
+from .validator import bind_input_ports, validate
 
 
 class OperatorKind(enum.Enum):
@@ -54,14 +54,12 @@ class RewriteOutcome:
     graphs: tuple[WorkflowGraph, ...]
     applied: OperatorKind
     description: str
-    verdicts: tuple[Verdict, ...]
 
     def modification_record(self) -> str:
         return f"<modification>{self.description}</modification>"
 
 
 def _guard(graphs, applied: OperatorKind, description: str) -> RewriteOutcome:
-    verdicts = []
     for graph in graphs:
         verdict = validate(graph)
         if verdict.q != 1:
@@ -70,8 +68,7 @@ def _guard(graphs, applied: OperatorKind, description: str) -> RewriteOutcome:
                 + "; ".join(d.render() for d in verdict.errors[:4]),
                 diagnostics=verdict.diagnostics,
             )
-        verdicts.append(verdict)
-    return RewriteOutcome(tuple(graphs), applied, description, tuple(verdicts))
+    return RewriteOutcome(tuple(graphs), applied, description)
 
 
 def _port_fed_by(graph: WorkflowGraph, target: str, source: str, label):
@@ -115,7 +112,7 @@ def substitute_node(graph: WorkflowGraph, node_id: str, new_attributes: dict) ->
                 raise OperatorPreconditionError(
                     f"substitution on {node_id} drops required attribute {attr.key!r}"
                 )
-    new_node = replace(node, attributes=dict(new_attributes))
+    new_node = replace(node, attributes=new_attributes)
     nodes = tuple(new_node if n.id == node_id else n for n in graph.nodes)
     changed = {
         k: (node.attributes.get(k), new_attributes.get(k))
@@ -687,13 +684,12 @@ def donor_fragments(donor: WorkflowGraph, rng) -> list[Fragment]:
     fragments = []
     if solvers:
         node = solvers[int(rng.integers(len(solvers)))]
-        lifted = Node(node.id, node.kind, dict(node.attributes), node.display_label)
         fragments.append(
             Fragment(
-                nodes=(lifted,),
-                prompts=_referenced_prompts(donor, [lifted]),
-                inputs=(lifted.id,),
-                outputs=(lifted.id,),
+                nodes=(node,),
+                prompts=_referenced_prompts(donor, [node]),
+                inputs=(node.id,),
+                outputs=(node.id,),
                 label=f"donor-node-{node.id}",
             )
         )
@@ -711,15 +707,12 @@ def donor_fragments(donor: WorkflowGraph, rng) -> list[Fragment]:
             for b in branches
         ):
             continue
-        lifted = tuple(
-            Node(b.id, b.kind, dict(b.attributes), b.display_label) for b in branches
-        )
         fragments.append(
             Fragment(
-                nodes=lifted,
-                prompts=_referenced_prompts(donor, lifted),
-                inputs=tuple(n.id for n in lifted),
-                outputs=tuple(n.id for n in lifted),
+                nodes=tuple(branches),
+                prompts=_referenced_prompts(donor, branches),
+                inputs=tuple(branch_ids),
+                outputs=tuple(branch_ids),
                 label=f"donor-branches-{ens_id}",
             )
         )

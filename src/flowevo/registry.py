@@ -201,8 +201,11 @@ def _parse_attr(line: str) -> AttrSpec:
 
 
 def load_registry(path) -> Registry:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)  # styles are CSS: '%' is literal
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise RegistryError(f"bad registry config {path!r}: {exc}") from None
     if not read:
         raise RegistryError(f"cannot read registry config {path!r}")
     schemas = []

@@ -372,19 +372,30 @@ def validate(target, registry=None, domain=None) -> Verdict:
 
     Text goes through the hard check first; lowering and the soft check run
     only when the source is syntactically within the dialect. Diagnostics
-    are reported hard-side first, then the structural findings.
+    are reported hard-side first, then the structural findings; a soft
+    finding that a lowering finding already reports for the same subject is
+    dropped. A passing text verdict carries the graph it lowered to.
+
+    A graph's verdict is computed once and kept on the graph value, so every
+    later check of the same graph reads the same verdict.
     """
     if isinstance(target, WorkflowGraph):
-        return make_verdict(soft_check(target))
+        return _graph_verdict(target)
     doc = parse_workflow(target)
     hard = list(doc.diagnostics)
     if any(d.is_error for d in hard):
         return make_verdict(sort_diagnostics(hard))
     graph, lowering = lower_to_graph(doc, registry=registry, domain=domain)
-    soft = soft_check(graph)
-    reported = {(d.rule, d.subject) for d in lowering}
-    merged = lowering + [d for d in soft if (d.rule, d.subject) not in reported]
-    return make_verdict(hard + sort_diagnostics(merged))
+    reported = {(d.rule, d.subject) for d in lowering if d.subject is not None}
+    soft = [d for d in _graph_verdict(graph).diagnostics if (d.rule, d.subject) not in reported]
+    return make_verdict(hard + sort_diagnostics(lowering + soft), graph)
+
+
+def _graph_verdict(graph: WorkflowGraph) -> Verdict:
+    # the write is idempotent: a racing caller stores an equal verdict
+    if graph._verdict is None:
+        graph._verdict = make_verdict(soft_check(graph))
+    return graph._verdict
 
 
 def render_diagnostics(diags) -> str:

@@ -446,3 +446,51 @@ def test_validate_invalid_utf8(tmp_path, capsys):
     path.write_bytes(b"flowchart TD\n\xff\xfe broken\n")
     assert main(["validate", str(path)]) == 2
     assert "not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["style = fill:#fff\n", "[kind:A]\ndisplay = a\n[kind:A]\ndisplay = b\n"],
+    ids=["no-section-header", "duplicate-section"],
+)
+def test_validate_malformed_registry_exits_2(tmp_path, capsys, text):
+    registry_path = tmp_path / "bad.cfg"
+    registry_path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(corpus_path("gsm8k_round16")), "--registry", str(registry_path)]) == 2
+    assert "bad registry config" in capsys.readouterr().err
+
+
+def test_validate_registry_with_percent_style(tmp_path, capsys):
+    import flowevo
+
+    registry_path = tmp_path / "percent.cfg"
+    text = Path(flowevo.__file__).with_name("registry.cfg").read_text(encoding="utf-8")
+    registry_path.write_text(text.replace("stroke-width:2px", "stroke-width:50%"), encoding="utf-8")
+    assert "50%" in registry_path.read_text(encoding="utf-8")
+    assert main(["validate", str(corpus_path("gsm8k_round16")), "--registry", str(registry_path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["false", "no-such-adapter-command"])
+def test_evolve_failing_adapter_exits_1(tmp_path, corpus_dir, command):
+    import os
+    import subprocess
+    import sys
+
+    config = tmp_path / "failing.cfg"
+    config.write_text(
+        f"seeds = {corpus_dir / 'seed_math_minimal.mmd'}\nmax_rounds = 2\nevaluator_cmd = {command}\n",
+        encoding="utf-8",
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from flowevo.cli import main; sys.exit(main(sys.argv[1:]))",
+         "evolve", "--config", str(config), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("flowevo: ")

@@ -209,3 +209,10 @@ def test_branch_emission_structure(humaneval):
     assert program.count("if not t_result['result']:") == 1
     assert "t_result_retest = await self.test(" in program
     assert "return t_result_solution," in program
+
+
+def test_default_templates_are_shared_and_read_only():
+    templates = default_templates()
+    assert default_templates() is templates
+    with pytest.raises(TypeError):
+        templates.calls["CustomOp"] = None

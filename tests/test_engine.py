@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flowevo import serialize_workflow, validate
+from flowevo.diagnostics import Verdict
 from flowevo.engine import (
     Candidate,
     EvolutionConfig,
@@ -56,10 +57,12 @@ def checker_for(cfg):
 def test_optimize_succeeds_on_third_try(gsm8k):
     cfg = EvolutionConfig(num_tries=3)
     proposer = FaultInjectingProposer(failures=2)
-    result = optimize_workflow([entry_for(gsm8k)], cfg, proposer, checker_for(cfg), np.random.default_rng(0))
-    assert result.ok
-    assert len(result.attempts) == 3
-    assert [a[1].q for a in result.attempts] == [0, 0, 1]
+    candidate, attempts = optimize_workflow(
+        [entry_for(gsm8k)], cfg, proposer, checker_for(cfg), np.random.default_rng(0)
+    )
+    assert candidate is not None
+    assert len(attempts) == 3
+    assert [a[1].q for a in attempts] == [0, 0, 1]
     # the failed attempts' diagnostics are fed back to the proposer
     assert proposer.seen_prev_attempts[0] is None
     assert proposer.seen_prev_attempts[1] is not None
@@ -68,21 +71,21 @@ def test_optimize_succeeds_on_third_try(gsm8k):
 
 def test_optimize_exhaustion(gsm8k):
     cfg = EvolutionConfig(num_tries=2)
-    result = optimize_workflow(
+    candidate, attempts = optimize_workflow(
         [entry_for(gsm8k)], cfg, FaultInjectingProposer(failures=5), checker_for(cfg), np.random.default_rng(0)
     )
-    assert not result.ok
-    assert len(result.attempts) == 2
-    assert all(a[1].q == 0 for a in result.attempts)
+    assert candidate is None
+    assert len(attempts) == 2
+    assert all(a[1].q == 0 for a in attempts)
 
 
 def test_operator_proposer_valid_by_construction(gsm8k, math_graph):
     cfg = EvolutionConfig()
     proposer = OperatorProposer(cfg.weights(), cfg.site_budget)
-    result = optimize_workflow(
+    candidate, attempts = optimize_workflow(
         [entry_for(gsm8k), entry_for(math_graph)], cfg, proposer, checker_for(cfg), np.random.default_rng(1)
     )
-    assert result.ok and len(result.attempts) == 1
+    assert candidate is not None and len(attempts) == 1
 
 
 def test_generate_candidates_distinct(gsm8k, math_graph):
@@ -328,14 +331,14 @@ def test_candidate_slots_are_order_independent(gsm8k, math_graph):
     batch = generate_candidates(parents, cfg, proposer, checker, seq)
     streams = np.random.SeedSequence(21).spawn(cfg.candidate_pool * 2)
     for i in (2, 0, 3, 1):
-        solo = optimize_workflow(parents, cfg, proposer, checker, np.random.default_rng(streams[i]))
-        assert solo.ok
+        solo, _ = optimize_workflow(parents, cfg, proposer, checker, np.random.default_rng(streams[i]))
+        assert solo is not None
         if batch[i].text != solo.text:
             # slot was resampled by the duplicate rule; recompute that path
-            retry = optimize_workflow(
+            retry, _ = optimize_workflow(
                 parents, cfg, proposer, checker, np.random.default_rng(streams[cfg.candidate_pool + i])
             )
-            assert retry.ok and batch[i].text == retry.text
+            assert retry is not None and batch[i].text == retry.text
 
 
 def test_demo_trajectory_golden(seed_minimal):
@@ -374,3 +377,72 @@ def test_code_domain_evolution(humaneval):
     for entry in result.history:
         assert validate(entry.workflow).q == 1
         assert entry.workflow.domain == "code"
+
+
+def test_passing_verdict_without_graph_is_rejected(gsm8k):
+    cfg = EvolutionConfig(num_tries=2)
+
+    def checker(text):
+        verdict = validate(text, domain=cfg.domain)
+        return Verdict(verdict.q, verdict.diagnostics)  # drops the graph
+
+    with pytest.raises(EvolutionError, match="without the graph"):
+        optimize_workflow(
+            [entry_for(gsm8k)], cfg, FaultInjectingProposer(failures=0), checker, np.random.default_rng(0)
+        )
+
+
+def test_candidate_graph_is_the_checked_graph(gsm8k):
+    cfg = EvolutionConfig()
+    verdicts = []
+
+    def checker(text):
+        verdicts.append(validate(text, domain=cfg.domain))
+        return verdicts[-1]
+
+    candidate, _ = optimize_workflow(
+        [entry_for(gsm8k)], cfg, FaultInjectingProposer(failures=1), checker, np.random.default_rng(0)
+    )
+    assert candidate.graph is verdicts[-1].graph
+
+
+def test_one_parse_and_one_lowering_per_check(monkeypatch):
+    # every proposal text is parsed and lowered once, by the checker; the
+    # engine keeps the graph the checker built
+    import dataclasses
+    from pathlib import Path
+
+    from flowevo import engine, lower_to_graph, parse_workflow, validator
+    from flowevo.runconfig import load_run_config
+
+    config_path = Path(__file__).resolve().parent.parent / "configs" / "demo_math.cfg"
+    config = load_run_config(config_path)
+    cfg = dataclasses.replace(config.evolution, max_rounds=10)
+    seeds = [
+        lower_to_graph(parse_workflow((config_path.parent / p).read_text(encoding="utf-8")), domain=cfg.domain)[0]
+        for p in config.seeds
+    ]
+    calls = {"parse": 0, "lower": 0, "check": 0}
+
+    def counting(key, function):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for module in (engine, validator):
+        monkeypatch.setattr(module, "parse_workflow", counting("parse", parse_workflow))
+        monkeypatch.setattr(module, "lower_to_graph", counting("lower", lower_to_graph))
+    checker = counting("check", lambda text: validate(text, domain=cfg.domain))
+    result = run_evolution(
+        seeds,
+        cfg,
+        OperatorProposer(cfg.weights(), cfg.site_budget),
+        StructuralJudge(),
+        SyntheticTaskEvaluator(cfg.scenario),
+        checker,
+    )
+    assert len(result.history) > 1
+    assert calls["check"] >= 4 * len(result.rounds)
+    assert calls["parse"] == calls["lower"] == calls["check"]

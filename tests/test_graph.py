@@ -198,3 +198,20 @@ def test_forward_break_reports_w2(gsm8k):
     broken = gsm8k.with_changes(edges=edges)
     assert broken.reachable_from_entry() != set(broken.node_ids())
     assert any(d.rule == "W2" and d.subject == "C" for d in soft_check(broken))
+
+
+def test_node_attributes_are_read_only():
+    node = Node("C", "CustomOp", {"role": "r"})
+    with pytest.raises(TypeError):
+        node.attributes["role"] = "other"
+    with pytest.raises(TypeError):
+        del node.attributes["role"]
+    assert node.attributes == {"role": "r"}
+
+
+def test_node_attributes_do_not_alias_the_callers_dict():
+    attrs = {"role": "r"}
+    node = Node("C", "CustomOp", attrs)
+    attrs["role"] = "changed"
+    attrs["extra"] = "x"
+    assert node.attributes == {"role": "r"}

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowevo import Edge, Node, build_graph, validate
 from flowevo.operators import (
@@ -41,7 +43,7 @@ def test_substitution_locality(gsm8k):
     assert changed == ["C"]
     assert product.edge_multiset() == gsm8k.edge_multiset()
     assert product.prompts == gsm8k.prompts
-    assert outcome.verdicts[0].q == 1
+    assert validate(outcome.graphs[0]).q == 1
 
 
 def test_identity_substitution(gsm8k):
@@ -126,7 +128,7 @@ def test_rewire_ensemble_input_away(gsm8k):
     product = outcome.graphs[0]
     assert product.in_degree("ENSEMBLE") == 5
     assert product.has_edge("P5", "P6")
-    assert outcome.verdicts[0].q == 1
+    assert validate(outcome.graphs[0]).q == 1
 
 
 def test_rewire_only_exit_edge_rejected():
@@ -501,3 +503,24 @@ def _apply_random_digest(corpus_graphs, weights) -> str:
 def test_apply_random_digest_golden(corpus_graphs, setting):
     weights = None if setting == "default" else {OperatorKind(setting): 1.0}
     assert _apply_random_digest(corpus_graphs, weights) == _APPLY_RANDOM_DIGESTS[setting]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_apply_random_chain_leaves_parents_unchanged(seed, length):
+    # products share node objects with their parents; no rewrite in a chain
+    # may change any earlier graph value
+    from conftest import CORPUS_NAMES, load_corpus_graph
+
+    rng = np.random.default_rng(seed)
+    pool = [load_corpus_graph(name) for name in CORPUS_NAMES[:2]]
+    signatures = [g.structural_signature() for g in pool]
+    for _ in range(length):
+        primary = pool[int(rng.integers(len(pool)))]
+        partner = pool[int(rng.integers(len(pool)))]
+        outcome = apply_random((primary, partner), rng)
+        if outcome is None:
+            continue
+        pool.extend(outcome.graphs)
+        signatures.extend(g.structural_signature() for g in outcome.graphs)
+    assert [g.structural_signature() for g in pool] == signatures

@@ -126,3 +126,23 @@ def test_load_custom_kind(tmp_path):
     assert schema.domain_restriction == "math"
     assert schema.input_ports[0].accepts == ("solution",)
     assert schema.attribute_keys[0].required and schema.attribute_keys[0].prompt_ref
+
+
+def test_percent_in_style_is_literal(tmp_path):
+    # styles are CSS, so '%' is not interpolation syntax
+    path = tmp_path / "percent.cfg"
+    text = SHIPPED_REGISTRY.read_text(encoding="utf-8")
+    path.write_text(text + "\n[kind:WideOp]\nstyle = fill:#fff,stroke-width:50%\n", encoding="utf-8")
+    assert load_registry(path).get("WideOp").style == "fill:#fff,stroke-width:50%"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"style = fill:#fff\n", b"[kind:A]\ndisplay = a\n[kind:A]\ndisplay = b\n", b"[kind:A]\ndisplay = \xff\n"],
+    ids=["no-section-header", "duplicate-section", "not-utf8"],
+)
+def test_malformed_file_is_registry_error(tmp_path, text):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(text)
+    with pytest.raises(RegistryError, match="bad registry config"):
+        load_registry(path)

@@ -339,3 +339,62 @@ def test_w_rules_always_carry_subjects(gsm8k):
         for diag in soft_check(graph):
             if diag.rule.startswith("W"):
                 assert diag.subject is not None
+
+
+def test_graph_verdict_is_computed_once(gsm8k):
+    tweaked = gsm8k.with_changes(domain="code")
+    assert validate(tweaked) is validate(tweaked)
+    assert validate(tweaked).q == 0
+
+
+def _with_unused_prompt_and_duplicate_classdef(text: str) -> str:
+    lines = text.splitlines()
+    classdef = next(i for i, line in enumerate(lines) if line.lstrip().startswith("classDef "))
+    lines.insert(classdef + 1, lines[classdef])
+    lines.insert(lines.index("</prompt>"), 'never_used="spare text"')
+    return "\n".join(lines) + "\n"
+
+
+def test_duplicate_classdef_does_not_hide_unused_prompt():
+    # both are subject-less warnings: one from lowering, one from the soft check
+    text = _with_unused_prompt_and_duplicate_classdef(corpus_path("gsm8k_round16").read_text(encoding="utf-8"))
+    verdict = validate(text)
+    assert verdict.q == 1
+    messages = [d.message for d in verdict.warnings]
+    assert any("duplicate classDef" in m for m in messages)
+    assert "unused prompt entry 'never_used'" in messages
+
+
+def _damaged_variants(text: str):
+    """The source, then each line deleted, then each line doubled."""
+    lines = text.splitlines()
+    yield text
+    for i in range(len(lines)):
+        yield "\n".join(lines[:i] + lines[i + 1 :])
+    for i in range(len(lines)):
+        yield "\n".join(lines[: i + 1] + lines[i:])
+    yield _with_unused_prompt_and_duplicate_classdef(text)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_text_verdict_keeps_every_graph_finding(name):
+    # a finding of validate(graph) appears in validate(text), or the lowering
+    # already reported that rule for that subject; a passing text verdict
+    # carries exactly the graph it lowered to
+    from flowevo import lower_to_graph, parse_workflow
+
+    for text in _damaged_variants(corpus_path(name).read_text(encoding="utf-8")):
+        verdict = validate(text)
+        doc = parse_workflow(text)
+        if not doc.ok:
+            assert verdict.q == 0 and verdict.graph is None
+            continue
+        graph, _ = lower_to_graph(doc)
+        if verdict.q == 1:
+            assert verdict.graph == graph
+        else:
+            assert verdict.graph is None
+        found = {(d.rule, d.severity, d.subject, d.message) for d in verdict.diagnostics}
+        subjects = {(d.rule, d.subject) for d in verdict.diagnostics if d.subject is not None}
+        for d in validate(graph).diagnostics:
+            assert (d.rule, d.severity, d.subject, d.message) in found or (d.rule, d.subject) in subjects
