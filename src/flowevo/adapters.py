@@ -44,9 +44,12 @@ class _JsonLineProcess:
         if not line:
             raise AdapterError(f"adapter {self.command[0]!r} closed its stream")
         try:
-            return json.loads(line)
+            response = json.loads(line)
         except json.JSONDecodeError as exc:
             raise AdapterError(f"adapter returned invalid JSON: {line[:200]!r}") from exc
+        if not isinstance(response, dict):
+            raise AdapterError(f"adapter response is not a JSON object: {line[:200]!r}")
+        return response
 
     def close(self):
         if self._process is not None and self._process.poll() is None:
@@ -85,8 +88,8 @@ class SubprocessProposer(_Adapter):
             },
         }
         response = self._process.call(payload)
-        if "text" not in response:
-            raise AdapterError("proposer response lacks 'text'")
+        if not isinstance(response.get("text"), str):
+            raise AdapterError("proposer response lacks a string 'text'")
         return Proposal(response["text"], response.get("modification", ""))
 
 
@@ -110,7 +113,10 @@ class SubprocessJudge(_Adapter):
         scores = response.get("scores")
         if not isinstance(scores, list) or len(scores) != len(candidates):
             raise AdapterError("judge response must score every candidate")
-        return [JudgeScore({k: int(v) for k, v in dims.items()}) for dims in scores]
+        try:
+            return [JudgeScore(dict(dims)) for dims in scores]
+        except (TypeError, ValueError) as exc:  # not a mapping, or a dimension not an int in [1, 10]
+            raise AdapterError(f"bad judge scores: {exc}") from None
 
 
 class SubprocessEvaluator(_Adapter):

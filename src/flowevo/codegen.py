@@ -312,7 +312,6 @@ def _single(by_port, label, default: ArgRef) -> ArgRef:
 class CallTemplate:
     init: str
     call: str
-    output: str
 
 
 @dataclass(frozen=True)
@@ -354,10 +353,10 @@ def load_templates(directory) -> EmissionTemplate:
     for path in sorted(directory.glob("call_*.tmpl")):
         kind = path.stem[len("call_") :]
         sections = _parse_sections(path.read_text(encoding="utf-8"))
-        for required in ("init", "call", "output"):
+        for required in ("init", "call"):
             if required not in sections:
                 raise EmissionError(f"template {path.name} lacks [{required}] section")
-        calls[kind] = CallTemplate(sections["init"], sections["call"], sections["output"])
+        calls[kind] = CallTemplate(sections["init"], sections["call"])
     program = (directory / "program.tmpl").read_text(encoding="utf-8")
     prompts_module = (directory / "prompts.tmpl").read_text(encoding="utf-8")
     branch = (directory / "branch.tmpl").read_text(encoding="utf-8")

@@ -38,23 +38,18 @@ def export_dot(graph: WorkflowGraph) -> str:
     lines.append("digraph workflow {")
     lines.append("  rankdir=TB;")
     lines.append('  node [style="filled"];')
-    for nid in sorted(graph.node_ids()):
-        node = graph.node(nid)
-        parts = [_escape(nid)]
-        parts.extend(_escape(f"{k}: {v}") for k, v in sorted(node.attributes.items()))
+    for node in graph.nodes:
+        parts = [_escape(node.id)]
+        parts.extend(_escape(f"{k}: {v}") for k, v in node.attributes.items())
         label = '"' + "\\n".join(parts) + '"'
         lines.append(
-            f"  {nid} [label={label}, shape={_DOT_SHAPE[node_shape(graph, node)]}, "
+            f"  {node.id} [label={label}, shape={_DOT_SHAPE[node_shape(graph, node)]}, "
             f'fillcolor="{_fill_for(graph, node)}"];'
         )
-    edge_rows = sorted(
-        ((e.source, e.target, e.label) for e in graph.edges),
-        key=lambda row: (row[0], row[1], row[2] is not None, row[2] or ""),
-    )
-    for source, target, label in edge_rows:
-        if label:
-            lines.append(f"  {source} -> {target} [label={_quote(label)}];")
+    for edge in graph.edges:
+        if edge.label:
+            lines.append(f"  {edge.source} -> {edge.target} [label={_quote(edge.label)}];")
         else:
-            lines.append(f"  {source} -> {target};")
+            lines.append(f"  {edge.source} -> {edge.target};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -275,8 +275,8 @@ class StructuralJudge:
 
 
 def _edit_ratio(g1: WorkflowGraph, g2: WorkflowGraph) -> float:
-    n1 = {(n.id, n.kind, tuple(sorted(n.attributes.items()))) for n in g1.nodes}
-    n2 = {(n.id, n.kind, tuple(sorted(n.attributes.items()))) for n in g2.nodes}
+    n1 = {(n.id, n.kind, tuple(n.attributes.items())) for n in g1.nodes}
+    n2 = {(n.id, n.kind, tuple(n.attributes.items())) for n in g2.nodes}
     e1, e2 = g1.edge_multiset(), g2.edge_multiset()
     edge_diff = sum((e1 - e2).values()) + sum((e2 - e1).values())
     numerator = len(n1 ^ n2) + edge_diff

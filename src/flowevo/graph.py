@@ -36,8 +36,9 @@ class MissingInterfaceError(Exception):
 class Node:
     """One typed, attributed workflow node.
 
-    ``attributes`` is stored as a read-only copy, so nodes that parent and
-    child graphs share cannot be changed through either of them.
+    ``attributes`` is stored as a read-only copy sorted by key, so nodes that
+    parent and child graphs share cannot be changed through either of them,
+    and the attribute order does not depend on how the node was built.
     """
 
     id: str
@@ -46,7 +47,7 @@ class Node:
     display_label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "attributes", MappingProxyType(dict(self.attributes)))
+        object.__setattr__(self, "attributes", MappingProxyType(dict(sorted(self.attributes.items()))))
 
 
 @dataclass(frozen=True)
@@ -71,10 +72,10 @@ class Edge:
 
 
 class PromptTable:
-    """Named prompt texts referenced by node attributes."""
+    """Named prompt texts referenced by node attributes, stored sorted by name."""
 
     def __init__(self, entries=None):
-        entries = dict(entries or {})
+        entries = dict(sorted((entries or {}).items()))
         for name in entries:
             if not IDENT_RE.match(name):
                 raise GraphConstructionError(f"bad prompt name {name!r}")
@@ -102,7 +103,7 @@ class PromptTable:
         return self._entries == other._entries
 
     def __repr__(self) -> str:
-        return f"PromptTable({sorted(self._entries)})"
+        return f"PromptTable({list(self._entries)})"
 
     def merged(self, extra: dict) -> "PromptTable":
         merged = dict(extra)
@@ -126,7 +127,13 @@ class InterfaceRoles:
 
 
 class WorkflowGraph:
-    """Immutable workflow graph with prebuilt adjacency indexes."""
+    """Immutable workflow graph with prebuilt adjacency indexes.
+
+    Elements are stored in one canonical order, whatever order they were
+    given in: nodes by id, edges by (source, target, label) with the
+    unlabeled edge first, so every query, rewrite site list and serialized
+    form depends only on the graph value.
+    """
 
     __slots__ = (
         "nodes",
@@ -142,8 +149,8 @@ class WorkflowGraph:
     )
 
     def __init__(self, nodes, edges, prompts=None, domain="math", registry=None):
-        nodes = tuple(nodes)
-        edges = tuple(edges)
+        nodes = tuple(sorted(nodes, key=lambda n: n.id))
+        edges = tuple(sorted(edges, key=lambda e: (e.source, e.target, e.label is not None, e.label or "")))
         by_id: dict[str, Node] = {}
         for node in nodes:
             if not IDENT_RE.match(node.id):
@@ -166,8 +173,8 @@ class WorkflowGraph:
         self.domain = domain
         self.registry = registry if registry is not None else default_registry()
         self._by_id = by_id
-        self._out = {k: tuple(sorted(v, key=_pair_key)) for k, v in out.items()}
-        self._in = {k: tuple(sorted(v, key=_pair_key)) for k, v in inc.items()}
+        self._out = {k: tuple(v) for k, v in out.items()}
+        self._in = {k: tuple(v) for k, v in inc.items()}
         self._roles = None
         self._verdict = None  # the soft-check verdict, filled once by validator.validate
 
@@ -247,13 +254,7 @@ class WorkflowGraph:
                 isolated.append(nid)
             else:
                 mid.append(nid)
-        return InterfaceRoles(
-            tuple(sorted(problem)),
-            tuple(sorted(aux)),
-            tuple(sorted(exits)),
-            tuple(sorted(mid)),
-            tuple(sorted(isolated)),
-        )
+        return InterfaceRoles(tuple(problem), tuple(aux), tuple(exits), tuple(mid), tuple(isolated))
 
     # -- reachability -------------------------------------------------------
 
@@ -347,11 +348,10 @@ class WorkflowGraph:
     def topological_order(self) -> list[str]:
         """Kahn's algorithm with id tie-breaking; raises on cycles."""
         indeg = {nid: len(self._in[nid]) for nid in self._by_id}
-        ready = sorted(nid for nid, d in indeg.items() if d == 0)
+        ready = [nid for nid, d in indeg.items() if d == 0]  # ids in order: already a heap
         order: list[str] = []
         import heapq
 
-        heapq.heapify(ready)
         while ready:
             current = heapq.heappop(ready)
             order.append(current)
@@ -367,14 +367,9 @@ class WorkflowGraph:
 
     def structural_signature(self) -> tuple:
         nodes = tuple(
-            sorted(
-                (n.id, n.kind, tuple(sorted(n.attributes.items())), effective_display(self, n))
-                for n in self.nodes
-            )
+            (n.id, n.kind, tuple(n.attributes.items()), effective_display(self, n)) for n in self.nodes
         )
-        edges = tuple(sorted(self.edge_multiset().items(), key=_edge_key))
-        prompts = tuple(sorted(self.prompts.entries.items()))
-        return (self.domain, nodes, edges, prompts)
+        return (self.domain, nodes, tuple(self.edge_multiset().items()), tuple(self.prompts.entries.items()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WorkflowGraph):
@@ -392,16 +387,6 @@ class WorkflowGraph:
             domain=self.domain if domain is None else domain,
             registry=self.registry,
         )
-
-
-def _pair_key(pair):
-    other, label = pair
-    return (other, label is not None, label or "")
-
-
-def _edge_key(item):
-    (source, target, label), _count = item
-    return (source, target, label is not None, label or "")
 
 
 _INTERFACE_DISPLAY_DEFAULTS = {

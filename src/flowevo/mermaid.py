@@ -547,7 +547,7 @@ def _node_decl_line(graph: WorkflowGraph, node: Node) -> str:
     if node.attributes:
         attrs = ", ".join(
             f"{_escape_attr_key(key)}: {_quote_attr(_escape_label(value))}"
-            for key, value in sorted(node.attributes.items())
+            for key, value in node.attributes.items()
         )
         body = f"{_escape_label(display)}<br/>({attrs})"
     else:
@@ -561,15 +561,15 @@ def serialize_workflow(graph: WorkflowGraph) -> str:
     """Emit the canonical source form: a fixed point of serialize-parse-serialize.
 
     Ordering: header; entry declarations first and exits last with the rest
-    sorted by id; the full standard classDef block (always emitted, even for
-    unused classes); class assignments; edges sorted by source, target,
-    label; then the prompt block.
+    in the graph's id order; the full standard classDef block (always
+    emitted, even for unused classes); class assignments by id; edges in the
+    graph's (source, target, label) order; then the prompt block by name.
     """
     roles = graph.interface_roles()
     entry_ids = list(roles.problem_entries) + list(roles.aux_entries)
     exit_ids = list(roles.exits)
     placed = set(entry_ids) | set(exit_ids)
-    middle = sorted(nid for nid in graph.node_ids() if nid not in placed)
+    middle = [nid for nid in graph.node_ids() if nid not in placed]
     ordered = entry_ids + middle + exit_ids
 
     lines = ["flowchart TD"]
@@ -599,28 +599,23 @@ def serialize_workflow(graph: WorkflowGraph) -> str:
         lines.append(f"  classDef {name} {styles.get(name) or 'fill:#ffffff'};")
     lines.append("")
 
-    for nid in sorted(ordered):
-        node = graph.node(nid)
+    for node in graph.nodes:
         schema = graph.registry.get(node.kind)
         class_name = schema.style_class if schema is not None and schema.style_class else node.kind
-        lines.append(f"  class {nid} {class_name}")
+        lines.append(f"  class {node.id} {class_name}")
     lines.append("")
 
-    edge_rows = sorted(
-        ((e.source, e.target, e.label) for e in graph.edges),
-        key=lambda row: (row[0], row[1], row[2] is not None, row[2] or ""),
-    )
-    for source, target, label in edge_rows:
-        if label:
-            lines.append(f"  {source} --> |{_escape_edge_label(label)}|{target}")
+    for edge in graph.edges:
+        if edge.label:
+            lines.append(f"  {edge.source} --> |{_escape_edge_label(edge.label)}|{edge.target}")
         else:
-            lines.append(f"  {source} --> {target}")
+            lines.append(f"  {edge.source} --> {edge.target}")
 
     if len(graph.prompts):
         lines.append("")
         lines.append("<prompt>")
-        for name in sorted(graph.prompts):
-            lines.append(f'{name}="{_escape_prompt(graph.prompts.get(name))}"')
+        for name, text in graph.prompts.entries.items():
+            lines.append(f'{name}="{_escape_prompt(text)}"')
         lines.append("</prompt>")
     return "\n".join(lines) + "\n"
 

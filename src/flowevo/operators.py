@@ -80,15 +80,11 @@ def _port_fed_by(graph: WorkflowGraph, target: str, source: str, label):
 
 
 def _find_edge(graph: WorkflowGraph, source: str, target: str, label=...) -> Edge:
-    candidates = [
-        e
-        for e in graph.edges
-        if e.source == source and e.target == target and (label is ... or e.label == label)
-    ]
-    if not candidates:
-        raise OperatorPreconditionError(f"no edge {source}->{target} in graph")
-    candidates.sort(key=lambda e: (e.label is not None, e.label or ""))
-    return candidates[0]
+    """The first matching edge in the graph's order: the unlabeled one if any."""
+    for e in graph.edges:
+        if e.source == source and e.target == target and (label is ... or e.label == label):
+            return e
+    raise OperatorPreconditionError(f"no edge {source}->{target} in graph")
 
 
 def _remove_one_edge(edges, victim: Edge):
@@ -523,7 +519,7 @@ def _substitution_attributes(graph: WorkflowGraph, node: Node, schema: NodeTypeS
     spec = _pick(rng, list(schema.attribute_keys))
     current = attrs.get(spec.key)
     if spec.prompt_ref:
-        pool = [k for k in sorted(graph.prompts) if k != current]
+        pool = [k for k in graph.prompts if k != current]
         value = _pick(rng, pool) if pool else f"{current or 'auto_role'}_alt"
     else:
         pool = [p for p in ANALYSIS_PHRASES if p != current]
@@ -536,7 +532,7 @@ def _attributes_for(schema: NodeTypeSchema, graph: WorkflowGraph, rng) -> dict:
     attrs = {}
     for spec in schema.attribute_keys:
         if spec.prompt_ref:
-            pool = sorted(graph.prompts)
+            pool = list(graph.prompts)
             attrs[spec.key] = _pick(rng, pool) if pool else "auto_role"
         else:
             attrs[spec.key] = _pick(rng, list(ANALYSIS_PHRASES))
@@ -559,7 +555,7 @@ def _solver_specs(graph: WorkflowGraph, rng, count: int, taken: set):
     """Fresh solver nodes plus any prompt texts they introduce."""
     schemas = _insertable_schemas(graph)
     nodes, prompts = [], {}
-    existing_keys = sorted(graph.prompts)
+    existing_keys = list(graph.prompts)
     for _ in range(count):
         schema = _pick(rng, schemas)
         node_id = _fresh_id(taken, _ID_PREFIX.get(schema.kind, "N"))
@@ -693,11 +689,7 @@ def donor_fragments(donor: WorkflowGraph, rng) -> list[Fragment]:
                 label=f"donor-node-{node.id}",
             )
         )
-    ensembles = sorted(
-        n.id
-        for n in donor.nodes
-        if donor.registry.resolve_kind(n.kind) == "ScEnsembleOp"
-    )
+    ensembles = [n.id for n in donor.nodes if donor.registry.resolve_kind(n.kind) == "ScEnsembleOp"]
     for ens_id in ensembles:
         # parallel edges repeat a source; each branch node appears once
         branch_ids = list(dict.fromkeys(src for src, _ in donor.predecessors(ens_id)))
@@ -721,16 +713,17 @@ def donor_fragments(donor: WorkflowGraph, rng) -> list[Fragment]:
 
 # -- one row per kind: the sites of a graph, and the rewrite at one site ------------------
 #
-# Site lists are built in a fixed order so a seeded permutation over them
-# replays exactly; rewrites that need randomness draw from the same rng.
+# Site lists follow the graph's canonical element order, so a seeded
+# permutation over them replays exactly from the graph value; rewrites that
+# need randomness draw from the same rng.
 
 
 def _substitution_sites(graph):
-    return sorted(
+    return [
         n.id
         for n in graph.nodes
         if (s := graph.registry.get(n.kind)) is not None and not s.is_interface and s.attribute_keys
-    )
+    ]
 
 
 def _substitute_at(graph, node_id, rng, partner):
@@ -771,13 +764,13 @@ def _rewire_at(graph, site, rng, partner):
 
 
 def _deletion_sites(graph):
-    return sorted(
+    return [
         n.id
         for n in graph.nodes
         if graph.in_degree(n.id) == 1
         and graph.out_degree(n.id) == 1
         and not ((s := graph.registry.get(n.kind)) is not None and s.is_interface)
-    )
+    ]
 
 
 def _delete_at(graph, node_id, rng, partner):
@@ -785,11 +778,11 @@ def _delete_at(graph, node_id, rng, partner):
 
 
 def _mutation_sites(graph):
-    return sorted(
+    return [
         n.id
         for n in graph.nodes
         if not ((s := graph.registry.get(n.kind)) is not None and s.is_interface)
-    )
+    ]
 
 
 def _mutate_at(graph, node_id, rng, partner):

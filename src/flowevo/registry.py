@@ -208,6 +208,16 @@ def load_registry(path) -> Registry:
         raise RegistryError(f"bad registry config {path!r}: {exc}") from None
     if not read:
         raise RegistryError(f"cannot read registry config {path!r}")
+    try:
+        schemas = _schemas_of(parser)
+    except ValueError as exc:  # a non-boolean ``insertable``, a non-integer ``min=``
+        raise RegistryError(f"bad registry config {path!r}: {exc}") from None
+    if not schemas:
+        raise RegistryError(f"no [kind:*] sections in {path!r}")
+    return Registry(schemas)
+
+
+def _schemas_of(parser) -> list[NodeTypeSchema]:
     schemas = []
     for section in parser.sections():
         if not section.startswith("kind:"):
@@ -246,6 +256,4 @@ def load_registry(path) -> Registry:
                 insertable=sec.getboolean("insertable", fallback=True),
             )
         )
-    if not schemas:
-        raise RegistryError(f"no [kind:*] sections in {path!r}")
-    return Registry(schemas)
+    return schemas

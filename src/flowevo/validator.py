@@ -267,9 +267,7 @@ def _check_struct(graph):
             out.append(
                 Diagnostic(STRUCT, ERROR, "self-loop edge", subject=f"{edge.source}->{edge.target}")
             )
-    for (source, target, label), count in sorted(
-        graph.edge_multiset().items(), key=lambda item: (item[0][0], item[0][1], item[0][2] or "")
-    ):
+    for (source, target, label), count in graph.edge_multiset().items():
         if count > 1:
             suffix = f" labeled {label!r}" if label else ""
             out.append(
@@ -361,7 +359,7 @@ def _check_prompts(graph):
                     subject=node.id,
                 )
             )
-    for name in sorted(graph.prompts):
+    for name in graph.prompts:
         if name not in used:
             out.append(Diagnostic(STRUCT, WARNING, f"unused prompt entry {name!r}"))
     return out

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from flowevo import lower_to_graph, parse_workflow
+from flowevo import PromptTable, build_graph, lower_to_graph, parse_workflow
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -25,6 +27,20 @@ def load_corpus_graph(name: str):
     graph, lowering = lower_to_graph(doc)
     assert not lowering, f"lowering diagnostics on corpus {name}: {lowering}"
     return graph
+
+
+def shuffled_twin(graph, seed: int):
+    """The same graph value built from shuffled nodes, edges, attributes and prompts."""
+    rng = random.Random(seed)
+
+    def shuffled(items):
+        items = list(items)
+        rng.shuffle(items)
+        return items
+
+    nodes = shuffled(replace(n, attributes=dict(shuffled(n.attributes.items()))) for n in graph.nodes)
+    prompts = PromptTable(dict(shuffled(graph.prompts.entries.items())))
+    return build_graph(nodes, shuffled(graph.edges), prompts=prompts, domain=graph.domain)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -450,8 +451,13 @@ def test_validate_invalid_utf8(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["style = fill:#fff\n", "[kind:A]\ndisplay = a\n[kind:A]\ndisplay = b\n"],
-    ids=["no-section-header", "duplicate-section"],
+    [
+        "style = fill:#fff\n",
+        "[kind:A]\ndisplay = a\n[kind:A]\ndisplay = b\n",
+        "[kind:A]\ninsertable = maybe\n",
+        "[kind:A]\ninputs = input min=two\n",
+    ],
+    ids=["no-section-header", "duplicate-section", "insertable-not-boolean", "min-not-integer"],
 )
 def test_validate_malformed_registry_exits_2(tmp_path, capsys, text):
     registry_path = tmp_path / "bad.cfg"
@@ -470,15 +476,33 @@ def test_validate_registry_with_percent_style(tmp_path, capsys):
     assert main(["validate", str(corpus_path("gsm8k_round16")), "--registry", str(registry_path)]) == 0
 
 
-@pytest.mark.parametrize("command", ["false", "no-such-adapter-command"])
-def test_evolve_failing_adapter_exits_1(tmp_path, corpus_dir, command):
+_BAD_REPLY = f"{sys.executable} {Path(__file__).parent / 'data' / 'bad_reply_adapter.py'}"
+
+
+@pytest.mark.parametrize(
+    "key, command",
+    [
+        ("evaluator_cmd", "false"),
+        ("evaluator_cmd", "no-such-adapter-command"),
+        ("judge_cmd", f"{_BAD_REPLY} judge-out-of-range"),
+        ("evaluator_cmd", f"{_BAD_REPLY} not-an-object"),
+        ("proposer_cmd", f"{_BAD_REPLY} text-not-a-string"),
+    ],
+    ids=[
+        "false",
+        "no-such-adapter-command",
+        "judge-out-of-range",
+        "evaluator-not-an-object",
+        "proposer-text-not-a-string",
+    ],
+)
+def test_evolve_failing_adapter_exits_1(tmp_path, corpus_dir, key, command):
     import os
     import subprocess
-    import sys
 
     config = tmp_path / "failing.cfg"
     config.write_text(
-        f"seeds = {corpus_dir / 'seed_math_minimal.mmd'}\nmax_rounds = 2\nevaluator_cmd = {command}\n",
+        f"seeds = {corpus_dir / 'seed_math_minimal.mmd'}\nmax_rounds = 2\n{key} = {command}\n",
         encoding="utf-8",
     )
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -204,6 +204,30 @@ def test_incomplete_template_dir_rejected(tmp_path):
         emit(lower_to_ir(load_corpus_graph("gsm8k_round16")), loaded)
 
 
+def test_call_templates_need_only_init_and_call(tmp_path):
+    import shutil
+    from pathlib import Path
+
+    import flowevo.codegen
+
+    shipped = Path(flowevo.codegen.__file__).parent / "templates" / "default"
+    custom = tmp_path / "templates"
+    shutil.copytree(shipped, custom, ignore=shutil.ignore_patterns("call_*.tmpl"))
+    for kind, template in default_templates().calls.items():
+        (custom / f"call_{kind}.tmpl").write_text(
+            f"[init]\n{template.init}\n[call]\n{template.call}\n", encoding="utf-8"
+        )
+    loaded = load_templates(custom)
+    for name in CORPUS_NAMES:
+        ir = lower_to_ir(load_corpus_graph(name))
+        assert emit(ir, loaded) == emit(ir)
+
+    test_tmpl = custom / "call_TestOp.tmpl"
+    test_tmpl.write_text(test_tmpl.read_text(encoding="utf-8").split("[call]")[0], encoding="utf-8")
+    with pytest.raises(EmissionError, match=r"lacks \[call\] section"):
+        load_templates(custom)
+
+
 def test_branch_emission_structure(humaneval):
     program, _ = emit(lower_to_ir(humaneval))
     assert program.count("if not t_result['result']:") == 1

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from flowevo import (
@@ -14,6 +12,8 @@ from flowevo import (
     type_of_input,
     type_of_output,
 )
+
+from conftest import shuffled_twin
 
 
 def minimal_graph():
@@ -148,15 +148,20 @@ def test_testop_entry_point_port(humaneval):
     assert port.ambient
 
 
-def test_equality_under_reordering(gsm8k):
-    rng = random.Random(11)
-    nodes = list(gsm8k.nodes)
-    edges = list(gsm8k.edges)
-    rng.shuffle(nodes)
-    rng.shuffle(edges)
-    shuffled = build_graph(nodes, edges, prompts=gsm8k.prompts, domain=gsm8k.domain)
-    assert shuffled == gsm8k
-    assert shuffled.structural_signature() == gsm8k.structural_signature()
+def test_equality_under_reordering(corpus_graphs):
+    for graph in corpus_graphs.values():
+        shuffled = shuffled_twin(graph, 11)
+        assert shuffled == graph
+        assert shuffled.structural_signature() == graph.structural_signature()
+        # elements are stored in canonical order whatever order they came in
+        for g in (graph, shuffled):
+            ids = [n.id for n in g.nodes]
+            assert ids == sorted(ids) == list(g.node_ids())
+            edge_keys = [(e.source, e.target, e.label is not None, e.label or "") for e in g.edges]
+            assert edge_keys == sorted(edge_keys)
+            assert list(g.prompts) == list(g.prompts.entries) == sorted(g.prompts)
+        assert shuffled.nodes == graph.nodes and shuffled.edges == graph.edges
+        assert list(shuffled.prompts) == list(graph.prompts)
 
 
 def test_interface_roles(humaneval):
@@ -215,3 +220,11 @@ def test_node_attributes_do_not_alias_the_callers_dict():
     attrs["role"] = "changed"
     attrs["extra"] = "x"
     assert node.attributes == {"role": "r"}
+
+
+def test_attributes_and_prompts_are_stored_by_name():
+    node = Node("C", "CustomOp", {"role": "r", "instruction": "i", "analysis": "a"})
+    assert list(node.attributes) == ["analysis", "instruction", "role"]
+    prompts = PromptTable({"zeta": "z", "alpha": "a", "mid": "m"})
+    assert list(prompts) == list(prompts.entries) == ["alpha", "mid", "zeta"]
+    assert list(prompts.merged({"beta": "b"})) == ["alpha", "beta", "mid", "zeta"]

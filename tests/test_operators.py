@@ -21,6 +21,8 @@ from flowevo.operators import (
     substitute_node,
 )
 
+from conftest import CORPUS_NAMES, load_corpus_graph, shuffled_twin
+
 
 def two_node_minimal():
     return build_graph(
@@ -470,12 +472,12 @@ def test_mutate_rejects_duplicate_fragment_ids(gsm8k):
 # site enumeration, rng draw order, or an operator's product changed
 _APPLY_RANDOM_DIGESTS = {
     "substitution": "515ca9ca22c98b28eb0fcfc7eb16f523996c17375f3f7200de424c066043e896",
-    "addition": "cabe66402b1c39ddcb32d60ad5b1f0f703abc86ea758b35e1d0f7fdebb171b81",
-    "rewiring": "d54b2edfb0e04e146e8cc80290a1fbd137449fad347ae9d256d729896e0745d3",
+    "addition": "3bc23b0f890892a45ee00a0cf664da2402fdaa8ca7cb4c1b311bcd624697978a",
+    "rewiring": "62acd1e3c851f5b1504ab447fc5e9c0920e5aee2d4787f06e63112635721ca45",
     "deletion": "facceecb4df87d2f3c30fab0cb7737c193918236fe28e3ce024eb18318ad5d87",
     "subgraph_mutation": "deb02562f9c9e98d70bf488827de8628ee08942aac8c3809f1d3a6e4639e179b",
     "crossover": "4d8031e643e5cb5b12ec339933378702eab0fecd3ad0e86872b513894009ca2c",
-    "default": "daf4e7dedcfee301ecbef98bb59df9b818fd3e9f08d8ed9496717225d713ca4a",
+    "default": "a15c9bc55d8a5c8729bcbc65745d133cf2c707c0a7650b00c4cc292d5fa88be8",
 }
 
 
@@ -503,6 +505,37 @@ def _apply_random_digest(corpus_graphs, weights) -> str:
 def test_apply_random_digest_golden(corpus_graphs, setting):
     weights = None if setting == "default" else {OperatorKind(setting): 1.0}
     assert _apply_random_digest(corpus_graphs, weights) == _APPLY_RANDOM_DIGESTS[setting]
+
+
+def _construction_variants(name):
+    """The file lowering, its canonical re-parse and a shuffled twin: one graph value."""
+    from flowevo import lower_to_graph, parse_workflow, serialize_workflow
+
+    graph = load_corpus_graph(name)
+    reparsed, _ = lower_to_graph(parse_workflow(serialize_workflow(graph)))
+    return graph, reparsed, shuffled_twin(graph, CORPUS_NAMES.index(name))
+
+
+@pytest.mark.parametrize("setting", [kind.value for kind in OperatorKind] + ["default"])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_apply_random_depends_only_on_the_graph_value(name, setting):
+    from flowevo import serialize_workflow
+
+    weights = None if setting == "default" else {OperatorKind(setting): 1.0}
+    partner = CORPUS_NAMES[(CORPUS_NAMES.index(name) + 1) % len(CORPUS_NAMES)]
+    runs = []
+    for primary, donor in zip(_construction_variants(name), _construction_variants(partner)):
+        products = []
+        for seed in range(20):
+            outcome = apply_random((primary, donor), np.random.default_rng(seed), weights)
+            products.append(
+                None
+                if outcome is None
+                else (outcome.description, [serialize_workflow(g) for g in outcome.graphs])
+            )
+        runs.append(products)
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 @settings(max_examples=25, deadline=None)

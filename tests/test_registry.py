@@ -138,8 +138,14 @@ def test_percent_in_style_is_literal(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    [b"style = fill:#fff\n", b"[kind:A]\ndisplay = a\n[kind:A]\ndisplay = b\n", b"[kind:A]\ndisplay = \xff\n"],
-    ids=["no-section-header", "duplicate-section", "not-utf8"],
+    [
+        b"style = fill:#fff\n",
+        b"[kind:A]\ndisplay = a\n[kind:A]\ndisplay = b\n",
+        b"[kind:A]\ndisplay = \xff\n",
+        b"[kind:A]\ninsertable = maybe\n",
+        b"[kind:A]\ninputs = input min=two\n",
+    ],
+    ids=["no-section-header", "duplicate-section", "not-utf8", "insertable-not-boolean", "min-not-integer"],
 )
 def test_malformed_file_is_registry_error(tmp_path, text):
     path = tmp_path / "bad.cfg"
