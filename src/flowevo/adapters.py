@@ -114,7 +114,7 @@ class SubprocessJudge(_Adapter):
         if not isinstance(scores, list) or len(scores) != len(candidates):
             raise AdapterError("judge response must score every candidate")
         try:
-            return [JudgeScore(dict(dims)) for dims in scores]
+            return [JudgeScore(dims) for dims in scores]
         except (TypeError, ValueError) as exc:  # not a mapping, or a dimension not an int in [1, 10]
             raise AdapterError(f"bad judge scores: {exc}") from None
 

@@ -11,8 +11,11 @@ whole runs replay byte-identically from a seed.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,7 +40,11 @@ class EvolutionError(Exception):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Knobs for one run; field names mirror the config-file keys."""
+    """Knobs for one run; field names mirror the config-file keys.
+
+    ``operator_weights`` is stored as a read-only copy keyed by
+    ``OperatorKind`` (string keys are converted).
+    """
 
     lambda_: float = 0.3
     alpha: float = 5.0
@@ -46,7 +53,7 @@ class EvolutionConfig:
     num_tries: int = 3
     seed: int = 0
     crossover_rate: float = 0.10
-    operator_weights: dict | None = None
+    operator_weights: Mapping | None = None
     site_budget: int = 8
     domain: str = "math"
     scenario: str = "math_ensemble_refine"
@@ -54,23 +61,34 @@ class EvolutionConfig:
     def __post_init__(self):
         if not 0.0 <= self.lambda_ <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and nonnegative")
+        if not 0.0 <= self.crossover_rate <= 1.0:
+            raise ValueError("crossover_rate must lie in [0, 1]")
         if self.candidate_pool < 1:
             raise ValueError("candidate_pool must be >= 1")
+        if self.max_rounds < 0:
+            raise ValueError("max_rounds must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.num_tries < 1:
             raise ValueError("num_tries must be >= 1")
         if self.site_budget < 1:
             raise ValueError("site_budget must be >= 1")
+        if self.operator_weights is not None:
+            frozen = MappingProxyType({OperatorKind(k): v for k, v in self.operator_weights.items()})
+            object.__setattr__(self, "operator_weights", frozen)
         weights = self.weights()
+        for kind, weight in weights.items():
+            if not 0.0 <= weight < math.inf:
+                raise ValueError(f"operator weight {kind.value} must be finite and nonnegative (got {weight})")
         total = sum(weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"operator weights must sum to 1 (got {total})")
 
     def weights(self) -> dict:
         if self.operator_weights is not None:
-            return {OperatorKind(k) if isinstance(k, str) else k: v
-                    for k, v in self.operator_weights.items()}
+            return dict(self.operator_weights)
         return default_operator_weights(self.crossover_rate)
 
 
@@ -105,9 +123,18 @@ class ProposalRequest:
 
 @dataclass(frozen=True)
 class Proposal:
+    """A proposer's answer to one request.
+
+    ``graph`` is set only by a proposer that built the workflow in process
+    and checked it already (the closure guard); ``text`` is then
+    ``serialize_workflow(graph)``. A proposal without a graph is text to be
+    checked, such as an external proposer's reply.
+    """
+
     text: str
     modification: str
     applied: OperatorKind | None = None
+    graph: WorkflowGraph | None = None
 
 
 @dataclass(frozen=True)
@@ -120,9 +147,12 @@ class Candidate:
 
 @dataclass(frozen=True)
 class JudgeScore:
-    dims: dict
+    """The five rubric dimensions of one candidate, stored as a read-only copy."""
+
+    dims: Mapping
 
     def __post_init__(self):
+        object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
         for name in JUDGE_DIMENSIONS:
             value = self.dims.get(name)
             if not isinstance(value, int) or not 1 <= value <= 10:
@@ -159,9 +189,11 @@ class EvolutionResult:
 class OperatorProposer:
     """Deterministic proposer backed by the rewrite operators.
 
-    Output always hard-checks: it serializes graphs that already passed the
-    closure guard. When no rewrite applies anywhere it re-proposes the
-    primary parent unchanged rather than failing the round.
+    Each proposal carries the graph it serializes, a product that already
+    passed the closure guard, so the loop checks it by reading that graph's
+    memoized verdict and keeps it without parsing the text. When no rewrite
+    applies anywhere it re-proposes the primary parent unchanged rather than
+    failing the round.
     """
 
     def __init__(self, weights=None, site_budget: int = 8):
@@ -173,15 +205,12 @@ class OperatorProposer:
         target = graphs[0] if len(graphs) == 1 else (graphs[0], graphs[1])
         outcome = apply_random(target, rng, self.weights, self.site_budget)
         if outcome is None:
-            return Proposal(
-                serialize_workflow(graphs[0]),
-                "<modification>no applicable rewrite; parent reproposed</modification>",
-            )
-        return Proposal(
-            serialize_workflow(outcome.graphs[0]),
-            outcome.modification_record(),
-            applied=outcome.applied,
-        )
+            graph, applied = graphs[0], None
+            modification = "<modification>no applicable rewrite; parent reproposed</modification>"
+        else:
+            graph, applied = outcome.graphs[0], outcome.applied
+            modification = outcome.modification_record()
+        return Proposal(serialize_workflow(graph), modification, applied, graph)
 
 
 # -- shipped judge ----------------------------------------------------------------
@@ -384,9 +413,11 @@ def optimize_workflow(parents, cfg: EvolutionConfig, proposer, checker, rng) -> 
     """Propose, check, and retry with error feedback up to ``num_tries``.
 
     Returns the first candidate passing both the hard and soft checks (None
-    on exhaustion) and every attempt's (text, verdict). The candidate's graph
-    is the one the checker lowered and checked, so a passing verdict must
-    carry it.
+    on exhaustion) and every attempt's (text, verdict). A proposal that
+    carries its graph is checked by ``validate(graph)``, which reads the
+    verdict the closure guard memoized, and keeps the proposer's text.
+    Other proposals go to the text ``checker``; a passing verdict must carry
+    the graph it lowered, which the candidate keeps and serializes once.
     """
     prev: PrevAttempt | None = None
     attempts = []
@@ -394,14 +425,17 @@ def optimize_workflow(parents, cfg: EvolutionConfig, proposer, checker, rng) -> 
         proposal = proposer.propose(
             ProposalRequest(parents=tuple(parents), domain=cfg.domain, prev_attempt=prev), rng
         )
-        verdict = checker(proposal.text)
+        graph = proposal.graph
+        verdict = checker(proposal.text) if graph is None else validate(graph)
         attempts.append((proposal.text, verdict))
         if verdict.q == 1:
-            if verdict.graph is None:
-                raise EvolutionError("checker passed a proposal without the graph it checked")
-            graph = verdict.graph
-            candidate = Candidate(graph, serialize_workflow(graph), proposal.modification, proposal.applied)
-            return candidate, tuple(attempts)
+            text = proposal.text
+            if graph is None:
+                if verdict.graph is None:
+                    raise EvolutionError("checker passed a proposal without the graph it checked")
+                graph = verdict.graph
+                text = serialize_workflow(graph)
+            return Candidate(graph, text, proposal.modification, proposal.applied), tuple(attempts)
         prev = PrevAttempt(text=proposal.text, errors=verdict.diagnostics)
     return None, tuple(attempts)
 

@@ -105,7 +105,7 @@ class PromptTable:
     def __repr__(self) -> str:
         return f"PromptTable({list(self._entries)})"
 
-    def merged(self, extra: dict) -> "PromptTable":
+    def merged(self, extra: Mapping) -> "PromptTable":
         merged = dict(extra)
         merged.update(self._entries)  # existing entries win
         return PromptTable(merged)

@@ -12,7 +12,9 @@ source passes when every statement parses within this dialect.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .diagnostics import ERROR, STRUCT, SYNTAX, W4, WARNING, Diagnostic, SourceSpan
 from .graph import (
@@ -49,10 +51,15 @@ class HeaderStmt(Statement):
 
 @dataclass(frozen=True)
 class NodeDecl(Statement):
+    """A node declaration; ``attributes`` is stored as a read-only copy."""
+
     id: str = ""
     shape: str = "rect"  # rect | stadium | diamond
     display: str = ""
-    attributes: dict = field(default_factory=dict)
+    attributes: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "attributes", MappingProxyType(dict(self.attributes)))
 
 
 @dataclass(frozen=True)

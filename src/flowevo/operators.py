@@ -11,7 +11,9 @@ is rejected wholesale, so no partially rewritten state is ever observable.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from .graph import Edge, Node, WorkflowGraph, prompt_refs, type_of_output
 from .registry import NodeTypeSchema, port_accepts
@@ -249,14 +251,20 @@ def delete_node(graph: WorkflowGraph, node_id: str) -> RewriteOutcome:
 
 @dataclass(frozen=True)
 class Fragment:
-    """A replacement subgraph with declared input/output boundary nodes."""
+    """A replacement subgraph with declared input/output boundary nodes.
+
+    ``prompts`` is stored as a read-only copy.
+    """
 
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...] = ()
-    prompts: dict = field(default_factory=dict)
+    prompts: Mapping = field(default_factory=dict)
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
     label: str = "fragment"
+
+    def __post_init__(self):
+        object.__setattr__(self, "prompts", MappingProxyType(dict(self.prompts)))
 
 
 def _referenced_prompts(graph: WorkflowGraph, nodes) -> dict:

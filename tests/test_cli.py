@@ -241,6 +241,23 @@ def test_evolve_site_budget_zero_exits_2(tmp_path, corpus_dir, capsys):
     assert "site_budget must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, flags, message",
+    [
+        ("", ["--alpha", "inf"], "alpha must be finite"),
+        ("weights.substitution = 1.5\nweights.deletion = -0.5\n", [], "deletion must be finite and nonnegative"),
+        ("", ["--seed", "-1"], "seed must be >= 0"),
+        ("", ["--max-rounds", "-5"], "max_rounds must be >= 0"),
+    ],
+)
+def test_evolve_bad_knob_exits_2(tmp_path, corpus_dir, capsys, line, flags, message):
+    config = tmp_path / "knob.cfg"
+    config.write_text(f"seeds = {corpus_dir / 'seed_math_minimal.mmd'}\n{line}", encoding="utf-8")
+    assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_evolve_seed_syntax_error_names_seed(tmp_path, capsys):
     seed = tmp_path / "broken_seed.mmd"
     seed.write_text("flowchart TD\n??\n", encoding="utf-8")

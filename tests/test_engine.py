@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowevo import serialize_workflow, validate
+from flowevo import lower_to_graph, parse_workflow, serialize_workflow, validate
 from flowevo.diagnostics import Verdict
 from flowevo.engine import (
+    JUDGE_DIMENSIONS,
     Candidate,
     EvolutionConfig,
     EvolutionError,
@@ -16,6 +21,7 @@ from flowevo.engine import (
     JudgeScore,
     OperatorProposer,
     Proposal,
+    ProposalRequest,
     StructuralJudge,
     SyntheticTaskEvaluator,
     generate_candidates,
@@ -27,9 +33,11 @@ from flowevo.engine import (
     run_evolution,
     save_history,
 )
+from flowevo.operators import OperatorKind
+from flowevo.runconfig import load_run_config
 from flowevo.sampling import mixed_probabilities
 
-from conftest import shuffled_twin
+from conftest import CORPUS_NAMES, load_corpus_graph, shuffled_twin
 
 
 def entry_for(graph, score=0.5):
@@ -317,6 +325,22 @@ def test_config_validation():
             EvolutionConfig(site_budget=budget)
     with pytest.raises(ValueError, match="sum to 1"):
         EvolutionConfig(operator_weights={"substitution": 0.5})
+    with pytest.raises(ValueError, match="max_rounds"):
+        EvolutionConfig(max_rounds=-1)
+    with pytest.raises(ValueError, match="seed"):
+        EvolutionConfig(seed=-1)
+    for alpha in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            EvolutionConfig(alpha=alpha)
+    for rate in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="crossover_rate"):
+            EvolutionConfig(crossover_rate=rate)
+    # sums to 1, but a negative weight would silently drop its kind
+    with pytest.raises(ValueError, match="deletion must be finite and nonnegative"):
+        EvolutionConfig(operator_weights={"substitution": 1.5, "deletion": -0.5})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="substitution must be finite and nonnegative"):
+            EvolutionConfig(operator_weights={"substitution": bad, "deletion": 1.0})
 
 
 def test_history_entry_score_bounds(gsm8k):
@@ -425,22 +449,40 @@ def test_candidate_graph_is_the_checked_graph(gsm8k):
     assert candidate.graph is verdicts[-1].graph
 
 
-def test_one_parse_and_one_lowering_per_check(monkeypatch):
-    # every proposal text is parsed and lowered once, by the checker; the
-    # engine keeps the graph the checker built
-    import dataclasses
-    from pathlib import Path
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "demo_math.cfg"
 
-    from flowevo import engine, lower_to_graph, parse_workflow, validator
-    from flowevo.runconfig import load_run_config
 
-    config_path = Path(__file__).resolve().parent.parent / "configs" / "demo_math.cfg"
-    config = load_run_config(config_path)
-    cfg = dataclasses.replace(config.evolution, max_rounds=10)
+class TextOnlyProposer:
+    """Forwards another proposer's proposals without their graphs, forcing the text check."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def propose(self, request, rng):
+        return dataclasses.replace(self.inner.propose(request, rng), graph=None)
+
+
+def run_demo_config(wrap=lambda proposer: proposer, checker=None, **overrides):
+    config = load_run_config(DEMO_CONFIG)
+    cfg = dataclasses.replace(config.evolution, **overrides)
     seeds = [
-        lower_to_graph(parse_workflow((config_path.parent / p).read_text(encoding="utf-8")), domain=cfg.domain)[0]
+        lower_to_graph(parse_workflow((DEMO_CONFIG.parent / p).read_text(encoding="utf-8")), domain=cfg.domain)[0]
         for p in config.seeds
     ]
+    return run_evolution(
+        seeds,
+        cfg,
+        wrap(OperatorProposer(cfg.weights(), cfg.site_budget)),
+        StructuralJudge(),
+        SyntheticTaskEvaluator(cfg.scenario),
+        checker,
+    )
+
+
+def count_checks(monkeypatch, wrap):
+    """Parse, lower and checker calls of a 10-round demo run."""
+    from flowevo import engine, validator
+
     calls = {"parse": 0, "lower": 0, "check": 0}
 
     def counting(key, function):
@@ -453,15 +495,93 @@ def test_one_parse_and_one_lowering_per_check(monkeypatch):
     for module in (engine, validator):
         monkeypatch.setattr(module, "parse_workflow", counting("parse", parse_workflow))
         monkeypatch.setattr(module, "lower_to_graph", counting("lower", lower_to_graph))
-    checker = counting("check", lambda text: validate(text, domain=cfg.domain))
-    result = run_evolution(
-        seeds,
-        cfg,
-        OperatorProposer(cfg.weights(), cfg.site_budget),
-        StructuralJudge(),
-        SyntheticTaskEvaluator(cfg.scenario),
-        checker,
-    )
+    checker = counting("check", lambda text: validate(text, domain="math"))
+    result = run_demo_config(wrap, checker, max_rounds=10)
     assert len(result.history) > 1
-    assert calls["check"] >= 4 * len(result.rounds)
-    assert calls["parse"] == calls["lower"] == calls["check"]
+    return calls
+
+
+def test_operator_proposals_are_neither_parsed_nor_lowered_nor_text_checked(monkeypatch):
+    # an OperatorProposer proposal carries its guarded graph: the loop reads
+    # that graph's memoized verdict and keeps the proposer's text
+    assert count_checks(monkeypatch, lambda proposer: proposer) == {"parse": 0, "lower": 0, "check": 0}
+
+
+def test_text_proposals_are_parsed_and_lowered_once_per_check(monkeypatch):
+    # proposal text is parsed and lowered once, by the checker; the engine
+    # keeps the graph the checker built
+    calls = count_checks(monkeypatch, TextOnlyProposer)
+    assert calls["parse"] == calls["lower"] == calls["check"] >= 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graph_and_text_check_paths_keep_the_same_history(seed):
+    carried = run_demo_config(seed=seed)
+    text_only = run_demo_config(TextOnlyProposer, seed=seed)
+
+    def digest(result):
+        return hashlib.sha256(history_to_jsonl(result.history).encode()).hexdigest()
+
+    assert digest(carried) == digest(text_only)
+
+
+CORPUS_PARENTS = {name: load_corpus_graph(name) for name in CORPUS_NAMES}
+
+
+def check_carried_graph(proposal):
+    graph = proposal.graph
+    assert graph is not None
+    assert proposal.text == serialize_workflow(graph)
+    doc = parse_workflow(proposal.text)
+    assert lower_to_graph(doc, registry=graph.registry, domain=graph.domain)[0] == graph
+    assert validate(proposal.text, registry=graph.registry, domain=graph.domain).q == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(CORPUS_NAMES),
+    st.one_of(st.none(), st.sampled_from(CORPUS_NAMES)),
+)
+def test_operator_proposals_carry_the_graph_they_serialize(seed, primary, partner):
+    names = (primary,) if partner is None else (primary, partner)
+    request = ProposalRequest(tuple(entry_for(CORPUS_PARENTS[n]) for n in names), "math")
+    cfg = EvolutionConfig()
+    proposal = OperatorProposer(cfg.weights(), cfg.site_budget).propose(request, np.random.default_rng(seed))
+    check_carried_graph(proposal)
+    if proposal.applied is None:
+        assert proposal.graph is CORPUS_PARENTS[primary]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_reproposed_parent_carries_its_graph(name):
+    # crossover is the only weighted kind and needs a partner, so no rewrite
+    # applies to a single parent
+    parent = CORPUS_PARENTS[name]
+    request = ProposalRequest((entry_for(parent),), parent.domain)
+    proposal = OperatorProposer({OperatorKind.CROSSOVER: 1.0}).propose(request, np.random.default_rng(0))
+    assert proposal.modification == "<modification>no applicable rewrite; parent reproposed</modification>"
+    assert proposal.applied is None and proposal.graph is parent
+    check_carried_graph(proposal)
+
+
+def test_evolution_config_operator_weights_are_read_only():
+    weights = {"substitution": 0.5, "deletion": 0.5}
+    cfg = EvolutionConfig(operator_weights=weights)
+    weights["deletion"] = -7.0
+    weights["addition"] = 1.0
+    assert cfg.operator_weights == {OperatorKind.SUBSTITUTION: 0.5, OperatorKind.DELETION: 0.5}
+    with pytest.raises(TypeError):
+        cfg.operator_weights[OperatorKind.DELETION] = 1.0
+    # weights() hands out a copy
+    cfg.weights()[OperatorKind.DELETION] = 1.0
+    assert cfg.weights() == {OperatorKind.SUBSTITUTION: 0.5, OperatorKind.DELETION: 0.5}
+
+
+def test_judge_score_dims_are_read_only():
+    dims = dict.fromkeys(JUDGE_DIMENSIONS, 5)
+    score = JudgeScore(dims)
+    dims["innovation"] = 99
+    assert score.dims["innovation"] == 5 and score.total == 25
+    with pytest.raises(TypeError):
+        score.dims["innovation"] = 10

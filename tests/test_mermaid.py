@@ -16,7 +16,7 @@ from flowevo import (
     parse_workflow,
     serialize_workflow,
 )
-from flowevo.mermaid import _escape_prompt, _unescape_prompt, split_label
+from flowevo.mermaid import NodeDecl, _escape_prompt, _unescape_prompt, split_label
 
 from conftest import CORPUS_NAMES, corpus_path, load_corpus_graph
 from label_scan_reference import reference_split_label
@@ -32,6 +32,16 @@ def test_parse_node_decl_with_attribute():
     assert decls[0].id == "K"
     assert decls[0].display == "Custom"
     assert decls[0].attributes == {"role": "validate_1"}
+
+
+def test_node_decl_attributes_are_read_only():
+    decl = parse_workflow(HEADER + 'K["Custom<br/>(role: validate_1)"]\n').node_decls()[0]
+    with pytest.raises(TypeError):
+        decl.attributes["role"] = "other"
+    attrs = {"role": "r"}
+    built = NodeDecl(decl.span, decl.raw, "K", attributes=attrs)
+    attrs["role"] = "changed"
+    assert built.attributes == {"role": "r"}
 
 
 def test_parse_quoted_attribute_value():

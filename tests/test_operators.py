@@ -231,6 +231,16 @@ def test_mutate_identity(gsm8k):
     assert outcome.graphs[0] == gsm8k
 
 
+def test_fragment_prompts_are_read_only():
+    prompts = {"p1": "Solve it."}
+    fragment = Fragment(nodes=(Node("S1", "CustomOp", {"prompt": "p1"}),), prompts=prompts)
+    prompts["p1"] = "changed"
+    prompts["p2"] = "extra"
+    assert fragment.prompts == {"p1": "Solve it."}
+    with pytest.raises(TypeError):
+        fragment.prompts["p1"] = "other"
+
+
 def test_mutate_boundary_mismatch(gsm8k):
     # an ensemble output port needs solutions; an Interface-less fragment
     # whose output node feeds nothing acceptable must be refused

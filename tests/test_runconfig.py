@@ -97,6 +97,23 @@ def test_site_budget_below_one_rejected(tmp_path):
         load_run_config(path)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("alpha = inf", "alpha must be finite"),
+        ("alpha = nan", "alpha must be finite"),
+        ("crossover_rate = 1.5", "crossover_rate must lie in"),
+        ("weights.substitution = 1.5\nweights.deletion = -0.5", "deletion must be finite and nonnegative"),
+        ("weights.substitution = nan\nweights.deletion = 1.0", "substitution must be finite and nonnegative"),
+    ],
+)
+def test_non_finite_or_negative_knobs_rejected(tmp_path, line, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(path)
+
+
 def test_manifest_round_trip(tmp_path):
     config = load_run_config(None, {"seed": 42, "max_rounds": 5})
     path = tmp_path / "manifest.json"
