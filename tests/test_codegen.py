@@ -240,3 +240,52 @@ def test_default_templates_are_shared_and_read_only():
     assert default_templates() is templates
     with pytest.raises(TypeError):
         templates.calls["CustomOp"] = None
+
+
+def _codegen_graphs():
+    """The corpus, then apply_random chains over each same-domain corpus pair."""
+    import numpy as np
+
+    from flowevo.operators import apply_random
+
+    corpus = {name: load_corpus_graph(name) for name in CORPUS_NAMES}
+    graphs = list(corpus.values())
+    pairs = [(a, b) for a in CORPUS_NAMES for b in CORPUS_NAMES if a != b]
+    for index, (a, b) in enumerate(p for p in pairs if corpus[p[0]].domain == corpus[p[1]].domain):
+        rng = np.random.default_rng(index)
+        current = corpus[a]
+        for step in range(100):
+            if step % 10 == 0:
+                current = corpus[a]
+            outcome = apply_random((current, corpus[b]), rng)
+            if outcome is not None:
+                graphs.extend(outcome.graphs)
+                current = outcome.graphs[0]
+    return graphs
+
+
+def _codegen_digest(graphs) -> str:
+    import hashlib
+    import json
+
+    digest = hashlib.sha256()
+    for graph in graphs:
+        try:
+            ir = lower_to_ir(graph)
+        except EmissionError as exc:
+            digest.update(f"refused: {exc}\n".encode())
+            continue
+        program, prompts = emit(ir)
+        report = structural_diff(program, graph)
+        for part in (repr(ir), program, prompts, json.dumps(report.to_dict(), sort_keys=True)):
+            digest.update(part.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_codegen_digest_golden():
+    # pins the lowered IR, the emitted bytes and the structural diff of every
+    # graph; the chains reach test/repair branches through the code pair
+    graphs = _codegen_graphs()
+    branched = [g for g in graphs if any(label == "fail" for _, _, label in g.edge_multiset())]
+    assert len(graphs) > 400 and len(branched) > 20
+    assert _codegen_digest(graphs) == "6f95661985e737017abf74971102cdc027b499b34c2dc019488c9441c3546dd3"
