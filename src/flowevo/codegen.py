@@ -20,15 +20,6 @@ from types import MappingProxyType
 from .graph import WorkflowGraph
 from .validator import bind_input_ports, validate
 
-EXECUTABLE_KINDS = (
-    "CustomOp",
-    "ProgrammerOp",
-    "ScEnsembleOp",
-    "TestOp",
-    "CustomCodeGenerateOp",
-)
-
-
 class EmissionError(Exception):
     pass
 
@@ -52,9 +43,7 @@ class ArgRef:
     value: str
 
     def render(self) -> str:
-        if self.kind == "binding":
-            return self.value
-        if self.kind == "entry":
+        if self.kind in ("binding", "entry"):
             return self.value
         if self.kind == "prompt":
             return f"prompt_custom.{self.value}"
@@ -103,10 +92,6 @@ class ProgramIR:
         return sum(1 if isinstance(s, CallStep) else 2 for s in self.steps)
 
 
-def _prompt_module_name(name: str) -> str:
-    return name.upper()
-
-
 def _binding_names(node_ids) -> dict:
     taken = set()
     names = {}
@@ -122,175 +107,11 @@ def _binding_names(node_ids) -> dict:
     return names
 
 
-def lower_to_ir(graph: WorkflowGraph) -> ProgramIR:
-    """Order executable nodes, wire arguments, and lower test fan-outs."""
-    verdict = validate(graph)
-    if verdict.q != 1:
-        raise InvalidGraphError(verdict)
-    roles = graph.interface_roles()
-    interface_ids = set(roles.entries) | set(roles.exits)
-    order = [nid for nid in graph.topological_order() if nid not in interface_ids]
-    if not order:
-        raise EmissionError("exit fed directly by entry; nothing to emit")
-    for nid in order:
-        kind = graph.registry.resolve_kind(graph.node(nid).kind)
-        if kind not in EXECUTABLE_KINDS:
-            raise EmissionError(f"kind {graph.node(nid).kind!r} has no emission semantics")
+_PROBLEM = ArgRef("entry", "problem")
+_ENTRY_POINT = ArgRef("entry", "entry_point")
+_EMPTY = ArgRef("literal", "")
 
-    bindings = _binding_names(order)
-    exit_id = roles.exits[0]
-    uses_entry_point = bool(roles.aux_entries)
-    prompts: dict = {}
-
-    # classify test fan-outs: fail arm -> repair node handled as branch sugar
-    branch_of: dict[str, dict] = {}
-    sugar_nodes: set[str] = set()
-    for nid in order:
-        if graph.registry.resolve_kind(graph.node(nid).kind) != "TestOp":
-            continue
-        fail_targets = [t for t, label in graph.successors(nid) if label == "fail"]
-        if not fail_targets:
-            continue
-        if len(fail_targets) > 1:
-            raise EmissionError(f"test node {nid} has multiple fail arms")
-        repair = fail_targets[0]
-        if repair in interface_ids:
-            raise EmissionError(f"test node {nid} fails directly into an interface node")
-        repair_kind = graph.registry.resolve_kind(graph.node(repair).kind)
-        if repair_kind == "TestOp":
-            raise EmissionError("repair chains deeper than one level are not lowerable")
-        onward = [t for t, _ in graph.successors(repair)]
-        pass_targets = [
-            t for t, label in graph.successors(nid) if label != "fail"
-        ]
-        if any(t not in set(pass_targets) | {exit_id} for t in onward):
-            raise EmissionError(
-                f"repair node {repair} must rejoin the pass arm or the exit"
-            )
-        branch_of[nid] = {"repair": repair}
-        sugar_nodes.add(repair)
-
-    def output_ref(nid: str) -> ArgRef:
-        if nid in roles.problem_entries:
-            return ArgRef("entry", "problem")
-        if nid in roles.aux_entries:
-            return ArgRef("entry", "entry_point")
-        node_kind = graph.registry.resolve_kind(graph.node(nid).kind)
-        if node_kind == "TestOp" and nid in branch_of:
-            result_binding = branch_of[nid].get("result")
-            if result_binding is None:
-                # still building this test's own repair arm: the repair
-                # consumes the failed solution, i.e. the test's input
-                return _test_solution_ref(nid)
-            return ArgRef("binding", result_binding)
-        return ArgRef("binding", f"{bindings[nid]}{_OUTPUT_FIELD[node_kind]}")
-
-    def _test_solution_ref(nid: str) -> ArgRef:
-        result = bind_input_ports(graph, nid)
-        for (source, _label), port in sorted(result.bindings, key=lambda b: (b[0][0], b[0][1] or "")):
-            if port.label == "solution":
-                return output_ref(source)
-        return ArgRef("literal", "")
-
-    def prompt_ref(value: str | None) -> ArgRef:
-        if value is None:
-            return ArgRef("literal", "")
-        if value in graph.prompts:
-            module_name = _prompt_module_name(value)
-            prompts[module_name] = graph.prompts.get(value)
-            return ArgRef("prompt", module_name)
-        return ArgRef("literal", "")
-
-    def build_call(nid: str, solution_override: ArgRef | None = None) -> CallStep:
-        node = graph.node(nid)
-        kind = graph.registry.resolve_kind(node.kind)
-        result = bind_input_ports(graph, nid)
-        by_port: dict[str, list[ArgRef]] = {}
-        for (source, _label), port in sorted(result.bindings, key=lambda b: (b[0][0], b[0][1] or "")):
-            by_port.setdefault(port.label, []).append(output_ref(source))
-        binding = bindings[nid]
-        if kind == "CustomOp":
-            args = {
-                "input": _single(by_port, "input", ArgRef("entry", "problem")),
-                "instruction": prompt_ref(node.attributes.get("role")),
-                "role": ArgRef("literal", node.attributes.get("role", "")),
-            }
-        elif kind == "ProgrammerOp":
-            analysis = by_port.get("analysis")
-            args = {
-                "problem": _single(by_port, "problem", ArgRef("entry", "problem")),
-                "analysis": analysis[0] if analysis else ArgRef("literal", node.attributes.get("analysis", "")),
-            }
-        elif kind == "ScEnsembleOp":
-            args = {
-                "solutions": tuple(by_port.get("solution", ())),
-                "problem": ArgRef("entry", "problem"),
-            }
-        elif kind == "TestOp":
-            solution = solution_override or _single(by_port, "solution", ArgRef("literal", ""))
-            args = {
-                "problem": _single(by_port, "problem", ArgRef("entry", "problem")),
-                "solution": solution,
-                "entry_point": _single(by_port, "entry_point", ArgRef("entry", "entry_point")),
-            }
-        else:  # CustomCodeGenerateOp
-            args = {
-                "problem": _single(by_port, "problem", ArgRef("entry", "problem")),
-                "entry_point": _single(by_port, "entry_point", ArgRef("entry", "entry_point")),
-                "instruction": prompt_ref(node.attributes.get("instruction")),
-            }
-        if kind in ("TestOp", "CustomCodeGenerateOp"):
-            uses = any(
-                ref.kind == "entry" and ref.value == "entry_point"
-                for ref in args.values()
-                if isinstance(ref, ArgRef)
-            )
-            nonlocal_state["entry_point"] = nonlocal_state["entry_point"] or uses
-        return CallStep(nid, kind, binding, args, f"{binding}{_OUTPUT_FIELD[kind]}")
-
-    nonlocal_state = {"entry_point": uses_entry_point}
-    steps = []
-    for nid in order:
-        if nid in sugar_nodes:
-            continue
-        kind = graph.registry.resolve_kind(graph.node(nid).kind)
-        call = build_call(nid)
-        if kind == "TestOp" and nid in branch_of:
-            repair_id = branch_of[nid]["repair"]
-            repair_call = build_call(repair_id)
-            result_binding = f"{bindings[nid]}_solution"
-            retest_binding = f"{bindings[nid]}_retest"
-            repair_value = ArgRef("binding", repair_call.output_expr)
-            retest = CallStep(
-                nid,
-                "TestOp",
-                retest_binding,
-                {**call.args, "solution": repair_value},
-                f"{retest_binding}['solution']",
-            )
-            fallback = call.args["solution"]
-            branch_of[nid]["result"] = result_binding
-            steps.append(BranchStep(call, repair_call, retest, result_binding, fallback))
-        else:
-            steps.append(call)
-
-    exit_feeders = [src for src, _ in graph.predecessors(exit_id) if src not in interface_ids]
-    ordered_feeders = [nid for nid in order if nid in set(exit_feeders) and nid not in sugar_nodes]
-    if ordered_feeders:
-        terminal = output_ref(ordered_feeders[-1]).render()
-    else:
-        # exit fed only by branch sugar (repair arm); fall back to its branch result
-        sugar_feeders = [nid for nid in order if nid in set(exit_feeders)]
-        if not sugar_feeders:
-            raise EmissionError("no executable node feeds the exit")
-        repair_id = sugar_feeders[-1]
-        owner = next(t for t, b in branch_of.items() if b["repair"] == repair_id)
-        terminal = ArgRef("binding", branch_of[owner]["result"]).render()
-
-    entry_args = ("problem", "entry_point") if nonlocal_state["entry_point"] else ("problem",)
-    return ProgramIR(tuple(steps), terminal, prompts, graph.domain, entry_args)
-
-
+# the executable kinds, each with the result field its call returns
 _OUTPUT_FIELD = {
     "CustomOp": "['response']",
     "ProgrammerOp": "['output']",
@@ -300,9 +121,145 @@ _OUTPUT_FIELD = {
 }
 
 
-def _single(by_port, label, default: ArgRef) -> ArgRef:
-    refs = by_port.get(label)
-    return refs[0] if refs else default
+def _inputs(graph: WorkflowGraph, node_id: str) -> dict:
+    """Port label -> the sources bound to it, in the graph's predecessor order."""
+    by_port: dict[str, list[str]] = {}
+    for (source, _label), port in bind_input_ports(graph, node_id).bindings:
+        by_port.setdefault(port.label, []).append(source)
+    return by_port
+
+
+def lower_to_ir(graph: WorkflowGraph) -> ProgramIR:
+    """Order executable nodes, wire arguments, and lower test fan-outs."""
+    verdict = validate(graph)
+    if verdict.q != 1:
+        raise InvalidGraphError(verdict)
+    roles = graph.interface_roles()
+    interface_ids = set(roles.entries) | set(roles.exits)
+    topological = graph.topological_order()
+    order = [nid for nid in topological if nid not in interface_ids]
+    if not order:
+        raise EmissionError("exit fed directly by entry; nothing to emit")
+    kinds = {}
+    for nid in order:
+        kinds[nid] = graph.registry.resolve_kind(graph.node(nid).kind)
+        if kinds[nid] not in _OUTPUT_FIELD:
+            raise EmissionError(f"kind {graph.node(nid).kind!r} has no emission semantics")
+    inputs = {nid: _inputs(graph, nid) for nid in order}
+    bindings = _binding_names(order)
+    position = {nid: i for i, nid in enumerate(topological)}
+    exit_id = roles.exits[0]
+    prompts: dict = {}
+
+    # classify test fan-outs: the fail arm's node is a repair, emitted inside its test's branch
+    repair_of: dict[str, str] = {}
+    for nid in order:
+        if kinds[nid] != "TestOp":
+            continue
+        fail_targets = [t for t, label in graph.successors(nid) if label == "fail"]
+        if not fail_targets:
+            continue
+        if len(fail_targets) > 1:
+            raise EmissionError(f"test node {nid} has multiple fail arms")
+        repair = fail_targets[0]
+        if repair in interface_ids:
+            raise EmissionError(f"test node {nid} fails directly into an interface node")
+        if kinds[repair] == "TestOp":
+            raise EmissionError("repair chains deeper than one level are not lowerable")
+        rejoin = {t for t, label in graph.successors(nid) if label != "fail"} | {exit_id}
+        if any(t not in rejoin for t, _ in graph.successors(repair)):
+            raise EmissionError(f"repair node {repair} must rejoin the pass arm or the exit")
+        repair_of[nid] = repair
+    test_of = {repair: test for test, repair in reversed(repair_of.items())}
+
+    def ref(source: str, at: str) -> ArgRef:
+        """The value ``source`` hands to a call emitted at node ``at``'s step."""
+        if source in roles.problem_entries:
+            return _PROBLEM
+        if source in roles.aux_entries:
+            return _ENTRY_POINT
+        if source not in repair_of:
+            return ArgRef("binding", f"{bindings[source]}{_OUTPUT_FIELD[kinds[source]]}")
+        if position[source] < position[at]:
+            return ArgRef("binding", f"{bindings[source]}_solution")
+        # the branch is still being emitted: its repair reads the failed solution, the test's input
+        return port_ref(source, "solution", _EMPTY, at)
+
+    def port_ref(nid: str, port: str, default: ArgRef, at: str) -> ArgRef:
+        sources = inputs[nid].get(port)
+        return ref(sources[0], at) if sources else default
+
+    def prompt_ref(value: str | None) -> ArgRef:
+        if value is None or value not in graph.prompts:
+            return _EMPTY
+        module_name = value.upper()
+        prompts[module_name] = graph.prompts.get(value)
+        return ArgRef("prompt", module_name)
+
+    def build_call(nid: str, at: str) -> CallStep:
+        attributes = graph.node(nid).attributes
+        kind = kinds[nid]
+        if kind == "CustomOp":
+            args = {
+                "input": port_ref(nid, "input", _PROBLEM, at),
+                "instruction": prompt_ref(attributes.get("role")),
+                "role": ArgRef("literal", attributes.get("role", "")),
+            }
+        elif kind == "ProgrammerOp":
+            args = {
+                "problem": port_ref(nid, "problem", _PROBLEM, at),
+                "analysis": port_ref(nid, "analysis", ArgRef("literal", attributes.get("analysis", "")), at),
+            }
+        elif kind == "ScEnsembleOp":
+            args = {
+                "solutions": tuple(ref(source, at) for source in inputs[nid].get("solution", ())),
+                "problem": _PROBLEM,
+            }
+        elif kind == "TestOp":
+            args = {
+                "problem": port_ref(nid, "problem", _PROBLEM, at),
+                "solution": port_ref(nid, "solution", _EMPTY, at),
+                "entry_point": port_ref(nid, "entry_point", _ENTRY_POINT, at),
+            }
+        else:  # CustomCodeGenerateOp
+            args = {
+                "problem": port_ref(nid, "problem", _PROBLEM, at),
+                "entry_point": port_ref(nid, "entry_point", _ENTRY_POINT, at),
+                "instruction": prompt_ref(attributes.get("instruction")),
+            }
+        binding = bindings[nid]
+        return CallStep(nid, kind, binding, args, f"{binding}{_OUTPUT_FIELD[kind]}")
+
+    steps = []
+    calls = []  # every call built from a graph node, i.e. all but the re-tests
+    for nid in order:
+        if nid in test_of:
+            continue
+        call = build_call(nid, nid)
+        calls.append(call)
+        if nid not in repair_of:
+            steps.append(call)
+            continue
+        repair = build_call(repair_of[nid], nid)
+        calls.append(repair)
+        retest_binding = f"{bindings[nid]}_retest"
+        retest = CallStep(
+            nid,
+            "TestOp",
+            retest_binding,
+            {**call.args, "solution": ArgRef("binding", repair.output_expr)},
+            f"{retest_binding}['solution']",
+        )
+        steps.append(BranchStep(call, repair, retest, f"{bindings[nid]}_solution", call.args["solution"]))
+
+    # the exit returns its last plain feeder, else the branch of its last repair feeder
+    feeders = [src for src, _ in graph.predecessors(exit_id) if src not in interface_ids]
+    last = max(feeders, key=lambda nid: (nid not in test_of, position[nid]))
+    terminal = ref(test_of.get(last, last), exit_id).render()
+
+    uses_entry_point = bool(roles.aux_entries) or any(c.args.get("entry_point") == _ENTRY_POINT for c in calls)
+    entry_args = ("problem", "entry_point") if uses_entry_point else ("problem",)
+    return ProgramIR(tuple(steps), terminal, prompts, graph.domain, entry_args)
 
 
 # -- templates ---------------------------------------------------------------------
@@ -347,19 +304,26 @@ def _parse_sections(text: str) -> dict:
     return {name: "\n".join(lines).strip("\n") for name, lines in sections.items()}
 
 
+def _read_template(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EmissionError(f"template {path}: not valid UTF-8 ({exc})") from None
+
+
 def load_templates(directory) -> EmissionTemplate:
     directory = Path(directory)
     calls = {}
     for path in sorted(directory.glob("call_*.tmpl")):
         kind = path.stem[len("call_") :]
-        sections = _parse_sections(path.read_text(encoding="utf-8"))
+        sections = _parse_sections(_read_template(path))
         for required in ("init", "call"):
             if required not in sections:
                 raise EmissionError(f"template {path.name} lacks [{required}] section")
         calls[kind] = CallTemplate(sections["init"], sections["call"])
-    program = (directory / "program.tmpl").read_text(encoding="utf-8")
-    prompts_module = (directory / "prompts.tmpl").read_text(encoding="utf-8")
-    branch = (directory / "branch.tmpl").read_text(encoding="utf-8")
+    program, prompts_module, branch = (
+        _read_template(directory / name) for name in ("program.tmpl", "prompts.tmpl", "branch.tmpl")
+    )
     return EmissionTemplate(program, prompts_module, branch, MappingProxyType(calls))
 
 
@@ -373,9 +337,7 @@ def default_templates() -> EmissionTemplate:
 
 
 def _render_call(step: CallStep, templates: EmissionTemplate) -> str:
-    template = templates.calls.get(step.kind)
-    if template is None:
-        raise EmissionError(f"no template for kind {step.kind!r}")
+    template = templates.calls[step.kind]  # emit checked every kind has one
     values = {"binding": step.binding}
     for name, ref in step.args.items():
         if isinstance(ref, tuple):
@@ -388,15 +350,13 @@ def _render_call(step: CallStep, templates: EmissionTemplate) -> str:
 def emit(ir: ProgramIR, templates: EmissionTemplate | None = None) -> tuple[str, str]:
     """Render (program text, prompt module text); pure and byte-stable."""
     templates = templates or default_templates()
-    for step in ir.call_steps():
-        if step.kind not in templates.calls:
-            raise EmissionError(f"no template for kind {step.kind!r}")
-
     init_lines = []
-    seen_kinds = []
+    seen_kinds = set()
     for step in ir.call_steps():
         if step.kind not in seen_kinds:
-            seen_kinds.append(step.kind)
+            if step.kind not in templates.calls:
+                raise EmissionError(f"no template for kind {step.kind!r}")
+            seen_kinds.add(step.kind)
             init_lines.append("        " + templates.calls[step.kind].init)
 
     body_lines = []
@@ -492,6 +452,7 @@ def structural_diff(program_text: str, graph: WorkflowGraph) -> DiffReport:
 
     expected: dict[str, CallStep] = {}
     sugar_bindings = set()
+    result_of_test: dict[str, str] = {}  # branch test binding -> the branch's result variable
     for step in ir.steps:
         if isinstance(step, CallStep):
             expected[step.binding] = step
@@ -499,6 +460,7 @@ def structural_diff(program_text: str, graph: WorkflowGraph) -> DiffReport:
             expected[step.test.binding] = step.test
             expected[step.repair.binding] = step.repair
             sugar_bindings.add(step.retest.binding)
+            result_of_test[step.test.binding] = step.result_binding
 
     for binding, step in expected.items():
         if binding not in found:
@@ -521,14 +483,9 @@ def structural_diff(program_text: str, graph: WorkflowGraph) -> DiffReport:
         consumed = source_binding in consumer_args
         if not consumed and edge.label in ("fail", "pass"):
             consumed = source_binding in branch_conditions
-        if not consumed and source_binding in branch_conditions:
+        if not consumed and source_binding in branch_conditions and source_binding in result_of_test:
             # branch result feeds downstream through its result variable
-            owner = next(
-                (s for s in ir.steps if not isinstance(s, CallStep) and s.test.binding == source_binding),
-                None,
-            )
-            if owner is not None:
-                consumed = owner.result_binding in consumer_args
+            consumed = result_of_test[source_binding] in consumer_args
         if not consumed:
             report.flow_mismatches.append(
                 f"{edge.source}->{edge.target}: {target_binding} does not consume {source_binding}"

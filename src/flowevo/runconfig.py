@@ -79,7 +79,10 @@ class RunConfig:
 
 def _parse_file(path) -> dict:
     values: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 ({exc})") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -110,11 +113,12 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
         if value is not None:
             raw[key] = value
 
-    scalars = {}
+    # only the keys that were set: EvolutionConfig states every default
+    fields: dict = {}
     for key, cast in _SCALAR_KEYS.items():
         if key in raw:
             try:
-                scalars[key] = cast(raw.pop(key))
+                fields["lambda_" if key == "lambda" else key] = cast(raw.pop(key))
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
@@ -126,21 +130,11 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
                 weights[OperatorKind(name)] = float(raw.pop(key))
             except ValueError as exc:
                 raise ConfigError(f"bad operator weight {key!r}: {exc}") from exc
+    if weights:
+        fields["operator_weights"] = weights
 
     try:
-        evolution = EvolutionConfig(
-            lambda_=scalars.get("lambda", 0.3),
-            alpha=scalars.get("alpha", 5.0),
-            candidate_pool=scalars.get("candidate_pool", 4),
-            max_rounds=scalars.get("max_rounds", 20),
-            num_tries=scalars.get("num_tries", 3),
-            seed=scalars.get("seed", 0),
-            crossover_rate=scalars.get("crossover_rate", 0.10),
-            operator_weights=weights or None,
-            site_budget=scalars.get("site_budget", 8),
-            domain=scalars.get("domain", "math"),
-            scenario=scalars.get("scenario", "math_ensemble_refine"),
-        )
+        evolution = EvolutionConfig(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

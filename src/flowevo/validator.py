@@ -64,6 +64,8 @@ def bind_input_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
     open ports in schema order; a variadic port absorbs any surplus. The
     matching is silent when only one assignment is possible; it is flagged
     ambiguous when several leftover edges competed for several open ports.
+    ``bindings`` lists the bound edges in the graph's canonical predecessor
+    order (source id, then label), whichever rule bound them.
     """
     schema = graph.registry.get(graph.node(node_id).kind)
     ports = schema.input_ports if schema is not None else ()
@@ -71,32 +73,29 @@ def bind_input_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
 
     by_label = {p.label: p for p in ports}
     counts: Counter = Counter()
-    bindings = []
-    leftovers = []
-    for pair in incoming:
-        port = by_label.get(pair[1]) if pair[1] else None
+    port_of = [by_label.get(label) if label else None for _, label in incoming]
+    for port in port_of:
         if port is not None:
-            bindings.append((pair, port))
             counts[port.label] += 1
-        else:
-            leftovers.append(pair)
 
     open_ports = [
         p for p in ports if not p.ambient and not p.variadic and counts[p.label] == 0
     ]
     variadic = next((p for p in ports if p.variadic), None)
+    leftovers = [i for i, port in enumerate(port_of) if port is None]
     ambiguous = len(leftovers) >= 2 and len(open_ports) >= 2
     unexpected = []
-    for pair in leftovers:
+    for i in leftovers:
         if open_ports:
             port = open_ports.pop(0)
         elif variadic is not None:
             port = variadic
         else:
-            unexpected.append(pair)
+            unexpected.append(incoming[i])
             continue
-        bindings.append((pair, port))
+        port_of[i] = port
         counts[port.label] += 1
+    bindings = [(pair, port) for pair, port in zip(incoming, port_of) if port is not None]
 
     missing = [
         p

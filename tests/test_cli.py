@@ -466,6 +466,27 @@ def test_validate_invalid_utf8(tmp_path, capsys):
     assert "not valid UTF-8" in capsys.readouterr().err
 
 
+def test_emit_template_invalid_utf8_exits_2(tmp_path, capsys):
+    import shutil
+
+    import flowevo
+
+    custom = tmp_path / "templates"
+    shutil.copytree(Path(flowevo.__file__).parent / "templates" / "default", custom)
+    (custom / "program.tmpl").write_bytes(b"# \xff\n{{body}}\n")
+    assert main(["emit", str(corpus_path("gsm8k_round16")), "--templates", str(custom)]) == 2
+    err = capsys.readouterr().err
+    assert "program.tmpl: not valid UTF-8" in err and "Traceback" not in err
+
+
+def test_evolve_config_invalid_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "binary.cfg"
+    config.write_bytes(b"max_rounds = 1\n# \xff\n")
+    assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "binary.cfg: not valid UTF-8" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from flowevo import Edge, Node, build_graph
+from flowevo import Edge, Node, build_graph, validate
 from flowevo.codegen import (
     BranchStep,
     CallStep,
@@ -90,6 +90,84 @@ def test_humaneval_branch_lowering(humaneval):
     assert branch.repair.node_id == "C4"
     assert ir.terminal == branch.result_binding
     assert ir.entry_args == ("problem", "entry_point")
+
+
+def _edit_humaneval(humaneval, drop=(), add=(), nodes=(), drop_nodes=()):
+    """humaneval_round5 with edges (source, target, label) dropped and added."""
+    edges = [
+        e
+        for e in humaneval.edges
+        if (e.source, e.target, e.label) not in drop and not {e.source, e.target} & set(drop_nodes)
+    ]
+    graph = humaneval.with_changes(
+        nodes=tuple(n for n in humaneval.nodes if n.id not in drop_nodes) + tuple(nodes),
+        edges=tuple(edges) + tuple(Edge(*edge) for edge in add),
+    )
+    assert validate(graph).q == 1
+    return graph
+
+
+_REPAIR = Node("C5", "CustomCodeGenerateOp", {"instruction": "improved_solution_1"})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"add": [("T", "RETURN", "fail")]}, "test node T has multiple fail arms"),
+        (
+            {"drop_nodes": ["C4"], "add": [("T", "RETURN", "fail")]},
+            "test node T fails directly into an interface node",
+        ),
+        (
+            {"drop_nodes": ["C4"], "nodes": [Node("T2", "TestOp")], "add": [("T", "T2", "fail"), ("T2", "RETURN", None)]},
+            "repair chains deeper than one level are not lowerable",
+        ),
+        (
+            {"drop": [("C4", "RETURN", None)], "nodes": [_REPAIR], "add": [("C4", "C5", None), ("C5", "RETURN", None)]},
+            "repair node C4 must rejoin the pass arm or the exit",
+        ),
+    ],
+    ids=["two-fail-arms", "fail-into-interface", "repair-is-a-test", "repair-leaves-the-branch"],
+)
+def test_lowering_refusals(humaneval, edit, message):
+    with pytest.raises(EmissionError, match=f"^{message}$"):
+        lower_to_ir(_edit_humaneval(humaneval, **edit))
+
+
+def test_exit_fed_only_by_a_repair_returns_the_branch_result(humaneval):
+    # T --fail--> C4 --> RETURN with no pass arm: the exit reads T's branch result
+    graph = _edit_humaneval(humaneval, drop=[("T", "RETURN", "pass")])
+    ir = lower_to_ir(graph)
+    branch = next(s for s in ir.steps if isinstance(s, BranchStep))
+    assert ir.terminal == branch.result_binding == "t_result_solution"
+    program, _ = emit(ir)
+    compile(program, "<emitted>", "exec")
+    assert structural_diff(program, graph).is_empty()
+
+
+def test_a_plain_exit_feeder_wins_over_a_repair(humaneval):
+    graph = _edit_humaneval(humaneval, drop=[("T", "RETURN", "pass")], add=[("ENSEMBLE", "RETURN", None)])
+    assert lower_to_ir(graph).terminal == "ensemble_result['response']"
+
+
+def test_a_repair_emitted_before_a_later_branch_reads_that_test_input(humaneval):
+    # E2 repairs T and also reads U, a branched test that comes after T: inside
+    # T's branch U's result does not exist yet, so E2 reads U's input there
+    graph = _edit_humaneval(
+        humaneval,
+        drop_nodes=["C4"],
+        nodes=[Node("U", "TestOp"), Node("E2", "ScEnsembleOp"), _REPAIR],
+        add=[
+            ("C1", "U", None), ("T", "E2", "fail"), ("U", "E2", None), ("E2", "RETURN", None),
+            ("U", "C5", "fail"), ("U", "RETURN", "pass"), ("C5", "RETURN", None),
+        ],
+    )
+    ir = lower_to_ir(graph)
+    t_branch, u_branch = [s for s in ir.steps if isinstance(s, BranchStep)]
+    assert (t_branch.test.node_id, u_branch.test.node_id) == ("T", "U")
+    solutions = [ref.render() for ref in t_branch.repair.args["solutions"]]
+    assert solutions == ["ensemble_result['response']", "c1_result['response']"]
+    assert ir.terminal == "u_result_solution"
 
 
 def test_mbpp_plain_test(mbpp):

@@ -16,6 +16,15 @@ def test_defaults_without_file():
     assert config.evolution.num_tries == 3
 
 
+def test_unset_keys_take_the_evolution_config_defaults(monkeypatch):
+    from flowevo.engine import EvolutionConfig
+    from flowevo.runconfig import _SCALAR_KEYS
+
+    for key in _SCALAR_KEYS:
+        monkeypatch.delenv("FLOWEVO_" + key.upper(), raising=False)
+    assert load_run_config(None).evolution == EvolutionConfig()
+
+
 def test_file_values_and_comments(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
