@@ -350,14 +350,11 @@ def _render_call(step: CallStep, templates: EmissionTemplate) -> str:
 def emit(ir: ProgramIR, templates: EmissionTemplate | None = None) -> tuple[str, str]:
     """Render (program text, prompt module text); pure and byte-stable."""
     templates = templates or default_templates()
-    init_lines = []
-    seen_kinds = set()
+    init_lines: dict[str, str] = {}  # one per kind, in first-call order
     for step in ir.call_steps():
-        if step.kind not in seen_kinds:
-            if step.kind not in templates.calls:
-                raise EmissionError(f"no template for kind {step.kind!r}")
-            seen_kinds.add(step.kind)
-            init_lines.append("        " + templates.calls[step.kind].init)
+        if step.kind not in templates.calls:
+            raise EmissionError(f"no template for kind {step.kind!r}")
+        init_lines.setdefault(step.kind, "        " + templates.calls[step.kind].init)
 
     body_lines = []
     for step in ir.steps:
@@ -382,7 +379,7 @@ def emit(ir: ProgramIR, templates: EmissionTemplate | None = None) -> tuple[str,
     program = fill(
         templates.program,
         {
-            "inits": "\n".join(init_lines),
+            "inits": "\n".join(init_lines.values()),
             "entry_args": ", ".join(f"{name}: str" for name in ir.entry_args),
             "body": "\n".join(body_lines),
             "terminal": ir.terminal,

@@ -73,29 +73,35 @@ def bind_input_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
 
     by_label = {p.label: p for p in ports}
     counts: Counter = Counter()
-    port_of = [by_label.get(label) if label else None for _, label in incoming]
-    for port in port_of:
-        if port is not None:
+    bindings = []
+    leftovers = []  # positions in bindings of the edges no label binds
+    for pair in incoming:
+        port = by_label.get(pair[1]) if pair[1] else None
+        if port is None:
+            leftovers.append(len(bindings))
+        else:
             counts[port.label] += 1
+        bindings.append((pair, port))
 
     open_ports = [
         p for p in ports if not p.ambient and not p.variadic and counts[p.label] == 0
     ]
     variadic = next((p for p in ports if p.variadic), None)
-    leftovers = [i for i, port in enumerate(port_of) if port is None]
     ambiguous = len(leftovers) >= 2 and len(open_ports) >= 2
     unexpected = []
     for i in leftovers:
+        pair = bindings[i][0]
         if open_ports:
             port = open_ports.pop(0)
         elif variadic is not None:
             port = variadic
         else:
-            unexpected.append(incoming[i])
+            unexpected.append(pair)
             continue
-        port_of[i] = port
+        bindings[i] = (pair, port)
         counts[port.label] += 1
-    bindings = [(pair, port) for pair, port in zip(incoming, port_of) if port is not None]
+    if unexpected:
+        bindings = [(pair, port) for pair, port in bindings if port is not None]
 
     missing = [
         p

@@ -398,3 +398,32 @@ def test_text_verdict_keeps_every_graph_finding(name):
         subjects = {(d.rule, d.subject) for d in verdict.diagnostics if d.subject is not None}
         for d in validate(graph).diagnostics:
             assert (d.rule, d.severity, d.subject, d.message) in found or (d.rule, d.subject) in subjects
+
+
+def test_bind_input_ports_lists_bindings_in_predecessor_order(corpus_graphs):
+    # A fills the open problem port; B binds to analysis by its label
+    graph = build_graph(
+        [
+            Node("PROBLEM", "Interface"),
+            Node("A", "CustomOp", {"role": "x"}),
+            Node("B", "CustomOp", {"role": "y"}),
+            Node("P", "ProgrammerOp", {}),
+            Node("RETURN", "Interface"),
+        ],
+        [
+            Edge("PROBLEM", "A", "input"),
+            Edge("PROBLEM", "B", "input"),
+            Edge("A", "P"),
+            Edge("B", "P", "analysis"),
+            Edge("P", "RETURN"),
+        ],
+    )
+    result = bind_input_ports(graph, "P")
+    assert [(pair, port.label) for pair, port in result.bindings] == [
+        (("A", None), "problem"),
+        (("B", "analysis"), "analysis"),
+    ]
+    for g in [graph, *corpus_graphs.values()]:
+        for nid in g.node_ids():
+            bound = [pair for pair, _ in bind_input_ports(g, nid).bindings]
+            assert bound == [pair for pair in g.predecessors(nid) if pair in bound]
