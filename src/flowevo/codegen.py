@@ -170,7 +170,7 @@ def lower_to_ir(graph: WorkflowGraph) -> ProgramIR:
         if any(t not in rejoin for t, _ in graph.successors(repair)):
             raise EmissionError(f"repair node {repair} must rejoin the pass arm or the exit")
         repair_of[nid] = repair
-    test_of = {repair: test for test, repair in reversed(repair_of.items())}
+    test_of = {repair: test for test, repair in reversed(repair_of.items())}  # a shared repair: the first test
 
     def ref(source: str, at: str) -> ArgRef:
         """The value ``source`` hands to a call emitted at node ``at``'s step."""

@@ -114,11 +114,11 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
             raw[key] = value
 
     # only the keys that were set: EvolutionConfig states every default
-    fields: dict = {}
+    knobs: dict = {}
     for key, cast in _SCALAR_KEYS.items():
         if key in raw:
             try:
-                fields["lambda_" if key == "lambda" else key] = cast(raw.pop(key))
+                knobs["lambda_" if key == "lambda" else key] = cast(raw.pop(key))
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
@@ -131,10 +131,10 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"bad operator weight {key!r}: {exc}") from exc
     if weights:
-        fields["operator_weights"] = weights
+        knobs["operator_weights"] = weights
 
     try:
-        evolution = EvolutionConfig(**fields)
+        evolution = EvolutionConfig(**knobs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -93,7 +93,7 @@ def test_humaneval_branch_lowering(humaneval):
 
 
 def _edit_humaneval(humaneval, drop=(), add=(), nodes=(), drop_nodes=()):
-    """humaneval_round5 with edges (source, target, label) dropped and added."""
+    """humaneval_round5 with nodes and (source, target, label) edges dropped and added; it must validate."""
     edges = [
         e
         for e in humaneval.edges
