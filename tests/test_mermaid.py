@@ -15,6 +15,7 @@ from flowevo import (
     lower_to_graph,
     parse_workflow,
     serialize_workflow,
+    validate,
 )
 from flowevo.mermaid import NodeDecl, _escape_prompt, _unescape_prompt, split_label
 
@@ -418,3 +419,102 @@ def test_round_trip_over_operator_generated_fixtures(gsm8k, mbpp):
                 parse_workflow(serialize_workflow(current)), domain=domain
             )
             assert relowered == current
+
+
+# -- front-end digest -----------------------------------------------------------
+
+PARSER_MESSAGES = (
+    "malformed prompt entry",
+    "duplicate prompt name",
+    "multiple <prompt> blocks",
+    "duplicate flowchart header",
+    "bad node id in class assignment",
+    "conflicting class assignment",
+    "duplicate node declaration",
+    "unterminated string in node declaration",
+    "unrecognized statement",
+    "unterminated <prompt> block",
+    "missing 'flowchart <direction>' header",
+)
+LOWERING_MESSAGES = (
+    "class assignment references undeclared node",
+    "duplicate classDef",
+    "class assignment uses unknown class",
+    "(no class assignment)",
+    "used in an edge but never declared",
+)
+
+_FRONT_END_EXTRAS = (
+    HEADER + '<prompt>\na="x"\n</prompt>\n<prompt>\nb="y"\n</prompt>\n',
+    HEADER + '<prompt>\na="x"\n',
+    HEADER + 'A["Custom<br/>(role: a)"]\nclass A,1b CustomOp\n',
+    HEADER + 'A["Custom<br/>(role: a)"]\nclass A CustomOp\nclass A TestOp\n',
+    HEADER + 'A["Custom<br/>(role: a)"]\nclass A BogusOp\n',
+)
+
+
+def _front_end_sources() -> list[str]:
+    """The corpus and seeded generated sources, each with line-level damage."""
+    import random
+    import sys
+
+    bench_dir = str(corpus_path("gsm8k_round16").parent.parent / "bench")
+    if bench_dir not in sys.path:
+        sys.path.insert(0, bench_dir)
+    import workflow_gen
+
+    rng = random.Random(8)
+    bases = [corpus_path(name).read_text(encoding="utf-8") for name in CORPUS_NAMES]
+    for i, defect in enumerate((None,) + workflow_gen.DEFECTS):
+        bases.append(workflow_gen.generate(6 + 3 * i, rng, f"fe{i}", defect).text)
+    sources = list(bases) + list(_FRONT_END_EXTRAS)
+    for text in bases:
+        lines = text.split("\n")
+        for index in sorted(rng.sample(range(len(lines)), 7)):
+            line = lines[index]
+            for edited in ([], [line, line], [line[:-1]]):
+                sources.append("\n".join(lines[:index] + edited + lines[index + 1 :]))
+    return sources
+
+
+def _front_end_record(text: str) -> tuple[list, list]:
+    """Every fact the front end derives from ``text``, and its findings."""
+    doc = parse_workflow(text)
+    record = [
+        doc.direction,
+        list(doc.diagnostics),
+        [(d.span, d.id, d.shape, d.display, tuple(d.attributes.items())) for d in doc.node_decls()],
+        [(a.span, a.ids, a.name) for a in doc.class_assigns()],
+        [(c.name, c.span) for c in doc.class_defs()],
+        [(e.span, e.source, e.target, e.label) for e in doc.edge_stmts()],
+        [(p.span, p.name, p.text) for p in doc.prompts],
+        infer_domain(doc),
+    ]
+    findings = []
+    try:
+        graph, findings = lower_to_graph(doc)
+    except LoweringError as exc:
+        record.append(str(exc))
+    else:
+        record += [findings, graph.structural_signature(), [n.display_label for n in graph.nodes]]
+    verdict = validate(text)
+    record += [verdict, verdict.graph is not None]
+    return record, list(doc.diagnostics) + findings
+
+
+def test_front_end_digest_golden():
+    # pins parse diagnostics, the document tables, the inferred domain,
+    # lowering findings, lowered graphs and text verdicts
+    import hashlib
+
+    sources = _front_end_sources()
+    digest = hashlib.sha256()
+    messages = []
+    for text in sources:
+        record, findings = _front_end_record(text)
+        digest.update(repr(record).encode() + b"\n")
+        messages += [d.message for d in findings]
+    assert len(sources) > 200
+    for expected in PARSER_MESSAGES + LOWERING_MESSAGES:
+        assert any(expected in m for m in messages), expected
+    assert digest.hexdigest() == "e7bab9d3fd5f983f948a6efd496826839a251667aa79dfa9bf192ffbdf86d77c"
