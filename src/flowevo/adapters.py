@@ -14,6 +14,10 @@ import subprocess
 from .engine import JudgeScore, Proposal, ProposalRequest
 
 
+# seconds an adapter may take to exit once its input is closed
+CLOSE_GRACE_S = 5.0
+
+
 class AdapterError(Exception):
     pass
 
@@ -52,10 +56,16 @@ class _JsonLineProcess:
         return response
 
     def close(self):
-        if self._process is not None and self._process.poll() is None:
-            self._process.stdin.close()
-            self._process.wait(timeout=5)
-        self._process = None
+        """Close the child's input; a child still running after the grace period is killed."""
+        process, self._process = self._process, None
+        if process is None or process.poll() is not None:
+            return
+        try:
+            process.stdin.close()
+            process.wait(timeout=CLOSE_GRACE_S)
+        except (OSError, subprocess.TimeoutExpired):
+            process.kill()
+            process.wait()
 
 
 class _Adapter:

@@ -171,6 +171,13 @@ def lower_to_ir(graph: WorkflowGraph) -> ProgramIR:
             raise EmissionError(f"repair node {repair} must rejoin the pass arm or the exit")
         repair_of[nid] = repair
     test_of = {repair: test for test, repair in reversed(repair_of.items())}  # a shared repair: the first test
+    # a repair is emitted at its test's step, so all else it reads must be emitted earlier
+    for test, repair in repair_of.items():
+        for source, _ in graph.predecessors(repair):
+            if source == test or source in interface_ids:
+                continue
+            if position[test_of.get(source, source)] > position[test]:
+                raise EmissionError(f"repair node {repair} reads {source}, which is emitted after its test {test}")
 
     def ref(source: str, at: str) -> ArgRef:
         """The value ``source`` hands to a call emitted at node ``at``'s step."""
@@ -402,6 +409,8 @@ def emit(ir: ProgramIR, templates: EmissionTemplate | None = None) -> tuple[str,
 
 _CALL_LINE_RE = re.compile(r"^\s*(\w+) = await self\.(\w+)\((.*)\)\s*$")
 _IF_LINE_RE = re.compile(r"^\s*if not (\w+)\[")
+_STRING_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')  # a double-quoted literal with backslash escapes
+_WORD_RE = re.compile(r"\w+")
 
 
 @dataclass
@@ -437,15 +446,16 @@ def structural_diff(program_text: str, graph: WorkflowGraph) -> DiffReport:
     ir = lower_to_ir(graph)
     report = DiffReport()
 
-    found: dict[str, str] = {}
+    call_lines: list[tuple[str, str]] = []  # (binding, argument text) in program order
     branch_conditions: list[str] = []
     for line in program_text.splitlines():
         match = _CALL_LINE_RE.match(line)
         if match:
-            found[match.group(1)] = match.group(3)
+            call_lines.append((match.group(1), match.group(3)))
         match = _IF_LINE_RE.match(line)
         if match:
             branch_conditions.append(match.group(1))
+    found = dict(call_lines)
 
     expected: dict[str, CallStep] = {}
     sugar_bindings = set()
@@ -465,6 +475,15 @@ def structural_diff(program_text: str, graph: WorkflowGraph) -> DiffReport:
     for binding in found:
         if binding not in expected and binding not in sugar_bindings:
             report.orphan_calls.append(binding)
+    # each call line assigns a fresh binding, and reads only bindings assigned above it
+    assigned: set[str] = set()
+    for binding, args_text in call_lines:
+        for name in _WORD_RE.findall(_STRING_RE.sub("", args_text)):
+            if name in found and name not in assigned:
+                report.flow_mismatches.append(f"{binding} reads {name} before any line assigns it")
+        if binding in assigned:
+            report.orphan_calls.append(f"{binding} (assigned twice)")
+        assigned.add(binding)
 
     binding_of_node = {step.node_id: binding for binding, step in expected.items()}
     roles = graph.interface_roles()

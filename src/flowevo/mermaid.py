@@ -39,23 +39,13 @@ class LoweringError(Exception):
 
 
 @dataclass(frozen=True)
-class Statement:
-    span: SourceSpan
-    raw: str
-
-
-@dataclass(frozen=True)
-class HeaderStmt(Statement):
-    direction: str = "TD"
-
-
-@dataclass(frozen=True)
-class NodeDecl(Statement):
+class NodeDecl:
     """A node declaration; ``attributes`` is stored as a read-only copy."""
 
-    id: str = ""
-    shape: str = "rect"  # rect | stadium | diamond
-    display: str = ""
+    span: SourceSpan
+    id: str
+    shape: str  # rect | stadium | diamond
+    display: str
     attributes: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
@@ -63,27 +53,18 @@ class NodeDecl(Statement):
 
 
 @dataclass(frozen=True)
-class ClassDefStmt(Statement):
-    name: str = ""
-    style: str = ""
+class ClassAssign:
+    span: SourceSpan
+    ids: tuple[str, ...]
+    name: str
 
 
 @dataclass(frozen=True)
-class ClassAssign(Statement):
-    ids: tuple[str, ...] = ()
-    name: str = ""
-
-
-@dataclass(frozen=True)
-class EdgeStmt(Statement):
-    source: str = ""
-    target: str = ""
-    label: str | None = None
-
-
-@dataclass(frozen=True)
-class CommentStmt(Statement):
-    pass
+class EdgeStmt:
+    span: SourceSpan
+    source: str
+    target: str
+    label: str | None
 
 
 @dataclass(frozen=True)
@@ -95,10 +76,17 @@ class PromptEntry:
 
 @dataclass(frozen=True)
 class MermaidDocument:
-    """Parsed source: header, ordered statements, prompt block, findings."""
+    """Parsed source: one tuple per statement kind, each in source order.
+
+    ``class_defs`` holds (name, span) pairs; the style text, comments and
+    the header line are not kept. Every parser finding is a SYNTAX error.
+    """
 
     direction: str
-    statements: tuple[Statement, ...]
+    decls: tuple[NodeDecl, ...]
+    class_assigns: tuple[ClassAssign, ...]
+    class_defs: tuple[tuple[str, SourceSpan], ...]
+    edges: tuple[EdgeStmt, ...]
     prompts: tuple[PromptEntry, ...]
     diagnostics: tuple[Diagnostic, ...]
 
@@ -106,28 +94,16 @@ class MermaidDocument:
     def ok(self) -> bool:
         return not any(d.is_error for d in self.diagnostics)
 
-    def node_decls(self) -> list[NodeDecl]:
-        return [s for s in self.statements if isinstance(s, NodeDecl)]
-
-    def edge_stmts(self) -> list[EdgeStmt]:
-        return [s for s in self.statements if isinstance(s, EdgeStmt)]
-
-    def class_assigns(self) -> list[ClassAssign]:
-        return [s for s in self.statements if isinstance(s, ClassAssign)]
-
-    def class_defs(self) -> list[ClassDefStmt]:
-        return [s for s in self.statements if isinstance(s, ClassDefStmt)]
-
 
 _HEADER_RE = re.compile(r"flowchart\s+(\w+)\s*$")
 _STADIUM_RE = re.compile(r"(\w+)\(\[(.*)\]\)\s*$")
 _RECT_RE = re.compile(r"(\w+)\[\"(.*)\"\]\s*$")
 _DIAMOND_RE = re.compile(r"(\w+)\{(.*)\}\s*$")
-_CLASSDEF_RE = re.compile(r"classDef\s+(\w+)\s+(.+?);?\s*$")
+_CLASSDEF_RE = re.compile(r"classDef\s+(\w+)\s+.+$")
 _CLASS_RE = re.compile(r"class\s+(.+?)\s+(\w+)\s*$")
 _EDGE_LABELED_RE = re.compile(r"(\w+)\s*-->\s*\|([^|]*)\|\s*(\w+)\s*$")
 _EDGE_TEXT_RE = re.compile(r"(\w+)\s*--\s+(.+?)\s+-->\s*(\w+)\s*$")
-_EDGE_PLAIN_RE = re.compile(r"(\w+)\s*-->\s*(\w+)\s*$")
+_EDGE_PLAIN_RE = re.compile(r"(\w+)\s*-->()\s*(\w+)\s*$")
 _PROMPT_ENTRY_RE = re.compile(r"(\w+)\s*=\s*\"(.*)\"\s*$")
 _PROMPT_ESCAPE_RE = re.compile(r'\\([n"\\])')
 _UNTERMINATED_DECL_RE = re.compile(r"\w+\[\"")
@@ -257,16 +233,22 @@ def _quote_attr(value: str) -> str:
 
 def parse_workflow(text: str) -> MermaidDocument:
     """Parse source text into a document; findings become diagnostics, never raises."""
-    statements: list[Statement] = []
+    decls: list[NodeDecl] = []
+    assigns: list[ClassAssign] = []
+    class_defs: list[tuple[str, SourceSpan]] = []
+    edges: list[EdgeStmt] = []
     prompts: list[PromptEntry] = []
     diagnostics: list[Diagnostic] = []
-    direction = "TD"
-    saw_header = False
-    declared: dict[str, NodeDecl] = {}
+    direction = None
+    declared: set[str] = set()
     assigned: dict[str, str] = {}
     prompt_names: set[str] = set()
     in_prompt = False
     prompt_closed = False
+
+    def error(message, subject=None):
+        # a finding at the statement being read (``span`` of the loop below)
+        diagnostics.append(Diagnostic(SYNTAX, ERROR, message, subject, span))
 
     lines = text.split("\n")
     for lineno, raw in enumerate(lines, start=1):
@@ -282,45 +264,34 @@ def parse_workflow(text: str) -> MermaidDocument:
                 continue
             match = _PROMPT_ENTRY_RE.match(stripped)
             if not match:
-                diagnostics.append(
-                    Diagnostic(SYNTAX, ERROR, f"malformed prompt entry: {stripped!r}", span=span)
-                )
+                error(f"malformed prompt entry: {stripped!r}")
                 continue
             name = match.group(1)
             if name in prompt_names:
-                diagnostics.append(
-                    Diagnostic(SYNTAX, ERROR, f"duplicate prompt name {name!r}", span=span)
-                )
+                error(f"duplicate prompt name {name!r}")
                 continue
             prompt_names.add(name)
             prompts.append(PromptEntry(span, name, _unescape_prompt(match.group(2))))
             continue
 
-        if not stripped:
-            continue
-        if stripped.startswith("%%") or stripped.startswith("#"):
-            statements.append(CommentStmt(span, raw))
+        if not stripped or stripped.startswith("%%") or stripped.startswith("#"):
             continue
         if stripped == "<prompt>":
             if prompt_closed:
-                diagnostics.append(
-                    Diagnostic(SYNTAX, ERROR, "multiple <prompt> blocks", span=span)
-                )
+                error("multiple <prompt> blocks")
             in_prompt = True
             continue
 
         match = _HEADER_RE.match(stripped)
         if match:
-            if saw_header:
-                diagnostics.append(Diagnostic(SYNTAX, ERROR, "duplicate flowchart header", span=span))
+            if direction is not None:
+                error("duplicate flowchart header")
             direction = match.group(1)
-            saw_header = True
-            statements.append(HeaderStmt(span, raw, direction))
             continue
 
         match = _CLASSDEF_RE.match(stripped)
         if match:
-            statements.append(ClassDefStmt(span, raw, match.group(1), match.group(2).strip()))
+            class_defs.append((match.group(1), span))
             continue
 
         match = _CLASS_RE.match(stripped)
@@ -328,85 +299,61 @@ def parse_workflow(text: str) -> MermaidDocument:
             ids = tuple(part.strip() for part in match.group(1).split(","))
             bad = [i for i in ids if not IDENT_RE.match(i)]
             if bad:
-                diagnostics.append(
-                    Diagnostic(SYNTAX, ERROR, f"bad node id in class assignment: {bad[0]!r}", span=span)
-                )
+                error(f"bad node id in class assignment: {bad[0]!r}")
                 continue
             name = match.group(2)
             for node_id in ids:
-                previous = assigned.get(node_id)
-                if previous is not None and previous != name:
-                    diagnostics.append(
-                        Diagnostic(
-                            SYNTAX,
-                            ERROR,
-                            f"conflicting class assignment for {node_id}: {previous} vs {name}",
-                            subject=node_id,
-                            span=span,
-                        )
-                    )
-                else:
-                    assigned[node_id] = name
-            statements.append(ClassAssign(span, raw, ids, name))
+                previous = assigned.setdefault(node_id, name)
+                if previous != name:
+                    error(f"conflicting class assignment for {node_id}: {previous} vs {name}", node_id)
+            assigns.append(ClassAssign(span, ids, name))
             continue
 
         for regex in (_EDGE_LABELED_RE, _EDGE_TEXT_RE, _EDGE_PLAIN_RE):
             match = regex.match(stripped)
             if match:
-                groups = match.groups()
-                if len(groups) == 3:
-                    source, label, target = groups
-                    label = _unescape_label(label.strip()) or None
-                else:
-                    source, target, label = groups[0], groups[1], None
-                statements.append(EdgeStmt(span, raw, source, target, label))
+                source, label, target = match.groups()
+                edges.append(EdgeStmt(span, source, target, _unescape_label(label.strip()) or None))
                 break
         else:
-            decl = _parse_node_decl(stripped, span, raw, diagnostics)
-            if decl is not None:
-                if decl.id in declared:
-                    diagnostics.append(
-                        Diagnostic(
-                            SYNTAX,
-                            ERROR,
-                            f"duplicate node declaration {decl.id!r}",
-                            subject=decl.id,
-                            span=span,
-                        )
-                    )
+            decl = _parse_node_decl(stripped, span)
+            if decl is None:
+                if _UNTERMINATED_DECL_RE.match(stripped):
+                    error(f"unterminated string in node declaration: {stripped!r}")
                 else:
-                    declared[decl.id] = decl
-                statements.append(decl)
+                    error(f"unrecognized statement: {stripped!r}")
+                continue
+            if decl.id in declared:
+                error(f"duplicate node declaration {decl.id!r}", decl.id)
+            declared.add(decl.id)
+            decls.append(decl)
 
+    # the two findings about the whole text point at its last and first line
     if in_prompt:
-        diagnostics.append(
-            Diagnostic(SYNTAX, ERROR, "unterminated <prompt> block", span=SourceSpan(len(lines), 1))
-        )
-    if not saw_header:
-        diagnostics.append(
-            Diagnostic(SYNTAX, ERROR, "missing 'flowchart <direction>' header", span=SourceSpan(1, 1))
-        )
-    return MermaidDocument(direction, tuple(statements), tuple(prompts), tuple(diagnostics))
+        span = SourceSpan(len(lines), 1)
+        error("unterminated <prompt> block")
+    if direction is None:
+        span = SourceSpan(1, 1)
+        error("missing 'flowchart <direction>' header")
+    return MermaidDocument(
+        direction or "TD",
+        tuple(decls),
+        tuple(assigns),
+        tuple(class_defs),
+        tuple(edges),
+        tuple(prompts),
+        tuple(diagnostics),
+    )
 
 
-def _parse_node_decl(stripped, span, raw, diagnostics) -> NodeDecl | None:
+def _parse_node_decl(stripped: str, span: SourceSpan) -> NodeDecl | None:
     match = _STADIUM_RE.match(stripped)
     if match:
-        display = _unescape_label(match.group(2).strip())
-        return NodeDecl(span, raw, match.group(1), "stadium", display, {})
-    match = _RECT_RE.match(stripped)
-    if match:
-        display, attrs = split_label(match.group(2))
-        return NodeDecl(span, raw, match.group(1), "rect", display, attrs)
-    match = _DIAMOND_RE.match(stripped)
-    if match:
-        display, attrs = split_label(match.group(2))
-        return NodeDecl(span, raw, match.group(1), "diamond", display, attrs)
-    if _UNTERMINATED_DECL_RE.match(stripped):
-        message = f"unterminated string in node declaration: {stripped!r}"
-    else:
-        message = f"unrecognized statement: {stripped!r}"
-    diagnostics.append(Diagnostic(SYNTAX, ERROR, message, span=span))
+        return NodeDecl(span, match.group(1), "stadium", _unescape_label(match.group(2).strip()))
+    for regex, shape in ((_RECT_RE, "rect"), (_DIAMOND_RE, "diamond")):
+        match = regex.match(stripped)
+        if match:
+            return NodeDecl(span, match.group(1), shape, *split_label(match.group(2)))
     return None
 
 
@@ -416,15 +363,10 @@ def _parse_node_decl(stripped, span, raw, diagnostics) -> NodeDecl | None:
 def infer_domain(doc: MermaidDocument, registry: Registry | None = None) -> str:
     """Guess the task domain from the kinds a source assigns."""
     registry = registry or default_registry()
-    restrictions = set()
-    for assign in doc.class_assigns():
+    for assign in doc.class_assigns:
         schema = registry.get(assign.name)
-        if schema is not None and schema.domain_restriction:
-            restrictions.add(schema.domain_restriction)
-    if "code" in restrictions:
-        return "code"
-    if "math" in restrictions:
-        return "math"
+        if schema is not None and schema.domain_restriction == "code":
+            return "code"
     return "math"
 
 
@@ -435,99 +377,59 @@ def lower_to_graph(
 ) -> tuple[WorkflowGraph, list[Diagnostic]]:
     """Bind kinds and build a graph value; returns the graph plus lowering findings."""
     if not doc.ok:
-        errors = [d.render() for d in doc.diagnostics if d.is_error]
-        raise LoweringError("syntax errors: " + "; ".join(errors[:4]))
+        raise LoweringError("syntax errors: " + "; ".join(d.render() for d in doc.diagnostics[:4]))
     registry = registry or default_registry()
     if domain is None:
         domain = infer_domain(doc, registry)
     diagnostics: list[Diagnostic] = []
 
-    decls: dict[str, NodeDecl] = {}
-    for decl in doc.node_decls():
-        decls.setdefault(decl.id, decl)
+    def finding(rule, severity, message, span, subject=None):
+        diagnostics.append(Diagnostic(rule, severity, message, subject, span))
 
+    # a source without syntax errors declares each node once
+    decls = {decl.id: decl for decl in doc.decls}
     assignments: dict[str, tuple[str, SourceSpan]] = {}
-    for assign in doc.class_assigns():
+    for assign in doc.class_assigns:
         for node_id in assign.ids:
-            if node_id not in decls:
-                diagnostics.append(
-                    Diagnostic(
-                        STRUCT,
-                        ERROR,
-                        f"class assignment references undeclared node {node_id!r}",
-                        subject=node_id,
-                        span=assign.span,
-                    )
-                )
-                continue
-            assignments.setdefault(node_id, (assign.name, assign.span))
+            if node_id in decls:
+                assignments.setdefault(node_id, (assign.name, assign.span))
+            else:
+                message = f"class assignment references undeclared node {node_id!r}"
+                finding(STRUCT, ERROR, message, assign.span, node_id)
 
     defined_classes = set()
-    seen_defs = set()
-    for classdef in doc.class_defs():
-        if classdef.name in seen_defs:
-            diagnostics.append(
-                Diagnostic(
-                    STRUCT,
-                    WARNING,
-                    f"duplicate classDef {classdef.name!r}",
-                    span=classdef.span,
-                )
-            )
-        seen_defs.add(classdef.name)
-        defined_classes.add(classdef.name)
+    for name, span in doc.class_defs:
+        if name in defined_classes:
+            finding(STRUCT, WARNING, f"duplicate classDef {name!r}", span)
+        defined_classes.add(name)
 
     # edges may mention nodes that were never declared; Mermaid treats a bare
     # id as an implicit declaration, so keep them and flag the missing kind
     implicit: dict[str, SourceSpan] = {}
-    for stmt in doc.edge_stmts():
-        for node_id in (stmt.source, stmt.target):
-            if node_id not in decls and node_id not in implicit:
-                implicit[node_id] = stmt.span
+    for edge in doc.edges:
+        for node_id in (edge.source, edge.target):
+            if node_id not in decls:
+                implicit.setdefault(node_id, edge.span)
 
     nodes = []
     for node_id, decl in decls.items():
-        entry = assignments.get(node_id)
-        if entry is not None:
-            name, span = entry
-            kind = registry.resolve_kind(name) or name
-            if registry.resolve_kind(name) is None and name not in defined_classes:
-                diagnostics.append(
-                    Diagnostic(
-                        W4,
-                        ERROR,
-                        f"class assignment uses unknown class {name!r}",
-                        subject=node_id,
-                        span=span,
-                    )
-                )
+        name, span = assignments.get(node_id, (None, None))
+        if name is not None:
+            kind = registry.resolve_kind(name)
+            if kind is None and name not in defined_classes:
+                finding(W4, ERROR, f"class assignment uses unknown class {name!r}", span, node_id)
+            kind = kind or name
         elif decl.shape == "stadium":
             kind = "Interface"
         else:
             kind = UNCLASSIFIED
-            diagnostics.append(
-                Diagnostic(
-                    W4,
-                    ERROR,
-                    f"unclassified node {node_id!r} (no class assignment)",
-                    subject=node_id,
-                    span=decl.span,
-                )
-            )
+            finding(W4, ERROR, f"unclassified node {node_id!r} (no class assignment)", decl.span, node_id)
         nodes.append(Node(node_id, kind, decl.attributes, decl.display))
     for node_id, span in implicit.items():
-        diagnostics.append(
-            Diagnostic(
-                W4,
-                ERROR,
-                f"node {node_id!r} used in an edge but never declared",
-                subject=node_id,
-                span=span,
-            )
-        )
+        finding(W4, ERROR, f"node {node_id!r} used in an edge but never declared", span, node_id)
         nodes.append(Node(node_id, UNCLASSIFIED, {}, node_id))
 
-    edges = [Edge(s.source, s.target, s.label) for s in doc.edge_stmts()]
+    edges = [Edge(e.source, e.target, e.label) for e in doc.edges]
     prompts = PromptTable({p.name: p.text for p in doc.prompts})
     graph = build_graph(nodes, edges, prompts=prompts, domain=domain, registry=registry)
     return graph, diagnostics
@@ -630,5 +532,4 @@ def serialize_workflow(graph: WorkflowGraph) -> str:
 def hard_check(text: str) -> tuple[bool, list[Diagnostic]]:
     """Syntax-level verification: every statement must be within the dialect."""
     doc = parse_workflow(text)
-    syntax = [d for d in doc.diagnostics]
-    return (not any(d.is_error for d in syntax), syntax)
+    return doc.ok, list(doc.diagnostics)

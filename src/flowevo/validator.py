@@ -373,11 +373,11 @@ def _check_prompts(graph):
 def validate(target, registry=None, domain=None) -> Verdict:
     """Full verdict for source text or a graph value.
 
-    Text goes through the hard check first; lowering and the soft check run
-    only when the source is syntactically within the dialect. Diagnostics
-    are reported hard-side first, then the structural findings; a soft
-    finding that a lowering finding already reports for the same subject is
-    dropped. A passing text verdict carries the graph it lowered to.
+    Text goes through the hard check first; a source with syntax errors is
+    reported by those alone, and lowering and the soft check run only when
+    the source is within the dialect. A soft finding that a lowering finding
+    already reports for the same subject is dropped. A passing text verdict
+    carries the graph it lowered to.
 
     A graph's verdict is computed once and kept on the graph value, so every
     later check of the same graph reads the same verdict.
@@ -385,13 +385,12 @@ def validate(target, registry=None, domain=None) -> Verdict:
     if isinstance(target, WorkflowGraph):
         return _graph_verdict(target)
     doc = parse_workflow(target)
-    hard = list(doc.diagnostics)
-    if any(d.is_error for d in hard):
-        return make_verdict(sort_diagnostics(hard))
+    if not doc.ok:
+        return make_verdict(sort_diagnostics(doc.diagnostics))
     graph, lowering = lower_to_graph(doc, registry=registry, domain=domain)
     reported = {(d.rule, d.subject) for d in lowering if d.subject is not None}
     soft = [d for d in _graph_verdict(graph).diagnostics if (d.rule, d.subject) not in reported]
-    return make_verdict(hard + sort_diagnostics(lowering + soft), graph)
+    return make_verdict(sort_diagnostics(lowering + soft), graph)
 
 
 def _graph_verdict(graph: WorkflowGraph) -> Verdict:

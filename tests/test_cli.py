@@ -223,6 +223,29 @@ def test_evolve_with_external_adapters(tmp_path, corpus_dir, capsys):
     assert (out / "history.jsonl").exists()
 
 
+def test_evolve_keeps_a_finished_run_when_an_adapter_ignores_eof(tmp_path, corpus_dir, capsys, monkeypatch):
+    import os
+
+    from flowevo import adapters
+
+    monkeypatch.setattr(adapters, "CLOSE_GRACE_S", 0.2)
+    stub = Path(__file__).parent / "data" / "sleepy_adapter.py"
+    pid_path = tmp_path / "adapter.pid"
+    config = tmp_path / "sleepy.cfg"
+    config.write_text(
+        f"seeds = {corpus_dir / 'seed_math_minimal.mmd'}\n"
+        "max_rounds = 2\n"
+        f"evaluator_cmd = {sys.executable} {stub} {pid_path}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "history.jsonl").exists() and (out / "manifest.json").exists()
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int(pid_path.read_text(encoding="utf-8")), 0)
+
+
 def test_evolve_templates_key_exits_2(tmp_path, corpus_dir, capsys):
     config = tmp_path / "templates.cfg"
     config.write_text(

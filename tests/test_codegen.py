@@ -108,6 +108,7 @@ def _edit_humaneval(humaneval, drop=(), add=(), nodes=(), drop_nodes=()):
 
 
 _REPAIR = Node("C5", "CustomCodeGenerateOp", {"instruction": "improved_solution_1"})
+_GENERATOR = Node("Z1", "CustomCodeGenerateOp", {"instruction": "simple_solver_1"})
 
 
 @pytest.mark.parametrize(
@@ -126,8 +127,39 @@ _REPAIR = Node("C5", "CustomCodeGenerateOp", {"instruction": "improved_solution_
             {"drop": [("C4", "RETURN", None)], "nodes": [_REPAIR], "add": [("C4", "C5", None), ("C5", "RETURN", None)]},
             "repair node C4 must rejoin the pass arm or the exit",
         ),
+        (
+            # Z1 comes after T, yet E2 would run inside T's branch
+            {
+                "drop_nodes": ["C4"],
+                "nodes": [Node("E2", "ScEnsembleOp"), _GENERATOR],
+                "add": [
+                    ("PROBLEM", "Z1", "input"), ("ENTRY_POINT", "Z1", "entry_point"),
+                    ("T", "E2", "fail"), ("Z1", "E2", None), ("E2", "RETURN", None),
+                ],
+            },
+            "repair node E2 reads Z1, which is emitted after its test T",
+        ),
+        (
+            # U is a branched test after T: inside T's branch U's result does not exist yet
+            {
+                "drop_nodes": ["C4"],
+                "nodes": [Node("U", "TestOp"), Node("E2", "ScEnsembleOp"), _REPAIR],
+                "add": [
+                    ("C1", "U", None), ("T", "E2", "fail"), ("U", "E2", None), ("E2", "RETURN", None),
+                    ("U", "C5", "fail"), ("U", "RETURN", "pass"), ("C5", "RETURN", None),
+                ],
+            },
+            "repair node E2 reads U, which is emitted after its test T",
+        ),
     ],
-    ids=["two-fail-arms", "fail-into-interface", "repair-is-a-test", "repair-leaves-the-branch"],
+    ids=[
+        "two-fail-arms",
+        "fail-into-interface",
+        "repair-is-a-test",
+        "repair-leaves-the-branch",
+        "repair-reads-a-later-node",
+        "repair-reads-a-later-test",
+    ],
 )
 def test_lowering_refusals(humaneval, edit, message):
     with pytest.raises(EmissionError, match=f"^{message}$"):
@@ -148,26 +180,6 @@ def test_exit_fed_only_by_a_repair_returns_the_branch_result(humaneval):
 def test_a_plain_exit_feeder_wins_over_a_repair(humaneval):
     graph = _edit_humaneval(humaneval, drop=[("T", "RETURN", "pass")], add=[("ENSEMBLE", "RETURN", None)])
     assert lower_to_ir(graph).terminal == "ensemble_result['response']"
-
-
-def test_a_repair_emitted_before_a_later_branch_reads_that_test_input(humaneval):
-    # E2 repairs T and also reads U, a branched test that comes after T: inside
-    # T's branch U's result does not exist yet, so E2 reads U's input there
-    graph = _edit_humaneval(
-        humaneval,
-        drop_nodes=["C4"],
-        nodes=[Node("U", "TestOp"), Node("E2", "ScEnsembleOp"), _REPAIR],
-        add=[
-            ("C1", "U", None), ("T", "E2", "fail"), ("U", "E2", None), ("E2", "RETURN", None),
-            ("U", "C5", "fail"), ("U", "RETURN", "pass"), ("C5", "RETURN", None),
-        ],
-    )
-    ir = lower_to_ir(graph)
-    t_branch, u_branch = [s for s in ir.steps if isinstance(s, BranchStep)]
-    assert (t_branch.test.node_id, u_branch.test.node_id) == ("T", "U")
-    solutions = [ref.render() for ref in t_branch.repair.args["solutions"]]
-    assert solutions == ["ensemble_result['response']", "c1_result['response']"]
-    assert ir.terminal == "u_result_solution"
 
 
 def test_mbpp_plain_test(mbpp):
@@ -254,6 +266,46 @@ def test_diff_detects_arity_break(gsm8k):
     tampered = program.replace("c_result['response'], ", "")
     report = structural_diff(tampered, gsm8k)
     assert report.arity_mismatches or report.flow_mismatches
+
+
+def _call_line_index(lines, binding):
+    return next(i for i, line in enumerate(lines) if line.strip().startswith(f"{binding} = await"))
+
+
+def test_diff_detects_a_binding_assigned_twice(humaneval):
+    lines = emit(lower_to_ir(humaneval))[0].splitlines()
+    index = _call_line_index(lines, "c2_result")
+    lines.insert(index, lines[index])
+    report = structural_diff("\n".join(lines), humaneval)
+    assert report.to_dict() == {
+        "missing_calls": [],
+        "orphan_calls": ["c2_result (assigned twice)"],
+        "flow_mismatches": [],
+        "arity_mismatches": [],
+    }
+
+
+def test_diff_detects_a_call_that_reads_a_later_binding(humaneval):
+    lines = emit(lower_to_ir(humaneval))[0].splitlines()
+    moved = lines.pop(_call_line_index(lines, "c1_result"))
+    lines.insert(_call_line_index(lines, "ensemble_result") + 1, moved)
+    report = structural_diff("\n".join(lines), humaneval)
+    assert report.to_dict() == {
+        "missing_calls": [],
+        "orphan_calls": [],
+        "flow_mismatches": ["ensemble_result reads c1_result before any line assigns it"],
+        "arity_mismatches": [],
+    }
+
+
+def test_diff_ignores_binding_names_inside_literals(gsm8k):
+    from dataclasses import replace
+
+    p1 = replace(gsm8k.node("P1"), attributes={"analysis": "compare with p6_result"})
+    graph = gsm8k.with_changes(nodes=tuple(p1 if n.id == "P1" else n for n in gsm8k.nodes))
+    program, _ = emit(lower_to_ir(graph))
+    assert 'analysis="compare with p6_result"' in program
+    assert structural_diff(program, graph).is_empty()
 
 
 def test_fill_reports_missing_hole():

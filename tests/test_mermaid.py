@@ -28,7 +28,7 @@ HEADER = "flowchart TD\n"
 
 def test_parse_node_decl_with_attribute():
     doc = parse_workflow(HEADER + 'K["Custom<br/>(role: validate_1)"]\n')
-    decls = doc.node_decls()
+    decls = doc.decls
     assert len(decls) == 1
     assert decls[0].id == "K"
     assert decls[0].display == "Custom"
@@ -36,23 +36,23 @@ def test_parse_node_decl_with_attribute():
 
 
 def test_node_decl_attributes_are_read_only():
-    decl = parse_workflow(HEADER + 'K["Custom<br/>(role: validate_1)"]\n').node_decls()[0]
+    decl = parse_workflow(HEADER + 'K["Custom<br/>(role: validate_1)"]\n').decls[0]
     with pytest.raises(TypeError):
         decl.attributes["role"] = "other"
     attrs = {"role": "r"}
-    built = NodeDecl(decl.span, decl.raw, "K", attributes=attrs)
+    built = NodeDecl(decl.span, "K", "rect", "Custom", attrs)
     attrs["role"] = "changed"
     assert built.attributes == {"role": "r"}
 
 
 def test_parse_quoted_attribute_value():
     doc = parse_workflow(HEADER + "P[\"Programmer<br/>(analysis: 'Calculate step by step')\"]\n")
-    assert doc.node_decls()[0].attributes == {"analysis": "Calculate step by step"}
+    assert doc.decls[0].attributes == {"analysis": "Calculate step by step"}
 
 
 def test_parse_labeled_edge():
     doc = parse_workflow(HEADER + "PROBLEM --> |problem| P\n")
-    edges = doc.edge_stmts()
+    edges = doc.edges
     assert edges[0].source == "PROBLEM"
     assert edges[0].target == "P"
     assert edges[0].label == "problem"
@@ -60,11 +60,11 @@ def test_parse_labeled_edge():
 
 def test_parse_text_arrow_edge():
     doc = parse_workflow(HEADER + "CHECK -- Failed --> IMPROVE\n")
-    assert doc.edge_stmts()[0].label == "Failed"
+    assert doc.edges[0].label == "Failed"
 
 
 def test_parse_unlabeled_edge():
-    assert parse_workflow(HEADER + "A --> B\n").edge_stmts()[0].label is None
+    assert parse_workflow(HEADER + "A --> B\n").edges[0].label is None
 
 
 def test_conflicting_class_assignment():
@@ -483,10 +483,10 @@ def _front_end_record(text: str) -> tuple[list, list]:
     record = [
         doc.direction,
         list(doc.diagnostics),
-        [(d.span, d.id, d.shape, d.display, tuple(d.attributes.items())) for d in doc.node_decls()],
-        [(a.span, a.ids, a.name) for a in doc.class_assigns()],
-        [(c.name, c.span) for c in doc.class_defs()],
-        [(e.span, e.source, e.target, e.label) for e in doc.edge_stmts()],
+        [(d.span, d.id, d.shape, d.display, tuple(d.attributes.items())) for d in doc.decls],
+        [(a.span, a.ids, a.name) for a in doc.class_assigns],
+        list(doc.class_defs),
+        [(e.span, e.source, e.target, e.label) for e in doc.edges],
         [(p.span, p.name, p.text) for p in doc.prompts],
         infer_domain(doc),
     ]
