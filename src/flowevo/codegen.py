@@ -13,7 +13,8 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
 
@@ -50,13 +51,31 @@ class ArgRef:
         return json.dumps(self.value)
 
 
+def _plain_repr(obj) -> str:
+    """A dataclass repr that shows read-only mappings as the dicts they copy."""
+    parts = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, MappingProxyType):
+            value = dict(value)
+        parts.append(f"{f.name}={value!r}")
+    return f"{type(obj).__qualname__}({', '.join(parts)})"
+
+
 @dataclass(frozen=True)
 class CallStep:
+    """One awaited call; ``args`` is a read-only copy, since lowerings are shared."""
+
     node_id: str
     kind: str
     binding: str
-    args: dict = field(default_factory=dict)  # hole name -> ArgRef | tuple[ArgRef, ...]
+    args: Mapping = field(default_factory=dict)  # hole name -> ArgRef | tuple[ArgRef, ...]
     output_expr: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "args", MappingProxyType(dict(self.args)))
+
+    __repr__ = _plain_repr
 
 
 @dataclass(frozen=True)
@@ -72,11 +91,18 @@ class BranchStep:
 
 @dataclass(frozen=True)
 class ProgramIR:
+    """A graph's lowering; ``prompts`` is a read-only copy, since lowerings are shared."""
+
     steps: tuple
     terminal: str
-    prompts: dict
+    prompts: Mapping
     domain: str
     entry_args: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "prompts", MappingProxyType(dict(self.prompts)))
+
+    __repr__ = _plain_repr
 
     def call_steps(self):
         out = []
@@ -130,7 +156,19 @@ def _inputs(graph: WorkflowGraph, node_id: str) -> dict:
 
 
 def lower_to_ir(graph: WorkflowGraph) -> ProgramIR:
-    """Order executable nodes, wire arguments, and lower test fan-outs."""
+    """Order executable nodes, wire arguments, and lower test fan-outs.
+
+    A graph's lowering is computed once and kept on the graph value, so
+    ``structural_diff`` reads the IR that ``emit`` was given. A refusal is
+    not kept: a graph that cannot be lowered raises on every call.
+    """
+    # the write is idempotent: a racing caller stores an equal IR
+    if graph._ir is None:
+        graph._ir = _lower(graph)
+    return graph._ir
+
+
+def _lower(graph: WorkflowGraph) -> ProgramIR:
     verdict = validate(graph)
     if verdict.q != 1:
         raise InvalidGraphError(verdict)

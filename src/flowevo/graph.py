@@ -146,6 +146,7 @@ class WorkflowGraph:
         "_in",
         "_roles",
         "_verdict",
+        "_ir",
     )
 
     def __init__(self, nodes, edges, prompts=None, domain="math", registry=None):
@@ -177,6 +178,7 @@ class WorkflowGraph:
         self._in = {k: tuple(v) for k, v in inc.items()}
         self._roles = None
         self._verdict = None  # the soft-check verdict, filled once by validator.validate
+        self._ir = None  # the program IR, filled once by codegen.lower_to_ir
 
     # -- basic queries ------------------------------------------------------
 

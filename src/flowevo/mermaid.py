@@ -313,7 +313,12 @@ def parse_workflow(text: str) -> MermaidDocument:
             match = regex.match(stripped)
             if match:
                 source, label, target = match.groups()
-                edges.append(EdgeStmt(span, source, target, _unescape_label(label.strip()) or None))
+                # a declared id has passed IDENT_RE already; a set lookup is cheaper than a match
+                if (source in declared or IDENT_RE.match(source)) and (target in declared or IDENT_RE.match(target)):
+                    edges.append(EdgeStmt(span, source, target, _unescape_label(label.strip()) or None))
+                else:
+                    bad = target if IDENT_RE.match(source) else source
+                    error(f"bad node id in edge: {bad!r}")
                 break
         else:
             decl = _parse_node_decl(stripped, span)
@@ -322,6 +327,9 @@ def parse_workflow(text: str) -> MermaidDocument:
                     error(f"unterminated string in node declaration: {stripped!r}")
                 else:
                     error(f"unrecognized statement: {stripped!r}")
+                continue
+            if not IDENT_RE.match(decl.id):
+                error(f"bad node id in declaration: {decl.id!r}")
                 continue
             if decl.id in declared:
                 error(f"duplicate node declaration {decl.id!r}", decl.id)

@@ -10,6 +10,7 @@ is rejected wholesale, so no partially rewritten state is ever observable.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -752,18 +753,52 @@ def _add_at(graph, site, rng, partner):
     return add_node(graph, victim.key(), node)
 
 
-def _rewiring_sites(graph):
-    sites = []
-    keys = graph.edge_multiset()
-    for e in graph.edges:
-        for third in graph.node_ids():
-            if third in (e.source, e.target):
+class _RewiringSites:
+    """The rewiring sites of a graph, drawn by index without being listed.
+
+    A site is (edge, third node, direction): ``to_third`` moves the edge's
+    target to the third node, ``from_third`` its source. Index ``i`` is the
+    i-th site in list order: edges in graph order, third nodes in id order,
+    ``to_third`` before ``from_third``. A rewiring whose product edge already
+    exists is not a site. Each edge's site count comes from two label-keyed
+    adjacency sets, so ``len`` costs O(E) and one site O(log E + V).
+    """
+
+    def __init__(self, graph):
+        self._edges = graph.edges
+        self._ids = graph.node_ids()
+        # (source, label) -> its targets, (target, label) -> its sources
+        self._targets: dict = {}
+        self._sources: dict = {}
+        for e in self._edges:
+            self._targets.setdefault((e.source, e.label), set()).add(e.target)
+            self._sources.setdefault((e.target, e.label), set()).add(e.source)
+        self._starts = [0]  # index of each edge's first site; the last entry is the total
+        for e in self._edges:
+            ends = {e.source, e.target}
+            targets, sources = self._targets[e.source, e.label], self._sources[e.target, e.label]
+            taken = len(targets) - len(targets & ends) + len(sources) - len(sources & ends)
+            self._starts.append(self._starts[-1] + 2 * (len(self._ids) - len(ends)) - taken)
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i: int):
+        if not 0 <= i < len(self):
+            raise IndexError("rewiring site index out of range")
+        j = bisect.bisect_right(self._starts, i) - 1
+        e = self._edges[j]
+        targets, sources = self._targets[e.source, e.label], self._sources[e.target, e.label]
+        skip = i - self._starts[j]
+        for third in self._ids:
+            if third == e.source or third == e.target:
                 continue
-            if (e.source, third, e.label) not in keys:
-                sites.append((e, third, "to_third"))
-            if (third, e.target, e.label) not in keys:
-                sites.append((e, third, "from_third"))
-    return sites
+            for direction, taken in (("to_third", targets), ("from_third", sources)):
+                if third not in taken:
+                    if not skip:
+                        return (e, third, direction)
+                    skip -= 1
+        raise AssertionError("site counts disagree with the walk")
 
 
 def _rewire_at(graph, site, rng, partner):
@@ -814,7 +849,7 @@ def _crossover_at(graph, site, rng, partner):
 _REWRITES = {
     OperatorKind.SUBSTITUTION: (_substitution_sites, _substitute_at),
     OperatorKind.ADDITION: (_addition_sites, _add_at),
-    OperatorKind.REWIRING: (_rewiring_sites, _rewire_at),
+    OperatorKind.REWIRING: (_RewiringSites, _rewire_at),
     OperatorKind.DELETION: (_deletion_sites, _delete_at),
     OperatorKind.SUBGRAPH_MUTATION: (_mutation_sites, _mutate_at),
     OperatorKind.CROSSOVER: (_crossover_sites, _crossover_at),

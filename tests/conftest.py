@@ -29,6 +29,18 @@ def load_corpus_graph(name: str):
     return graph
 
 
+def load_workflow_gen():
+    """The benchmark's seeded workflow-source generator, ``bench/workflow_gen.py``."""
+    import sys
+
+    bench_dir = str(CORPUS_DIR.parent / "bench")
+    if bench_dir not in sys.path:
+        sys.path.insert(0, bench_dir)
+    import workflow_gen
+
+    return workflow_gen
+
+
 def shuffled_twin(graph, seed: int):
     """The same graph value built from shuffled nodes, edges, attributes and prompts."""
     rng = random.Random(seed)

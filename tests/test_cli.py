@@ -87,6 +87,26 @@ def test_validate_missing_file(capsys):
     assert main(["validate", "/no/such/file.mmd"]) == 2
 
 
+# node ids that match the dialect's \w+ but not a graph's identifier rule
+_BAD_ID_SOURCES = {
+    "declaration": ('1A["Custom<br/>(role: a)"]', "bad node id in declaration: '1A'"),
+    "edge": ("PROBLEM --> 9x", "bad node id in edge: '9x'"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_BAD_ID_SOURCES))
+def test_bad_node_id_is_a_syntax_finding(form, tmp_path, capsys):
+    line, message = _BAD_ID_SOURCES[form]
+    path = tmp_path / "bad_id.mmd"
+    path.write_text(f"flowchart TD\n{line}\n", encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "SYNTAX error" in err and message in err and "Traceback" not in err
+    assert main(["mutate", str(path), "--op", "random"]) == 2
+    assert main(["emit", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_validate_json(capsys):
     assert main(["validate", str(corpus_path("mbpp_round8")), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -66,6 +66,40 @@ def test_invalid_graph_refused(gsm8k):
     assert exc_info.value.verdict.q == 0
 
 
+def test_invalid_graph_refused_on_every_call(gsm8k):
+    broken = gsm8k.with_changes(edges=tuple(e for e in gsm8k.edges if e.source != "P6"))
+    for _ in range(2):
+        with pytest.raises(InvalidGraphError):
+            lower_to_ir(broken)
+
+
+def test_lowering_is_memoized_on_the_graph(gsm8k):
+    ir = lower_to_ir(gsm8k)
+    assert lower_to_ir(gsm8k) is ir
+    program, _ = emit(ir)
+    assert structural_diff(program, gsm8k).is_empty()
+    assert lower_to_ir(gsm8k) is ir
+    # an equal graph value built anew lowers to an equal IR
+    assert lower_to_ir(gsm8k.with_changes()) == ir
+
+
+def test_memoized_ir_is_read_only():
+    ir = lower_to_ir(load_corpus_graph("humaneval_round5"))
+    assert ir.prompts
+    with pytest.raises(TypeError):
+        ir.prompts["EXTRA"] = "text"
+    steps = ir.call_steps()
+    assert any(isinstance(s, BranchStep) for s in ir.steps)
+    for step in steps:
+        with pytest.raises(TypeError):
+            step.args["input"] = None
+    # the step's args are a copy, not the caller's dict
+    args = {"input": None}
+    step = CallStep("X", "CustomOp", "x_result", args)
+    args["other"] = None
+    assert "other" not in step.args
+
+
 def test_unlowered_kind_named():
     graph = build_graph(
         [

@@ -19,7 +19,7 @@ from flowevo import (
 )
 from flowevo.mermaid import NodeDecl, _escape_prompt, _unescape_prompt, split_label
 
-from conftest import CORPUS_NAMES, corpus_path, load_corpus_graph
+from conftest import CORPUS_NAMES, corpus_path, load_corpus_graph, load_workflow_gen
 from label_scan_reference import reference_split_label
 
 
@@ -456,13 +456,8 @@ _FRONT_END_EXTRAS = (
 def _front_end_sources() -> list[str]:
     """The corpus and seeded generated sources, each with line-level damage."""
     import random
-    import sys
 
-    bench_dir = str(corpus_path("gsm8k_round16").parent.parent / "bench")
-    if bench_dir not in sys.path:
-        sys.path.insert(0, bench_dir)
-    import workflow_gen
-
+    workflow_gen = load_workflow_gen()
     rng = random.Random(8)
     bases = [corpus_path(name).read_text(encoding="utf-8") for name in CORPUS_NAMES]
     for i, defect in enumerate((None,) + workflow_gen.DEFECTS):

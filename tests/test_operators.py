@@ -11,6 +11,7 @@ from flowevo.operators import (
     OperatorKind,
     OperatorPreconditionError,
     RewriteRejectedError,
+    _RewiringSites,
     add_node,
     apply_random,
     crossover,
@@ -21,7 +22,8 @@ from flowevo.operators import (
     substitute_node,
 )
 
-from conftest import CORPUS_NAMES, load_corpus_graph, shuffled_twin
+from conftest import CORPUS_NAMES, load_corpus_graph, load_workflow_gen, shuffled_twin
+from rewiring_sites_reference import reference_rewiring_sites
 
 
 def two_node_minimal():
@@ -515,6 +517,61 @@ def _apply_random_digest(corpus_graphs, weights) -> str:
 def test_apply_random_digest_golden(corpus_graphs, setting):
     weights = None if setting == "default" else {OperatorKind(setting): 1.0}
     assert _apply_random_digest(corpus_graphs, weights) == _APPLY_RANDOM_DIGESTS[setting]
+
+
+def _generated_graphs(sizes, seed):
+    import random
+
+    from flowevo import lower_to_graph, parse_workflow
+
+    workflow_gen = load_workflow_gen()
+    rng = random.Random(seed)
+    for n in sizes:
+        yield lower_to_graph(parse_workflow(workflow_gen.generate(n, rng, f"rw{n}").text))[0]
+
+
+def _hand_built_site_graphs():
+    nodes = [Node(i, "CustomOp") for i in ("A", "B", "C", "D")]
+    return {
+        "labeled parallel edges": build_graph(
+            nodes, [Edge("A", "B"), Edge("A", "B", "x"), Edge("A", "C", "x"), Edge("D", "B")]
+        ),
+        "duplicate edge": build_graph(nodes, [Edge("A", "B"), Edge("A", "B"), Edge("C", "B"), Edge("B", "D")]),
+        "self-loop": build_graph(nodes, [Edge("A", "A"), Edge("A", "B"), Edge("B", "B", "x"), Edge("C", "A")]),
+    }
+
+
+def _assert_sites_match(graph, sample=None):
+    import random
+
+    expected = reference_rewiring_sites(graph)
+    sites = _RewiringSites(graph)
+    assert len(sites) == len(expected)
+    indices = range(len(expected)) if sample is None else random.Random(len(expected)).sample(
+        range(len(expected)), sample
+    )
+    for i in indices:
+        assert sites[i] == expected[i], i
+    for bad in (len(expected), len(expected) + 7, -1):
+        with pytest.raises(IndexError):
+            sites[bad]
+
+
+def test_rewiring_sites_match_the_listed_order_on_the_corpus(corpus_graphs):
+    for graph in corpus_graphs.values():
+        _assert_sites_match(graph)
+
+
+def test_rewiring_sites_match_the_listed_order_on_generated_graphs():
+    for graph in _generated_graphs((10, 17, 30, 60, 100), seed=9):
+        _assert_sites_match(graph)
+    for graph in _generated_graphs((200, 300), seed=10):
+        _assert_sites_match(graph, sample=400)
+
+
+@pytest.mark.parametrize("case", sorted(_hand_built_site_graphs()))
+def test_rewiring_sites_match_the_listed_order_on_hand_built_graphs(case):
+    _assert_sites_match(_hand_built_site_graphs()[case])
 
 
 def _construction_variants(name):
