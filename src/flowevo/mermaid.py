@@ -313,12 +313,11 @@ def parse_workflow(text: str) -> MermaidDocument:
             match = regex.match(stripped)
             if match:
                 source, label, target = match.groups()
-                # a declared id has passed IDENT_RE already; a set lookup is cheaper than a match
-                if (source in declared or IDENT_RE.match(source)) and (target in declared or IDENT_RE.match(target)):
-                    edges.append(EdgeStmt(span, source, target, _unescape_label(label.strip()) or None))
+                bad = [i for i in (source, target) if not IDENT_RE.match(i)]
+                if bad:
+                    error(f"bad node id in edge: {bad[0]!r}")
                 else:
-                    bad = target if IDENT_RE.match(source) else source
-                    error(f"bad node id in edge: {bad!r}")
+                    edges.append(EdgeStmt(span, source, target, _unescape_label(label.strip()) or None))
                 break
         else:
             decl = _parse_node_decl(stripped, span)
