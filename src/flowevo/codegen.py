@@ -180,7 +180,7 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
         raise EmissionError("exit fed directly by entry; nothing to emit")
     kinds = {}
     for nid in order:
-        kinds[nid] = graph.registry.resolve_kind(graph.node(nid).kind)
+        kinds[nid] = graph.schema(nid).kind  # a valid graph's kinds are all registered
         if kinds[nid] not in _OUTPUT_FIELD:
             raise EmissionError(f"kind {graph.node(nid).kind!r} has no emission semantics")
     inputs = {nid: _inputs(graph, nid) for nid in order}
@@ -304,6 +304,9 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
 
     uses_entry_point = bool(roles.aux_entries) or any(c.args.get("entry_point") == _ENTRY_POINT for c in calls)
     entry_args = ("problem", "entry_point") if uses_entry_point else ("problem",)
+    # ref and port_ref call each other; clearing one breaks that cycle, so the
+    # tables above are freed on return instead of at the next garbage collection
+    del port_ref
     return ProgramIR(tuple(steps), terminal, prompts, graph.domain, entry_args)
 
 

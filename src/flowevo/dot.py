@@ -17,7 +17,7 @@ _DOT_SHAPE = {"stadium": "ellipse", "diamond": "diamond", "rect": "box"}
 
 
 def _fill_for(graph: WorkflowGraph, node: Node) -> str:
-    schema = graph.registry.get(node.kind)
+    schema = graph.schema(node.id)
     if schema is not None:
         for token in schema.style.split(","):
             if token.strip().startswith("fill:"):

@@ -248,7 +248,7 @@ class StructuralJudge:
         verdict = validate(graph)
         score = 10 - 2 * len(verdict.errors) - len(verdict.warnings)
         for node in graph.nodes:
-            schema = graph.registry.get(node.kind)
+            schema = graph.schema(node.id)
             if schema is None:
                 continue
             for port in schema.input_ports:
@@ -340,7 +340,7 @@ def graph_features(graph: WorkflowGraph) -> dict:
     ensembles = [
         n.id
         for n in graph.nodes
-        if graph.registry.resolve_kind(n.kind) == "ScEnsembleOp"
+        if (s := graph.schema(n.id)) is not None and s.kind == "ScEnsembleOp"
     ]
     has_ensemble = bool(ensembles)
     if ensembles:
@@ -353,7 +353,7 @@ def graph_features(graph: WorkflowGraph) -> dict:
     refine_tail = False
     for nid in ensembles:
         for downstream in graph.downstream_of(nid):
-            schema = graph.registry.get(graph.node(downstream).kind)
+            schema = graph.schema(downstream)
             if schema is None or not schema.is_interface:
                 refine_tail = True
                 break

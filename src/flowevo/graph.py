@@ -145,6 +145,8 @@ class WorkflowGraph:
         "_out",
         "_in",
         "_roles",
+        "_schemas",
+        "_bindings",
         "_verdict",
         "_ir",
     )
@@ -177,6 +179,8 @@ class WorkflowGraph:
         self._out = {k: tuple(v) for k, v in out.items()}
         self._in = {k: tuple(v) for k, v in inc.items()}
         self._roles = None
+        self._schemas = None  # node id -> schema, filled once by schema()
+        self._bindings = {}  # node id -> port binding, filled by validator.bind_input_ports
         self._verdict = None  # the soft-check verdict, filled once by validator.validate
         self._ir = None  # the program IR, filled once by codegen.lower_to_ir
 
@@ -190,6 +194,20 @@ class WorkflowGraph:
 
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._by_id
+
+    def schema(self, node_id: str):
+        """The registered schema of the node's kind, or None for an unregistered kind.
+
+        Every node's schema is looked up on the first call and kept; the
+        write is idempotent, since a racing call stores an equal map.
+        """
+        if self._schemas is None:
+            get = self.registry.get
+            self._schemas = {nid: get(node.kind) for nid, node in self._by_id.items()}
+        try:
+            return self._schemas[node_id]
+        except KeyError:
+            raise KeyError(f"unknown node id {node_id!r}") from None
 
     def node_ids(self) -> tuple[str, ...]:
         return tuple(self._by_id)
@@ -231,8 +249,8 @@ class WorkflowGraph:
 
     def _classify_interfaces(self) -> InterfaceRoles:
         problem, aux, exits, mid, isolated = [], [], [], [], []
-        for nid, node in self._by_id.items():
-            schema = self.registry.get(node.kind)
+        for nid in self._by_id:
+            schema = self.schema(nid)
             if schema is None or not schema.is_interface:
                 continue
             role = schema.interface_role
@@ -382,13 +400,23 @@ class WorkflowGraph:
         return f"WorkflowGraph({len(self.nodes)} nodes, {len(self.edges)} edges, domain={self.domain})"
 
     def with_changes(self, nodes=None, edges=None, prompts=None, domain=None) -> "WorkflowGraph":
-        return WorkflowGraph(
+        """A new graph value; it inherits the port binding of every node whose
+        kind and incoming (source, label) pairs are unchanged, since a binding
+        depends on nothing else."""
+        child = WorkflowGraph(
             nodes=self.nodes if nodes is None else nodes,
             edges=self.edges if edges is None else edges,
             prompts=self.prompts if prompts is None else prompts,
             domain=self.domain if domain is None else domain,
             registry=self.registry,
         )
+        by_id, inc = child._by_id, child._in
+        # a snapshot: another thread may be binding this graph's nodes
+        for nid, binding in list(self._bindings.items()):
+            node = by_id.get(nid)
+            if node is not None and node.kind == self._by_id[nid].kind and inc[nid] == self._in[nid]:
+                child._bindings[nid] = binding
+        return child
 
 
 _INTERFACE_DISPLAY_DEFAULTS = {
@@ -407,7 +435,7 @@ def effective_display(graph: WorkflowGraph, node: Node) -> str:
     display = node.display_label.strip()
     if display:
         return display
-    schema = graph.registry.get(node.kind)
+    schema = graph.schema(node.id)
     if schema is not None and schema.is_interface:
         return _INTERFACE_DISPLAY_DEFAULTS.get(node.id, node.id)
     if schema is not None and schema.display_name:
@@ -428,12 +456,12 @@ def build_graph(nodes, edges, prompts=None, domain="math", registry=None) -> Wor
 def prompt_refs(graph: WorkflowGraph, nodes=None):
     """Yield (node, attribute key, prompt name) for each prompt reference.
 
-    Walks ``nodes`` (default: every node of ``graph``) in order, and each
+    Walks ``nodes`` (nodes of ``graph``; default: all of them) in order, and each
     node's prompt-ref attributes in schema order. Only identifier values are
     references; any other value is inline prompt text.
     """
     for node in graph.nodes if nodes is None else nodes:
-        schema = graph.registry.get(node.kind)
+        schema = graph.schema(node.id)
         if schema is None:
             continue
         for attr in schema.attribute_keys:
@@ -444,8 +472,7 @@ def prompt_refs(graph: WorkflowGraph, nodes=None):
 
 def type_of_output(graph: WorkflowGraph, node_id: str) -> str | None:
     """Semantic payload type a node emits; None for exit interfaces."""
-    node = graph.node(node_id)
-    schema = graph.registry.get(node.kind)
+    schema = graph.schema(node_id)
     if schema is None:
         return "any"
     if schema.is_interface:
@@ -462,10 +489,9 @@ def type_of_output(graph: WorkflowGraph, node_id: str) -> str | None:
 
 def type_of_input(graph: WorkflowGraph, node_id: str, label: str):
     """Schema port for ``label`` on the node's kind; raises on unknown ports."""
-    node = graph.node(node_id)
-    schema = graph.registry.get(node.kind)
+    schema = graph.schema(node_id)
     if schema is None:
-        raise KeyError(f"node {node_id!r} has unregistered kind {node.kind!r}")
+        raise KeyError(f"node {node_id!r} has unregistered kind {graph.node(node_id).kind!r}")
     for port in schema.input_ports:
         if port.label == label:
             return port

@@ -110,6 +110,8 @@ _UNTERMINATED_DECL_RE = re.compile(r"\w+\[\"")
 
 
 def _unescape_label(text: str) -> str:
+    if "&" not in text:
+        return text
     return (
         text.replace("&quot;", '"')
         .replace("&lt;", "<")
@@ -282,19 +284,21 @@ def parse_workflow(text: str) -> MermaidDocument:
             in_prompt = True
             continue
 
-        match = _HEADER_RE.match(stripped)
+        # each statement regex is tried only on lines that hold its leading keyword or arrow
+        match = _HEADER_RE.match(stripped) if stripped.startswith("flowchart") else None
         if match:
             if direction is not None:
                 error("duplicate flowchart header")
             direction = match.group(1)
             continue
 
-        match = _CLASSDEF_RE.match(stripped)
+        is_class = stripped.startswith("class")
+        match = _CLASSDEF_RE.match(stripped) if is_class else None
         if match:
             class_defs.append((match.group(1), span))
             continue
 
-        match = _CLASS_RE.match(stripped)
+        match = _CLASS_RE.match(stripped) if is_class else None
         if match and not any(tok in stripped for tok in ("-->", "[", "(", "{")):
             ids = tuple(part.strip() for part in match.group(1).split(","))
             bad = [i for i in ids if not IDENT_RE.match(i)]
@@ -309,7 +313,7 @@ def parse_workflow(text: str) -> MermaidDocument:
             assigns.append(ClassAssign(span, ids, name))
             continue
 
-        for regex in (_EDGE_LABELED_RE, _EDGE_TEXT_RE, _EDGE_PLAIN_RE):
+        for regex in (_EDGE_LABELED_RE, _EDGE_TEXT_RE, _EDGE_PLAIN_RE) if "--" in stripped else ():
             match = regex.match(stripped)
             if match:
                 source, label, target = match.groups()
@@ -446,8 +450,8 @@ def lower_to_graph(
 
 
 def node_shape(graph: WorkflowGraph, node: Node) -> str:
-    """The declaration shape of ``node``: stadium, diamond or rect."""
-    schema = graph.registry.get(node.kind)
+    """The declaration shape of ``node``, a node of ``graph``: stadium, diamond or rect."""
+    schema = graph.schema(node.id)
     if schema is not None and schema.is_interface:
         return "stadium"
     if schema is not None and schema.style_class == "DecisionOp":
@@ -506,7 +510,7 @@ def serialize_workflow(graph: WorkflowGraph) -> str:
         {
             s.style_class
             for nid in ordered
-            if (s := graph.registry.get(graph.node(nid).kind)) is not None
+            if (s := graph.schema(nid)) is not None
             and s.style_class
             and s.style_class not in emitted
         }
@@ -516,7 +520,7 @@ def serialize_workflow(graph: WorkflowGraph) -> str:
     lines.append("")
 
     for node in graph.nodes:
-        schema = graph.registry.get(node.kind)
+        schema = graph.schema(node.id)
         class_name = schema.style_class if schema is not None and schema.style_class else node.kind
         lines.append(f"  class {node.id} {class_name}")
     lines.append("")

@@ -104,7 +104,7 @@ def substitute_node(graph: WorkflowGraph, node_id: str, new_attributes: dict) ->
     if node_id not in graph:
         raise OperatorPreconditionError(f"unknown node {node_id!r}")
     node = graph.node(node_id)
-    schema = graph.registry.get(node.kind)
+    schema = graph.schema(node_id)
     if schema is not None:
         for attr in schema.required_attrs():
             if attr.key not in new_attributes:
@@ -182,7 +182,7 @@ def rewire_edge(graph: WorkflowGraph, existing, third: str, direction: str) -> R
     if direction == "to_third":
         new_edge = Edge(source, third, victim.label)
         payload = type_of_output(graph, source)
-        schema = graph.registry.get(graph.node(third).kind)
+        schema = graph.schema(third)
         acceptable = schema is not None and any(
             port_accepts(p, payload) for p in schema.input_ports if not p.ambient
         )
@@ -219,7 +219,7 @@ def delete_node(graph: WorkflowGraph, node_id: str) -> RewriteOutcome:
     if node_id not in graph:
         raise OperatorPreconditionError(f"unknown node {node_id!r}")
     node = graph.node(node_id)
-    schema = graph.registry.get(node.kind)
+    schema = graph.schema(node_id)
     if schema is not None and schema.is_interface:
         raise OperatorPreconditionError("cannot delete an Interface node")
     indeg, outdeg = graph.in_degree(node_id), graph.out_degree(node_id)
@@ -318,7 +318,7 @@ def mutate_subgraph(graph: WorkflowGraph, region, replacement: Fragment) -> Rewr
     if unknown:
         raise OperatorPreconditionError(f"region references unknown nodes {unknown!r}")
     for nid in region:
-        schema = graph.registry.get(graph.node(nid).kind)
+        schema = graph.schema(nid)
         if schema is not None and schema.is_interface:
             raise OperatorPreconditionError("region must not contain Interface nodes")
     if not _region_connected(graph, region):
@@ -415,10 +415,10 @@ def default_crossover_point(g1: WorkflowGraph, g2: WorkflowGraph):
     kinds2 = {}
     for g, table in ((g1, kinds1), (g2, kinds2)):
         for node in g.nodes:
-            schema = g.registry.get(node.kind)
+            schema = g.schema(node.id)
             if schema is None or schema.is_interface:
                 continue
-            table.setdefault(g.registry.resolve_kind(node.kind) or node.kind, []).append(node.id)
+            table.setdefault(schema.kind, []).append(node.id)
     shared = set(kinds1) & set(kinds2)
     priority = [k for k in ("ScEnsembleOp", "TestOp") if k in shared]
     priority += sorted(shared - set(priority))
@@ -682,7 +682,7 @@ def donor_fragments(donor: WorkflowGraph, rng) -> list[Fragment]:
     solvers = [
         n
         for n in donor.nodes
-        if (s := donor.registry.get(n.kind)) is not None
+        if (s := donor.schema(n.id)) is not None
         and not s.is_interface
         and s.insertable
     ]
@@ -698,13 +698,15 @@ def donor_fragments(donor: WorkflowGraph, rng) -> list[Fragment]:
                 label=f"donor-node-{node.id}",
             )
         )
-    ensembles = [n.id for n in donor.nodes if donor.registry.resolve_kind(n.kind) == "ScEnsembleOp"]
+    ensembles = [
+        n.id for n in donor.nodes if (s := donor.schema(n.id)) is not None and s.kind == "ScEnsembleOp"
+    ]
     for ens_id in ensembles:
         # parallel edges repeat a source; each branch node appears once
         branch_ids = list(dict.fromkeys(src for src, _ in donor.predecessors(ens_id)))
         branches = [donor.node(b) for b in branch_ids]
         if len(branches) < 2 or any(
-            (s := donor.registry.get(b.kind)) is None or s.is_interface or not s.insertable
+            (s := donor.schema(b.id)) is None or s.is_interface or not s.insertable
             for b in branches
         ):
             continue
@@ -731,13 +733,13 @@ def _substitution_sites(graph):
     return [
         n.id
         for n in graph.nodes
-        if (s := graph.registry.get(n.kind)) is not None and not s.is_interface and s.attribute_keys
+        if (s := graph.schema(n.id)) is not None and not s.is_interface and s.attribute_keys
     ]
 
 
 def _substitute_at(graph, node_id, rng, partner):
     node = graph.node(node_id)
-    attrs = _substitution_attributes(graph, node, graph.registry.get(node.kind), rng)
+    attrs = _substitution_attributes(graph, node, graph.schema(node_id), rng)
     return substitute_node(graph, node_id, attrs)
 
 
@@ -812,7 +814,7 @@ def _deletion_sites(graph):
         for n in graph.nodes
         if graph.in_degree(n.id) == 1
         and graph.out_degree(n.id) == 1
-        and not ((s := graph.registry.get(n.kind)) is not None and s.is_interface)
+        and not ((s := graph.schema(n.id)) is not None and s.is_interface)
     ]
 
 
@@ -824,7 +826,7 @@ def _mutation_sites(graph):
     return [
         n.id
         for n in graph.nodes
-        if not ((s := graph.registry.get(n.kind)) is not None and s.is_interface)
+        if not ((s := graph.schema(n.id)) is not None and s.is_interface)
     ]
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import configparser
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
 
 
 class RegistryError(Exception):
@@ -81,6 +83,32 @@ class NodeTypeSchema:
 
     def required_attrs(self) -> tuple[AttrSpec, ...]:
         return tuple(a for a in self.attribute_keys if a.required)
+
+    # the port table edge-to-port binding reads, computed on first use and kept
+    # (a racing first use computes an equal value)
+
+    @functools.cached_property
+    def ports_by_label(self) -> Mapping[str, PortSpec]:
+        return MappingProxyType({p.label: p for p in self.input_ports})
+
+    @functools.cached_property
+    def fillable_ports(self) -> tuple[PortSpec, ...]:
+        """Ports an unlabeled edge may fill, in schema order."""
+        return tuple(p for p in self.input_ports if not p.ambient and not p.variadic)
+
+    @functools.cached_property
+    def variadic_port(self) -> PortSpec | None:
+        """The port that absorbs surplus edges."""
+        return next((p for p in self.input_ports if p.variadic), None)
+
+    @functools.cached_property
+    def required_ports(self) -> tuple[PortSpec, ...]:
+        """Ports an edge must feed; fan-in minimums belong to W5."""
+        return tuple(
+            p
+            for p in self.input_ports
+            if p.required and not p.ambient and not (p.variadic and p.min_count >= 2)
+        )
 
 
 def port_accepts(port: PortSpec, payload_type: str | None) -> bool:

@@ -9,7 +9,8 @@ Rule summary:
   W2  every node on some entry-to-exit path
   W3  entry/exit roles played only by interface nodes
   W4  node kinds registered, domain-compatible, required attributes present
-  W5  fan-in minimums on ensemble-style kinds
+  W5  fan-in minimums on ensemble-style kinds, counted over the sources
+      bound to the variadic port
   STRUCT  self-loops, duplicate edges, cycles, port binding, prompt table
 """
 
@@ -41,20 +42,26 @@ from .graph import (
     type_of_output,
 )
 from .mermaid import UNCLASSIFIED, lower_to_graph, parse_workflow
-from .registry import port_accepts
+from .registry import NodeTypeSchema, port_accepts
 
 _RESERVED_IDS = (RESERVED_ENTRY, RESERVED_AUX_ENTRY, RESERVED_EXIT)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class BindingResult:
-    """Outcome of matching a node's incoming edges against its schema ports."""
+    """Outcome of matching a node's incoming edges against its schema ports.
 
-    bindings: list  # ((source id, label), PortSpec) pairs
-    missing: list  # required ports left unfed
-    unexpected: list  # (source id, label) with no port to land on
-    overfed: list  # non-variadic ports bound more than once
+    Read-only: a graph keeps one per node and hands it to every caller.
+    """
+
+    bindings: tuple  # ((source id, label), PortSpec) pairs
+    missing: tuple  # required ports left unfed
+    unexpected: tuple  # (source id, label) with no port to land on
+    overfed: tuple  # non-variadic ports bound more than once
     ambiguous: bool
+
+
+_NO_SCHEMA = NodeTypeSchema("")  # an unregistered kind binds no edge
 
 
 def bind_input_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
@@ -66,35 +73,40 @@ def bind_input_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
     ambiguous when several leftover edges competed for several open ports.
     ``bindings`` lists the bound edges in the graph's canonical predecessor
     order (source id, then label), whichever rule bound them.
-    """
-    schema = graph.registry.get(graph.node(node_id).kind)
-    ports = schema.input_ports if schema is not None else ()
-    incoming = graph.predecessors(node_id)
 
-    by_label = {p.label: p for p in ports}
+    A node's binding is computed once and kept on the graph value; a product
+    of ``with_changes`` starts with its parent's bindings of the nodes whose
+    kind and incoming edges it kept.
+    """
+    # the write is idempotent: a racing caller stores an equal binding
+    result = graph._bindings.get(node_id)
+    if result is None:
+        result = graph._bindings[node_id] = _bind_ports(graph, node_id)
+    return result
+
+
+def _bind_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
+    schema = graph.schema(node_id) or _NO_SCHEMA
     counts: Counter = Counter()
     bindings = []
     leftovers = []  # positions in bindings of the edges no label binds
-    for pair in incoming:
-        port = by_label.get(pair[1]) if pair[1] else None
+    for pair in graph.predecessors(node_id):
+        port = schema.ports_by_label.get(pair[1]) if pair[1] else None
         if port is None:
             leftovers.append(len(bindings))
         else:
             counts[port.label] += 1
         bindings.append((pair, port))
 
-    open_ports = [
-        p for p in ports if not p.ambient and not p.variadic and counts[p.label] == 0
-    ]
-    variadic = next((p for p in ports if p.variadic), None)
+    open_ports = [p for p in schema.fillable_ports if counts[p.label] == 0]
     ambiguous = len(leftovers) >= 2 and len(open_ports) >= 2
     unexpected = []
     for i in leftovers:
         pair = bindings[i][0]
         if open_ports:
             port = open_ports.pop(0)
-        elif variadic is not None:
-            port = variadic
+        elif schema.variadic_port is not None:
+            port = schema.variadic_port
         else:
             unexpected.append(pair)
             continue
@@ -103,18 +115,9 @@ def bind_input_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
     if unexpected:
         bindings = [(pair, port) for pair, port in bindings if port is not None]
 
-    missing = [
-        p
-        for p in ports
-        if p.required
-        and not p.ambient
-        and counts[p.label] == 0
-        and not (p.variadic and p.min_count >= 2)  # fan-in minimums belong to W5
-    ]
-    overfed = [
-        p for p in ports if not p.variadic and counts[p.label] > 1
-    ]
-    return BindingResult(bindings, missing, unexpected, overfed, ambiguous)
+    missing = tuple(p for p in schema.required_ports if counts[p.label] == 0)
+    overfed = tuple(p for p in schema.input_ports if not p.variadic and counts[p.label] > 1)
+    return BindingResult(tuple(bindings), missing, tuple(unexpected), overfed, ambiguous)
 
 
 def soft_check(graph: WorkflowGraph) -> list[Diagnostic]:
@@ -179,7 +182,7 @@ def _check_w3(graph):
     out = []
     for nid in graph.node_ids():
         node = graph.node(nid)
-        schema = graph.registry.get(node.kind)
+        schema = graph.schema(nid)
         interface = schema is not None and schema.is_interface
         if nid in _RESERVED_IDS and not interface:
             out.append(
@@ -212,7 +215,7 @@ def _check_w3(graph):
 def _check_w4(graph):
     out = []
     for node in graph.nodes:
-        schema = graph.registry.get(node.kind)
+        schema = graph.schema(node.id)
         if schema is None:
             if node.kind == UNCLASSIFIED:
                 message = f"unclassified node {node.id!r} (no class assignment)"
@@ -246,19 +249,20 @@ def _check_w4(graph):
 def _check_w5(graph):
     out = []
     for node in graph.nodes:
-        schema = graph.registry.get(node.kind)
+        schema = graph.schema(node.id)
         if schema is None:
             continue
         for port in schema.input_ports:
             if port.variadic and port.min_count >= 2:
-                indeg = graph.in_degree(node.id)
-                if indeg < port.min_count:
+                bindings = bind_input_ports(graph, node.id).bindings
+                fed = sum(1 for _, bound in bindings if bound.label == port.label)
+                if fed < port.min_count:
                     out.append(
                         Diagnostic(
                             W5,
                             ERROR,
-                            f"{schema.kind} node has {indeg} incoming connection"
-                            f"{'s' if indeg != 1 else ''}; at least {port.min_count} required",
+                            f"{schema.kind} node has {fed} incoming connection"
+                            f"{'s' if fed != 1 else ''}; at least {port.min_count} required",
                             subject=node.id,
                         )
                     )
@@ -287,8 +291,7 @@ def _check_struct(graph):
         out.append(Diagnostic(STRUCT, ERROR, "node lies on a directed cycle", subject=nid))
 
     for nid in graph.node_ids():
-        node = graph.node(nid)
-        schema = graph.registry.get(node.kind)
+        schema = graph.schema(nid)
         if schema is None:
             continue
         if schema.is_interface:

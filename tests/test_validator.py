@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flowevo import Edge, Node, PromptTable, build_graph, validate
+from flowevo import registry as registry_module
 from flowevo.diagnostics import RULE_ORDER
+from flowevo.registry import load_registry
 from flowevo.validator import bind_input_ports, render_diagnostics, soft_check
 
 from conftest import CORPUS_NAMES, corpus_path, load_corpus_graph
@@ -64,6 +67,41 @@ def test_w5_on_trimmed_ensemble(gsm8k):
     w5 = [d for d in diags if d.rule == "W5"]
     assert len(w5) == 1 and w5[0].subject == "ENSEMBLE"
     assert "1 incoming connection" in w5[0].message
+
+
+def test_w5_counts_sources_bound_to_the_variadic_port(tmp_path):
+    # V has in-degree 2, but its problem edge does not feed the solution port
+    cfg = tmp_path / "vote.cfg"
+    cfg.write_text(
+        Path(registry_module.__file__).with_name("registry.cfg").read_text(encoding="utf-8")
+        + "\n[kind:VoteOp]\ninputs =\n\tsolution accepts=solution variadic min=2\n"
+        "\tproblem accepts=problem\noutput = solution\n",
+        encoding="utf-8",
+    )
+    registry = load_registry(cfg)
+    nodes = [
+        Node("PROBLEM", "Interface"),
+        Node("A", "CustomOp", {"role": "x"}),
+        Node("B", "CustomOp", {"role": "x"}),
+        Node("V", "VoteOp"),
+        Node("RETURN", "Interface"),
+    ]
+    edges = [
+        Edge("PROBLEM", "A", "input"),
+        Edge("PROBLEM", "B", "input"),
+        Edge("A", "V", "solution"),
+        Edge("PROBLEM", "V", "problem"),
+        Edge("V", "RETURN"),
+        Edge("B", "RETURN"),
+    ]
+    prompts = PromptTable({"x": "solve"})
+    graph = build_graph(nodes, edges, prompts=prompts, registry=registry)
+    assert [(d.subject, d.message) for d in soft_check(graph) if d.rule == "W5"] == [
+        ("V", "VoteOp node has 1 incoming connection; at least 2 required")
+    ]
+    assert validate(graph).q == 0
+    fixed = graph.with_changes(edges=graph.edges + (Edge("B", "V", "solution"),))
+    assert validate(fixed).q == 1
 
 
 def test_bogus_kind_is_single_w4(corpus_dir):
