@@ -23,7 +23,7 @@ from .graph import WorkflowGraph, prompt_refs
 from .mermaid import lower_to_graph, parse_workflow, serialize_workflow
 from .operators import OperatorKind, apply_random, default_operator_weights
 from .sampling import sample_parent, sample_parent_pair
-from .validator import validate
+from .validator import bound_fan_in, validate
 
 JUDGE_DIMENSIONS = (
     "workflow_coherence",
@@ -253,7 +253,7 @@ class StructuralJudge:
                 continue
             for port in schema.input_ports:
                 if port.variadic and port.min_count >= 2:
-                    if graph.in_degree(node.id) == port.min_count:
+                    if bound_fan_in(graph, node.id, port) == port.min_count:
                         score -= 2  # structurally legal but one lost edge from invalid
         return max(1, min(10, score))
 

@@ -9,11 +9,13 @@ edge endpoints, and malformed identifiers.
 
 from __future__ import annotations
 
+import bisect
 import re
 from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .registry import default_registry
 
@@ -22,6 +24,7 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 RESERVED_ENTRY = "PROBLEM"
 RESERVED_AUX_ENTRY = "ENTRY_POINT"
 RESERVED_EXIT = "RETURN"
+RESERVED_IDS = (RESERVED_ENTRY, RESERVED_AUX_ENTRY, RESERVED_EXIT)
 
 
 class GraphConstructionError(Exception):
@@ -69,6 +72,11 @@ class Edge:
 
     def key(self) -> tuple:
         return (self.source, self.target, self.label)
+
+
+def edge_order(edge: Edge) -> tuple:
+    """The canonical edge sort key: source, target, then the unlabeled edge first."""
+    return (edge.source, edge.target, edge.label is not None, edge.label or "")
 
 
 class PromptTable:
@@ -153,7 +161,7 @@ class WorkflowGraph:
 
     def __init__(self, nodes, edges, prompts=None, domain="math", registry=None):
         nodes = tuple(sorted(nodes, key=lambda n: n.id))
-        edges = tuple(sorted(edges, key=lambda e: (e.source, e.target, e.label is not None, e.label or "")))
+        edges = tuple(sorted(edges, key=edge_order))
         by_id: dict[str, Node] = {}
         for node in nodes:
             if not IDENT_RE.match(node.id):
@@ -399,24 +407,89 @@ class WorkflowGraph:
     def __repr__(self) -> str:
         return f"WorkflowGraph({len(self.nodes)} nodes, {len(self.edges)} edges, domain={self.domain})"
 
-    def with_changes(self, nodes=None, edges=None, prompts=None, domain=None) -> "WorkflowGraph":
-        """A new graph value; it inherits the port binding of every node whose
-        kind and incoming (source, label) pairs are unchanged, since a binding
-        depends on nothing else."""
+    def with_changes(self, delta=None, *, nodes=None, edges=None, prompts=None, domain=None) -> "WorkflowGraph":
+        """A new graph value: this one with a rewrite ``delta`` applied, or
+        with its ``nodes`` and ``edges`` replaced whole.
+
+        The product of a delta inherits the schema of every node whose kind
+        it keeps, and the port binding of every node whose kind and incoming
+        edges it keeps, since a binding depends on nothing else. Replacing
+        nodes or edges whole inherits nothing.
+        """
+        delta = delta or GraphDelta()
+        whole = nodes is not None or edges is not None
         child = WorkflowGraph(
-            nodes=self.nodes if nodes is None else nodes,
-            edges=self.edges if edges is None else edges,
-            prompts=self.prompts if prompts is None else prompts,
+            nodes=delta.nodes_of(self) if nodes is None else nodes,
+            edges=delta.edges_of(self) if edges is None else edges,
+            prompts=(self.prompts if delta.prompts is None else delta.prompts) if prompts is None else prompts,
             domain=self.domain if domain is None else domain,
             registry=self.registry,
         )
-        by_id, inc = child._by_id, child._in
-        # a snapshot: another thread may be binding this graph's nodes
-        for nid, binding in list(self._bindings.items()):
-            node = by_id.get(nid)
-            if node is not None and node.kind == self._by_id[nid].kind and inc[nid] == self._in[nid]:
-                child._bindings[nid] = binding
+        if not whole:
+            schemas = self._schemas
+            if schemas is not None and delta.changes_nodes():
+                schemas = dict(schemas)
+                for nid in delta.removed_nodes:
+                    del schemas[nid]
+                for node in delta.added_nodes + delta.replaced_nodes:
+                    schemas[node.id] = self.registry.get(node.kind)
+            child._schemas = schemas
+            rebound = delta.rebound(self)
+            # a snapshot: another thread may be binding this graph's nodes. A
+            # copy allocates no tracked object per entry, so no collection can
+            # run Python code, and switch threads, halfway through it
+            for nid, binding in self._bindings.copy().items():
+                if nid not in rebound:
+                    child._bindings[nid] = binding
         return child
+
+
+class GraphDelta(NamedTuple):
+    """One rewrite as a value: what it takes from a parent graph and what it adds.
+
+    ``removed_edges`` takes out one occurrence of each listed edge, and every
+    edge of a removed node must be listed. ``replaced_nodes`` are new values
+    for kept node ids; ``added_nodes`` are nodes the parent does not keep
+    (an id may be removed and added again). ``prompts`` is the product's
+    prompt table, or None to keep the parent's.
+    """
+
+    removed_edges: tuple[Edge, ...] = ()
+    added_edges: tuple[Edge, ...] = ()
+    removed_nodes: tuple[str, ...] = ()
+    added_nodes: tuple[Node, ...] = ()
+    replaced_nodes: tuple[Node, ...] = ()
+    prompts: PromptTable | None = None
+
+    def changes_nodes(self) -> bool:
+        return bool(self.removed_nodes or self.added_nodes or self.replaced_nodes)
+
+    def rebound(self, parent: WorkflowGraph) -> set:
+        """Ids of the nodes whose kind or incoming edges the delta may change."""
+        ids = {e.target for e in self.removed_edges + self.added_edges}
+        ids.update(self.removed_nodes)
+        ids.update(n.id for n in self.added_nodes)
+        ids.update(n.id for n in self.replaced_nodes if n.kind != parent.node(n.id).kind)
+        return ids
+
+    def nodes_of(self, parent: WorkflowGraph):
+        if not self.changes_nodes():
+            return parent.nodes
+        dropped = set(self.removed_nodes).union(n.id for n in self.replaced_nodes)
+        kept = [n for n in parent.nodes if n.id not in dropped]
+        return kept + list(self.replaced_nodes) + list(self.added_nodes)
+
+    def edges_of(self, parent: WorkflowGraph):
+        if not (self.removed_edges or self.added_edges):
+            return parent.edges
+        edges = list(parent.edges)
+        for victim in self.removed_edges:
+            # the parent's edges are in canonical order, so each victim is one bisection away
+            i = bisect.bisect_left(edges, edge_order(victim), key=edge_order)
+            if i == len(edges) or edges[i] != victim:
+                raise GraphConstructionError(f"no edge {victim.source}->{victim.target} to remove")
+            del edges[i]
+        return edges + list(self.added_edges)
 
 
 _INTERFACE_DISPLAY_DEFAULTS = {

@@ -3,9 +3,26 @@
 Six atomic rewrites drive workflow evolution: attribute substitution, node
 addition on an edge, edge rewiring, linear-node deletion, subgraph
 mutation against a motif library, and crossover at a shared interface
-node. Every operator checks its local type preconditions, builds a new
-graph value, and re-validates the product; a product that fails validation
-is rejected wholesale, so no partially rewritten state is ever observable.
+node. Every operator checks its local type preconditions and states its
+rewrite as a ``GraphDelta`` against the parent; the closure guard then
+decides the product, which is rejected wholesale when it fails, so no
+partially rewritten state is ever observable.
+
+The guard first screens each (parent, delta) pair, before any product is
+built, from the nodes the delta touches and at most one search of the
+parent. Its rules are exact: each names a finding that ``soft_check``
+reports on the product, so a hit implies q=0.
+
+- W3: a non-interface node whose edges the delta changes is left with no
+  in-edge or no out-edge.
+- STRUCT: an added edge duplicates an edge the product keeps.
+- STRUCT: the delta adds one edge, and one search from its target in the
+  parent, skipping the removed edges, reaches its source: a cycle.
+
+A screened rejection carries that one deciding diagnostic. A delta that
+touches an interface or reserved node is never screened, so its rejection
+carries the full diagnostics, role findings included. Every product the
+screen passes is built and gets the full check.
 """
 
 from __future__ import annotations
@@ -16,7 +33,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
-from .graph import Edge, Node, WorkflowGraph, prompt_refs, type_of_output
+from .diagnostics import ERROR, STRUCT, W3, Diagnostic
+from .graph import RESERVED_IDS, Edge, GraphDelta, Node, WorkflowGraph, prompt_refs, type_of_output
 from .registry import NodeTypeSchema, port_accepts
 from .validator import bind_input_ports, validate
 
@@ -62,16 +80,79 @@ class RewriteOutcome:
         return f"<modification>{self.description}</modification>"
 
 
-def _guard(graphs, applied: OperatorKind, description: str) -> RewriteOutcome:
-    for graph in graphs:
+def _reject(applied: OperatorKind, diagnostics) -> RewriteRejectedError:
+    errors = [d for d in diagnostics if d.is_error]
+    return RewriteRejectedError(
+        f"{applied.value} product failed validation: " + "; ".join(d.render() for d in errors[:4]),
+        diagnostics=diagnostics,
+    )
+
+
+def _guard(pairs, applied: OperatorKind, description: str) -> RewriteOutcome:
+    """Decide each (parent, delta) pair: the screen first, then the full check of a built product."""
+    for parent, delta in pairs:
+        finding = _screen(parent, delta)
+        if finding is not None:
+            raise _reject(applied, (finding,))
+    graphs = []
+    for parent, delta in pairs:
+        graph = parent.with_changes(delta)
         verdict = validate(graph)
         if verdict.q != 1:
-            raise RewriteRejectedError(
-                f"{applied.value} product failed validation: "
-                + "; ".join(d.render() for d in verdict.errors[:4]),
-                diagnostics=verdict.diagnostics,
-            )
+            raise _reject(applied, verdict.diagnostics)
+        graphs.append(graph)
     return RewriteOutcome(tuple(graphs), applied, description)
+
+
+def _screen(parent: WorkflowGraph, delta: GraphDelta) -> Diagnostic | None:
+    """A finding the product of ``delta`` certainly has, read from the parent; None if no rule decides."""
+    new_nodes = {n.id: n for n in delta.replaced_nodes + delta.added_nodes}
+    changed = delta.removed_edges + delta.added_edges
+    touched = {e.source for e in changed}
+    touched.update([e.target for e in changed], new_nodes, delta.removed_nodes)
+    if not touched.isdisjoint(RESERVED_IDS):
+        return None
+    degree = {}  # touched node id -> [in-degree, out-degree] in the product
+    for nid in sorted(touched):
+        old = parent.schema(nid) if nid in parent else None
+        new = parent.registry.get(new_nodes[nid].kind) if nid in new_nodes else None
+        if (old is not None and old.is_interface) or (new is not None and new.is_interface):
+            return None
+        degree[nid] = [len(parent._in.get(nid, ())), len(parent._out.get(nid, ()))]
+    for sign, edges in ((-1, delta.removed_edges), (1, delta.added_edges)):
+        for e in edges:
+            degree[e.target][0] += sign
+            degree[e.source][1] += sign
+    for nid, (d_in, d_out) in degree.items():
+        if 0 in (d_in, d_out) and (nid in new_nodes or nid not in delta.removed_nodes):
+            kind = (new_nodes[nid] if nid in new_nodes else parent.node(nid)).kind
+            message = f"node of kind {kind} plays an entry/exit role but is not an Interface"
+            return Diagnostic(W3, ERROR, message, subject=nid)
+    removed = [e.key() for e in delta.removed_edges]
+    added = [e.key() for e in delta.added_edges]
+    for key in added:
+        source, target, label = key
+        count = parent._out.get(source, ()).count((target, label)) - removed.count(key) + added.count(key)
+        if count > 1:
+            suffix = f" labeled {label!r}" if label else ""
+            return Diagnostic(STRUCT, ERROR, f"duplicate edge{suffix} (x{count})", subject=f"{source}->{target}")
+    if len(added) == 1 and _reaches(parent, set(removed), *added[0][:2]):
+        return Diagnostic(STRUCT, ERROR, "node lies on a directed cycle", subject=added[0][0])
+    return None
+
+
+def _reaches(parent: WorkflowGraph, removed: set, source: str, target: str) -> bool:
+    """Whether ``target`` reaches ``source`` in the parent without the ``removed`` edge keys."""
+    seen, stack = {target}, [target]
+    while stack:
+        node = stack.pop()
+        if node == source:
+            return True
+        for succ, label in parent._out.get(node, ()):
+            if succ not in seen and (node, succ, label) not in removed:
+                seen.add(succ)
+                stack.append(succ)
+    return False
 
 
 def _port_fed_by(graph: WorkflowGraph, target: str, source: str, label):
@@ -84,16 +165,10 @@ def _port_fed_by(graph: WorkflowGraph, target: str, source: str, label):
 
 def _find_edge(graph: WorkflowGraph, source: str, target: str, label=...) -> Edge:
     """The first matching edge in the graph's order: the unlabeled one if any."""
-    for e in graph.edges:
-        if e.source == source and e.target == target and (label is ... or e.label == label):
-            return e
+    for tgt, lab in graph._out.get(source, ()):
+        if tgt == target and (label is ... or lab == label):
+            return Edge(source, tgt, lab)
     raise OperatorPreconditionError(f"no edge {source}->{target} in graph")
-
-
-def _remove_one_edge(edges, victim: Edge):
-    out = list(edges)
-    out.remove(victim)
-    return out
 
 
 # -- node substitution ---------------------------------------------------------
@@ -112,7 +187,6 @@ def substitute_node(graph: WorkflowGraph, node_id: str, new_attributes: dict) ->
                     f"substitution on {node_id} drops required attribute {attr.key!r}"
                 )
     new_node = replace(node, attributes=new_attributes)
-    nodes = tuple(new_node if n.id == node_id else n for n in graph.nodes)
     changed = {
         k: (node.attributes.get(k), new_attributes.get(k))
         for k in set(node.attributes) | set(new_attributes)
@@ -120,7 +194,8 @@ def substitute_node(graph: WorkflowGraph, node_id: str, new_attributes: dict) ->
     }
     detail = ", ".join(f"{k}: {old!r} -> {new!r}" for k, (old, new) in sorted(changed.items()))
     description = f"substitute attributes of node {node_id}" + (f" ({detail})" if detail else " (unchanged)")
-    return _guard([graph.with_changes(nodes=nodes)], OperatorKind.SUBSTITUTION, description)
+    delta = GraphDelta(replaced_nodes=(new_node,))
+    return _guard([(graph, delta)], OperatorKind.SUBSTITUTION, description)
 
 
 # -- node addition --------------------------------------------------------------
@@ -157,14 +232,13 @@ def add_node(graph: WorkflowGraph, edge, new_node: Node) -> RewriteOutcome:
             f"boundary (v', v_b) mismatch: {new_node.kind} emits {out_type!r}, "
             f"port {target_port.label!r} of {target} does not accept it"
         )
-    edges = _remove_one_edge(graph.edges, victim)
-    edges.append(Edge(source, new_node.id, None))
-    edges.append(Edge(new_node.id, target, victim.label))
-    nodes = graph.nodes + (new_node,)
-    description = f"add node {new_node.id} ({new_node.kind}) on edge {source}->{target}"
-    return _guard(
-        [graph.with_changes(nodes=nodes, edges=tuple(edges))], OperatorKind.ADDITION, description
+    delta = GraphDelta(
+        removed_edges=(victim,),
+        added_edges=(Edge(source, new_node.id, None), Edge(new_node.id, target, victim.label)),
+        added_nodes=(new_node,),
     )
+    description = f"add node {new_node.id} ({new_node.kind}) on edge {source}->{target}"
+    return _guard([(graph, delta)], OperatorKind.ADDITION, description)
 
 
 # -- edge rewiring ----------------------------------------------------------------
@@ -203,12 +277,13 @@ def rewire_edge(graph: WorkflowGraph, existing, third: str, direction: str) -> R
             )
     if new_edge.source == new_edge.target:
         raise OperatorPreconditionError("rewiring would create a self-loop")
-    edges = _remove_one_edge(graph.edges, victim)
-    edges.append(new_edge)
+    if new_edge == victim:
+        raise OperatorPreconditionError("rewiring would leave the edge as it is")
+    delta = GraphDelta(removed_edges=(victim,), added_edges=(new_edge,))
     description = (
         f"rewire edge {source}->{target} to {new_edge.source}->{new_edge.target}"
     )
-    return _guard([graph.with_changes(edges=tuple(edges))], OperatorKind.REWIRING, description)
+    return _guard([(graph, delta)], OperatorKind.REWIRING, description)
 
 
 # -- node deletion ------------------------------------------------------------------
@@ -227,7 +302,7 @@ def delete_node(graph: WorkflowGraph, node_id: str) -> RewriteOutcome:
         raise OperatorPreconditionError(
             f"node {node_id} is not linear (fan-in {indeg}, fan-out {outdeg})"
         )
-    (pred, _pred_label) = graph.predecessors(node_id)[0]
+    (pred, pred_label) = graph.predecessors(node_id)[0]
     (succ, succ_label) = graph.successors(node_id)[0]
     if pred == succ:
         raise OperatorPreconditionError("deletion would create a self-loop")
@@ -238,13 +313,13 @@ def delete_node(graph: WorkflowGraph, node_id: str) -> RewriteOutcome:
             f"bridging type mismatch: {pred} emits {upstream_type!r}, port "
             f"{bridge_port.label!r} of {succ} does not accept it"
         )
-    nodes = tuple(n for n in graph.nodes if n.id != node_id)
-    edges = [e for e in graph.edges if node_id not in (e.source, e.target)]
-    edges.append(Edge(pred, succ, succ_label))
-    description = f"delete node {node_id} ({node.kind}) and bridge {pred}->{succ}"
-    return _guard(
-        [graph.with_changes(nodes=nodes, edges=tuple(edges))], OperatorKind.DELETION, description
+    delta = GraphDelta(
+        removed_edges=(Edge(pred, node_id, pred_label), Edge(node_id, succ, succ_label)),
+        added_edges=(Edge(pred, succ, succ_label),),
+        removed_nodes=(node_id,),
     )
+    description = f"delete node {node_id} ({node.kind}) and bridge {pred}->{succ}"
+    return _guard([(graph, delta)], OperatorKind.DELETION, description)
 
 
 # -- subgraph mutation -----------------------------------------------------------------
@@ -274,15 +349,13 @@ def _referenced_prompts(graph: WorkflowGraph, nodes) -> dict:
     return {name: graph.prompts.get(name) for _, _, name in refs if name in graph.prompts}
 
 
-def _region_boundary(graph: WorkflowGraph, region: frozenset):
-    incoming, outgoing = [], []
-    for e in graph.edges:
-        src_in, tgt_in = e.source in region, e.target in region
-        if tgt_in and not src_in:
-            incoming.append(e)
-        elif src_in and not tgt_in:
-            outgoing.append(e)
-    return incoming, outgoing
+def _edges_at(graph: WorkflowGraph, region) -> list[Edge]:
+    """Every edge with an endpoint in ``region``, each once, read from the adjacency."""
+    edges = []
+    for nid in sorted(region):
+        edges.extend(Edge(src, nid, lab) for src, lab in graph._in[nid] if src not in region)
+        edges.extend(Edge(nid, tgt, lab) for tgt, lab in graph._out[nid])
+    return edges
 
 
 def _region_connected(graph: WorkflowGraph, region: frozenset) -> bool:
@@ -332,7 +405,9 @@ def mutate_subgraph(graph: WorkflowGraph, region, replacement: Fragment) -> Rewr
         if nid not in frag_ids:
             raise OperatorPreconditionError(f"fragment boundary node {nid!r} not in fragment")
 
-    incoming, outgoing = _region_boundary(graph, region)
+    touching = _edges_at(graph, region)
+    incoming = [e for e in touching if e.source not in region]
+    outgoing = [e for e in touching if e.source in region and e.target not in region]
     frag_by_id = {n.id: n for n in replacement.nodes}
     mismatched = []
     for e in incoming:
@@ -364,28 +439,25 @@ def mutate_subgraph(graph: WorkflowGraph, region, replacement: Fragment) -> Rewr
             counter += 1
         rename[node.id] = new_id
 
-    nodes = [n for n in graph.nodes if n.id not in region]
-    nodes.extend(replace(n, id=rename[n.id]) for n in replacement.nodes)
-    edges = [e for e in graph.edges if e.source not in region and e.target not in region]
-    edges.extend(
-        Edge(rename[e.source], rename[e.target], e.label) for e in replacement.edges
-    )
+    edges = [Edge(rename[e.source], rename[e.target], e.label) for e in replacement.edges]
     for e in incoming:
         for fid in replacement.inputs:
             edges.append(Edge(e.source, rename[fid], e.label))
     for e in outgoing:
         for fid in replacement.outputs:
             edges.append(Edge(rename[fid], e.target, e.label))
-    prompts = graph.prompts.merged(replacement.prompts)
+    delta = GraphDelta(
+        removed_edges=tuple(touching),
+        added_edges=tuple(edges),
+        removed_nodes=tuple(sorted(region)),
+        added_nodes=tuple(replace(n, id=rename[n.id]) for n in replacement.nodes),
+        prompts=graph.prompts.merged(replacement.prompts),
+    )
     description = (
         f"mutate subgraph {{{', '.join(sorted(region))}}} -> "
         f"{replacement.label} ({len(replacement.nodes)} nodes)"
     )
-    return _guard(
-        [graph.with_changes(nodes=tuple(nodes), edges=tuple(edges), prompts=prompts)],
-        OperatorKind.SUBGRAPH_MUTATION,
-        description,
-    )
+    return _guard([(graph, delta)], OperatorKind.SUBGRAPH_MUTATION, description)
 
 
 # -- crossover -------------------------------------------------------------------------
@@ -435,7 +507,7 @@ def default_crossover_point(g1: WorkflowGraph, g2: WorkflowGraph):
     return None
 
 
-def _graft_downstream(own: WorkflowGraph, v_own: str, donor: WorkflowGraph, v_donor: str) -> WorkflowGraph:
+def _graft_downstream(own: WorkflowGraph, v_own: str, donor: WorkflowGraph, v_donor: str) -> GraphDelta:
     drop = own.downstream_of(v_own)
     imported = donor.downstream_of(v_donor)
     kept_ids = set(own.node_ids()) - drop
@@ -449,17 +521,19 @@ def _graft_downstream(own: WorkflowGraph, v_own: str, donor: WorkflowGraph, v_do
         rename[nid] = new_id
     rename[v_donor] = v_own
 
-    nodes = [n for n in own.nodes if n.id not in drop]
-    nodes.extend(replace(n, id=rename[n.id]) for n in donor.nodes if n.id in imported)
-    edges = [e for e in own.edges if e.source not in drop and e.target not in drop]
-    for e in donor.edges:
-        src_in = e.source in imported or e.source == v_donor
-        if src_in and e.target in imported:
-            edges.append(Edge(rename[e.source], rename[e.target], e.label))
-
     migrated = [n for n in donor.nodes if n.id in imported]
-    prompts = own.prompts.merged(_referenced_prompts(donor, migrated))
-    return own.with_changes(nodes=tuple(nodes), edges=tuple(edges), prompts=prompts)
+    return GraphDelta(
+        removed_edges=tuple(_edges_at(own, drop)),
+        added_edges=tuple(
+            Edge(rename[src], rename[tgt], lab)
+            for src in sorted(imported | {v_donor})
+            for tgt, lab in donor._out[src]
+            if tgt in imported
+        ),
+        removed_nodes=tuple(sorted(drop)),
+        added_nodes=tuple(replace(n, id=rename[n.id]) for n in migrated),
+        prompts=own.prompts.merged(_referenced_prompts(donor, migrated)),
+    )
 
 
 def crossover(g1: WorkflowGraph, g2: WorkflowGraph) -> RewriteOutcome:
@@ -477,10 +551,9 @@ def crossover(g1: WorkflowGraph, g2: WorkflowGraph) -> RewriteOutcome:
     if point is None:
         raise OperatorPreconditionError("no crossover point: parents share no common interface node")
     v1, v2 = point
-    child1 = _graft_downstream(g1, v1, g2, v2)
-    child2 = _graft_downstream(g2, v2, g1, v1)
+    pairs = [(g1, _graft_downstream(g1, v1, g2, v2)), (g2, _graft_downstream(g2, v2, g1, v1))]
     description = f"crossover at {v1}/{v2}: exchanged downstream subgraphs"
-    return _guard([child1, child2], OperatorKind.CROSSOVER, description)
+    return _guard(pairs, OperatorKind.CROSSOVER, description)
 
 
 # -- randomized application ---------------------------------------------------------

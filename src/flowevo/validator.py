@@ -34,17 +34,15 @@ from .diagnostics import (
     sort_diagnostics,
 )
 from .graph import (
-    RESERVED_AUX_ENTRY,
     RESERVED_ENTRY,
     RESERVED_EXIT,
+    RESERVED_IDS,
     WorkflowGraph,
     prompt_refs,
     type_of_output,
 )
 from .mermaid import UNCLASSIFIED, lower_to_graph, parse_workflow
 from .registry import NodeTypeSchema, port_accepts
-
-_RESERVED_IDS = (RESERVED_ENTRY, RESERVED_AUX_ENTRY, RESERVED_EXIT)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +81,11 @@ def bind_input_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
     if result is None:
         result = graph._bindings[node_id] = _bind_ports(graph, node_id)
     return result
+
+
+def bound_fan_in(graph: WorkflowGraph, node_id: str, port) -> int:
+    """How many of the node's incoming edges ``bind_input_ports`` binds to ``port``."""
+    return sum(1 for _, bound in bind_input_ports(graph, node_id).bindings if bound.label == port.label)
 
 
 def _bind_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
@@ -184,7 +187,7 @@ def _check_w3(graph):
         node = graph.node(nid)
         schema = graph.schema(nid)
         interface = schema is not None and schema.is_interface
-        if nid in _RESERVED_IDS and not interface:
+        if nid in RESERVED_IDS and not interface:
             out.append(
                 Diagnostic(
                     W3,
@@ -254,8 +257,7 @@ def _check_w5(graph):
             continue
         for port in schema.input_ports:
             if port.variadic and port.min_count >= 2:
-                bindings = bind_input_ports(graph, node.id).bindings
-                fed = sum(1 for _, bound in bindings if bound.label == port.label)
+                fed = bound_fan_in(graph, node.id, port)
                 if fed < port.min_count:
                     out.append(
                         Diagnostic(
@@ -401,7 +403,3 @@ def _graph_verdict(graph: WorkflowGraph) -> Verdict:
     if graph._verdict is None:
         graph._verdict = make_verdict(soft_check(graph))
     return graph._verdict
-
-
-def render_diagnostics(diags) -> str:
-    return "\n".join(d.render() for d in diags)

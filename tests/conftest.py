@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from flowevo import PromptTable, build_graph, lower_to_graph, parse_workflow
+from flowevo import registry as registry_module
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -39,6 +40,18 @@ def load_workflow_gen():
     import workflow_gen
 
     return workflow_gen
+
+
+def vote_registry(tmp_path):
+    """The default registry plus ``VoteOp``: a variadic solution port (min 2) and a problem port."""
+    cfg = tmp_path / "vote.cfg"
+    cfg.write_text(
+        Path(registry_module.__file__).with_name("registry.cfg").read_text(encoding="utf-8")
+        + "\n[kind:VoteOp]\ninputs =\n\tsolution accepts=solution variadic min=2\n"
+        "\tproblem accepts=problem\noutput = solution\n",
+        encoding="utf-8",
+    )
+    return registry_module.load_registry(cfg)
 
 
 def shuffled_twin(graph, seed: int):

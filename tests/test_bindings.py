@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from flowevo import WorkflowGraph, lower_to_graph, parse_workflow, validate
 from flowevo import validator
 from flowevo.codegen import emit, lower_to_ir, structural_diff
+from flowevo.graph import GraphDelta
 from flowevo.operators import OperatorPreconditionError, RewriteRejectedError, apply_random, rewire_edge
 from flowevo.validator import bind_input_ports, soft_check
 
@@ -114,6 +115,15 @@ def test_a_node_that_changes_kind_is_rebound(gsm8k):
     ]
     product = gsm8k.with_changes(nodes=nodes)
     assert product.predecessors("P6") == gsm8k.predecessors("P6")
+    assert bind_input_ports(product, "P6") != bind_input_ports(gsm8k, "P6")
+    _assert_bindings_exact(product)
+
+
+def test_a_delta_that_changes_a_kind_rebinds_and_looks_up_the_new_schema(gsm8k):
+    assert validate(gsm8k).q == 1
+    node = dataclasses.replace(gsm8k.node("P6"), kind="CustomOp", attributes={"role": "x"})
+    product = gsm8k.with_changes(GraphDelta(replaced_nodes=(node,)))
+    assert product.schema("P6").kind == "CustomOp"
     assert bind_input_ports(product, "P6") != bind_input_ports(gsm8k, "P6")
     _assert_bindings_exact(product)
 

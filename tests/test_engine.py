@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowevo import lower_to_graph, parse_workflow, serialize_workflow, validate
+from flowevo import Edge, Node, PromptTable, build_graph, lower_to_graph, parse_workflow, serialize_workflow, validate
 from flowevo.diagnostics import Verdict
 from flowevo.engine import (
     JUDGE_DIMENSIONS,
@@ -37,7 +37,7 @@ from flowevo.operators import OperatorKind
 from flowevo.runconfig import load_run_config
 from flowevo.sampling import mixed_probabilities
 
-from conftest import CORPUS_NAMES, load_corpus_graph, shuffled_twin
+from conftest import CORPUS_NAMES, load_corpus_graph, shuffled_twin, vote_registry
 
 
 def entry_for(graph, score=0.5):
@@ -159,6 +159,34 @@ def test_judge_fuller_ensemble_wins(gsm8k):
     assert (
         scores[0].dims["workflow_coherence"] > scores[1].dims["workflow_coherence"]
     )
+
+
+def test_judge_near_miss_counts_sources_bound_to_the_variadic_port(tmp_path):
+    # V is at exactly its W5 minimum of two solution sources; its problem
+    # edge lands on another port, so the in-degree of 3 must not hide that
+    graph = build_graph(
+        [
+            Node("PROBLEM", "Interface"),
+            Node("A", "CustomOp", {"role": "x"}),
+            Node("B", "CustomOp", {"role": "x"}),
+            Node("V", "VoteOp"),
+            Node("RETURN", "Interface"),
+        ],
+        [
+            Edge("PROBLEM", "A", "input"),
+            Edge("PROBLEM", "B", "input"),
+            Edge("A", "V", "solution"),
+            Edge("B", "V", "solution"),
+            Edge("PROBLEM", "V", "problem"),
+            Edge("V", "RETURN"),
+        ],
+        prompts=PromptTable({"x": "solve"}),
+        registry=vote_registry(tmp_path),
+    )
+    verdict = validate(graph)
+    assert verdict.q == 1 and verdict.diagnostics == ()
+    assert graph.in_degree("V") == 3
+    assert StructuralJudge()._coherence(graph) == 8
 
 
 def test_judge_tie_breaks_to_first(gsm8k):

@@ -1,18 +1,15 @@
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flowevo import Edge, Node, PromptTable, build_graph, validate
-from flowevo import registry as registry_module
 from flowevo.diagnostics import RULE_ORDER
-from flowevo.registry import load_registry
-from flowevo.validator import bind_input_ports, render_diagnostics, soft_check
+from flowevo.validator import bind_input_ports, soft_check
 
-from conftest import CORPUS_NAMES, corpus_path, load_corpus_graph
+from conftest import CORPUS_NAMES, corpus_path, load_corpus_graph, vote_registry
 
 
 def errors_of(diags):
@@ -71,14 +68,7 @@ def test_w5_on_trimmed_ensemble(gsm8k):
 
 def test_w5_counts_sources_bound_to_the_variadic_port(tmp_path):
     # V has in-degree 2, but its problem edge does not feed the solution port
-    cfg = tmp_path / "vote.cfg"
-    cfg.write_text(
-        Path(registry_module.__file__).with_name("registry.cfg").read_text(encoding="utf-8")
-        + "\n[kind:VoteOp]\ninputs =\n\tsolution accepts=solution variadic min=2\n"
-        "\tproblem accepts=problem\noutput = solution\n",
-        encoding="utf-8",
-    )
-    registry = load_registry(cfg)
+    registry = vote_registry(tmp_path)
     nodes = [
         Node("PROBLEM", "Interface"),
         Node("A", "CustomOp", {"role": "x"}),
@@ -305,7 +295,7 @@ def test_diagnostics_rule_order_and_determinism(gsm8k):
 def test_render_line_format(gsm8k):
     edges = tuple(e for e in gsm8k.edges if e.target != "ENSEMBLE" or e.source == "P1")
     diags = soft_check(gsm8k.with_changes(edges=edges))
-    rendered = render_diagnostics(diags)
+    rendered = "\n".join(d.render() for d in diags)
     assert re.search(r"^W5 error ENSEMBLE:- .+at least 2 required$", rendered, re.M)
 
 
