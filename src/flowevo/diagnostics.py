@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import WorkflowGraph
 
@@ -23,17 +24,25 @@ RULE_ORDER = (SYNTAX, W1, W2, W3, W4, W5, STRUCT)
 _RULE_INDEX = {rule: i for i, rule in enumerate(RULE_ORDER)}
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """1-based location of a statement inside a workflow source text."""
-
+class _SpanFields(NamedTuple):
     line: int
-    column: int = 1
-    length: int = 0
+    column: int
+    length: int
 
-    def __post_init__(self):
-        if self.line < 1 or self.column < 1:
+
+class SourceSpan(_SpanFields):
+    """1-based location of a statement inside a workflow source text.
+
+    An immutable tuple; the constructor checks the bounds, and ``_make``
+    (which the parser uses) trusts its caller.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, line: int, column: int = 1, length: int = 0):
+        if line < 1 or column < 1:
             raise ValueError("SourceSpan line and column are 1-based")
+        return tuple.__new__(cls, (line, column, length))
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"

@@ -7,14 +7,20 @@ style blocks, ``class`` kind assignments, labeled arrows, ``#`` and ``%%``
 comments, and a trailing ``<prompt>`` block with one ``NAME="text"`` entry
 per line. The in-repo hard check replaces an external compiler run: a
 source passes when every statement parses within this dialect.
+
+The parser reads each line once. Blank lines, comments and the prompt
+markers are told apart by string tests; every other line is classified by
+one match of ``_STATEMENT_RE``, whose alternatives are the statement forms
+in order of precedence.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .diagnostics import ERROR, STRUCT, SYNTAX, W4, WARNING, Diagnostic, SourceSpan
 from .graph import (
@@ -36,39 +42,41 @@ class LoweringError(Exception):
 
 
 # -- statement forms ---------------------------------------------------------
+# Immutable tuples: the parser builds them with ``_make``, which skips the
+# constructor's copy.
 
 
-@dataclass(frozen=True)
-class NodeDecl:
-    """A node declaration; ``attributes`` is stored as a read-only copy."""
-
+class _NodeDeclFields(NamedTuple):
     span: SourceSpan
     id: str
     shape: str  # rect | stadium | diamond
     display: str
-    attributes: Mapping = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "attributes", MappingProxyType(dict(self.attributes)))
+    attributes: Mapping
 
 
-@dataclass(frozen=True)
-class ClassAssign:
+class NodeDecl(_NodeDeclFields):
+    """A node declaration; ``attributes`` is stored as a read-only copy."""
+
+    __slots__ = ()
+
+    def __new__(cls, span, id, shape, display, attributes=()):
+        return tuple.__new__(cls, (span, id, shape, display, MappingProxyType(dict(attributes))))
+
+
+class ClassAssign(NamedTuple):
     span: SourceSpan
     ids: tuple[str, ...]
     name: str
 
 
-@dataclass(frozen=True)
-class EdgeStmt:
+class EdgeStmt(NamedTuple):
     span: SourceSpan
     source: str
     target: str
     label: str | None
 
 
-@dataclass(frozen=True)
-class PromptEntry:
+class PromptEntry(NamedTuple):
     span: SourceSpan
     name: str
     text: str
@@ -95,15 +103,21 @@ class MermaidDocument:
         return not any(d.is_error for d in self.diagnostics)
 
 
-_HEADER_RE = re.compile(r"flowchart\s+(\w+)\s*$")
-_STADIUM_RE = re.compile(r"(\w+)\(\[(.*)\]\)\s*$")
-_RECT_RE = re.compile(r"(\w+)\[\"(.*)\"\]\s*$")
-_DIAMOND_RE = re.compile(r"(\w+)\{(.*)\}\s*$")
-_CLASSDEF_RE = re.compile(r"classDef\s+(\w+)\s+.+$")
-_CLASS_RE = re.compile(r"class\s+(.+?)\s+(\w+)\s*$")
-_EDGE_LABELED_RE = re.compile(r"(\w+)\s*-->\s*\|([^|]*)\|\s*(\w+)\s*$")
-_EDGE_TEXT_RE = re.compile(r"(\w+)\s*--\s+(.+?)\s+-->\s*(\w+)\s*$")
-_EDGE_PLAIN_RE = re.compile(r"(\w+)\s*-->()\s*(\w+)\s*$")
+# One match classifies a statement line. The alternatives are tried in this
+# order: header, classDef, class assignment, edge (labeled, text, plain) and
+# declaration (stadium, rect, diamond). A class assignment holds no arrow or
+# shape bracket, so the lookahead leaves such lines to the later forms.
+# ``lastgroup`` names the kind: the outer group of a header, classDef, class
+# assignment or edge, and for a declaration the label group of its shape.
+_STATEMENT_RE = re.compile(
+    r"(?P<header>flowchart\s+(?P<direction>\w+)\s*$)"
+    r"|(?P<class_def>classDef\s+(?P<style_class>\w+)\s+.+$)"
+    r"|(?P<assign>class(?!.*(?:-->|[\[({]))\s+(?P<ids>.+?)\s+(?P<class_name>\w+)\s*$)"
+    r"|(?P<edge>(?P<source>\w+)\s*"
+    r"(?:-->\s*\|(?P<pipe_label>[^|]*)\||--\s+(?P<text_label>.+?)\s+-->|-->)"
+    r"\s*(?P<target>\w+)\s*$)"
+    r"|(?P<decl_id>\w+)(?:\(\[(?P<stadium>.*)\]\)|\[\"(?P<rect>.*)\"\]|\{(?P<diamond>.*)\})\s*$"
+)
 _PROMPT_ENTRY_RE = re.compile(r"(\w+)\s*=\s*\"(.*)\"\s*$")
 _PROMPT_ESCAPE_RE = re.compile(r'\\([n"\\])')
 _UNTERMINATED_DECL_RE = re.compile(r"\w+\[\"")
@@ -157,9 +171,10 @@ def split_label(label: str) -> tuple[str, dict]:
     ``<br/>`` separates the display name from a parenthesized
     ``(key: value, ...)`` attribute list; the split happens before entity
     unescaping, so escaped angle brackets inside content never act as the
-    separator. Attribute values may be wrapped in single quotes (with
-    ``\\'`` escapes). Unbalanced lists, which occur in published sources,
-    are recovered by stripping stray trailing brackets.
+    separator. Attribute keys and values may be wrapped in single quotes
+    (with ``\\'`` escapes); a quoted key may be empty. Unbalanced lists,
+    which occur in published sources, are recovered by stripping stray
+    trailing brackets.
     """
     if "<br/>" in label:
         display, _, rest = label.partition("<br/>")
@@ -174,11 +189,9 @@ def split_label(label: str) -> tuple[str, dict]:
     attrs: dict = {}
     for part in _attr_parts(rest):
         key, _, value = part.partition(":")
-        key = _unescape_label(key.strip())
-        value = value.strip()
-        if not key:
-            continue
-        attrs[key] = _unescape_label(_unquote_attr(value))
+        key = key.strip()
+        if key:
+            attrs[_unescape_label(_unquote_attr(key))] = _unescape_label(_unquote_attr(value.strip()))
     return display, attrs
 
 
@@ -247,105 +260,92 @@ def parse_workflow(text: str) -> MermaidDocument:
     prompt_names: set[str] = set()
     in_prompt = False
     prompt_closed = False
+    new_span = SourceSpan._make
 
-    def error(message, subject=None):
-        # a finding at the statement being read (``span`` of the loop below)
+    def error(message, span, subject=None):
         diagnostics.append(Diagnostic(SYNTAX, ERROR, message, subject, span))
 
     lines = text.split("\n")
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
-        span = SourceSpan(lineno, max(1, len(raw) - len(raw.lstrip()) + 1), len(stripped))
-
+        # blank lines, comments and the closing prompt marker need no span
+        if not stripped:
+            continue
         if in_prompt:
             if stripped == "</prompt>":
                 in_prompt = False
                 prompt_closed = True
                 continue
-            if not stripped:
-                continue
+        elif stripped.startswith(("%%", "#")):
+            continue
+        span = new_span((lineno, len(raw) - len(raw.lstrip()) + 1, len(stripped)))
+
+        if in_prompt:
             match = _PROMPT_ENTRY_RE.match(stripped)
             if not match:
-                error(f"malformed prompt entry: {stripped!r}")
+                error(f"malformed prompt entry: {stripped!r}", span)
                 continue
             name = match.group(1)
             if name in prompt_names:
-                error(f"duplicate prompt name {name!r}")
+                error(f"duplicate prompt name {name!r}", span)
                 continue
             prompt_names.add(name)
-            prompts.append(PromptEntry(span, name, _unescape_prompt(match.group(2))))
-            continue
-
-        if not stripped or stripped.startswith("%%") or stripped.startswith("#"):
+            prompts.append(PromptEntry._make((span, name, _unescape_prompt(match.group(2)))))
             continue
         if stripped == "<prompt>":
             if prompt_closed:
-                error("multiple <prompt> blocks")
+                error("multiple <prompt> blocks", span)
             in_prompt = True
             continue
 
-        # each statement regex is tried only on lines that hold its leading keyword or arrow
-        match = _HEADER_RE.match(stripped) if stripped.startswith("flowchart") else None
-        if match:
-            if direction is not None:
-                error("duplicate flowchart header")
-            direction = match.group(1)
-            continue
-
-        is_class = stripped.startswith("class")
-        match = _CLASSDEF_RE.match(stripped) if is_class else None
-        if match:
-            class_defs.append((match.group(1), span))
-            continue
-
-        match = _CLASS_RE.match(stripped) if is_class else None
-        if match and not any(tok in stripped for tok in ("-->", "[", "(", "{")):
-            ids = tuple(part.strip() for part in match.group(1).split(","))
+        match = _STATEMENT_RE.match(stripped)
+        kind = match.lastgroup if match else None
+        if kind == "edge":
+            source, target, label = match.group("source", "target", "pipe_label")
+            if not (IDENT_RE.match(source) and IDENT_RE.match(target)):
+                bad = source if not IDENT_RE.match(source) else target
+                error(f"bad node id in edge: {bad!r}", span)
+                continue
+            label = _unescape_label((label or match.group("text_label") or "").strip()) or None
+            edges.append(EdgeStmt._make((span, source, target, label)))
+        elif kind == "assign":
+            ids = tuple(part.strip() for part in match.group("ids").split(","))
             bad = [i for i in ids if not IDENT_RE.match(i)]
             if bad:
-                error(f"bad node id in class assignment: {bad[0]!r}")
+                error(f"bad node id in class assignment: {bad[0]!r}", span)
                 continue
-            name = match.group(2)
+            name = match.group("class_name")
             for node_id in ids:
                 previous = assigned.setdefault(node_id, name)
                 if previous != name:
-                    error(f"conflicting class assignment for {node_id}: {previous} vs {name}", node_id)
-            assigns.append(ClassAssign(span, ids, name))
-            continue
-
-        for regex in (_EDGE_LABELED_RE, _EDGE_TEXT_RE, _EDGE_PLAIN_RE) if "--" in stripped else ():
-            match = regex.match(stripped)
-            if match:
-                source, label, target = match.groups()
-                bad = [i for i in (source, target) if not IDENT_RE.match(i)]
-                if bad:
-                    error(f"bad node id in edge: {bad[0]!r}")
-                else:
-                    edges.append(EdgeStmt(span, source, target, _unescape_label(label.strip()) or None))
-                break
+                    error(f"conflicting class assignment for {node_id}: {previous} vs {name}", span, node_id)
+            assigns.append(ClassAssign._make((span, ids, name)))
+        elif kind == "class_def":
+            class_defs.append((match.group("style_class"), span))
+        elif kind == "header":
+            if direction is not None:
+                error("duplicate flowchart header", span)
+            direction = match.group("direction")
+        elif kind is not None:  # a declaration; ``kind`` is its shape
+            node_id = match.group("decl_id")
+            if not IDENT_RE.match(node_id):
+                error(f"bad node id in declaration: {node_id!r}", span)
+                continue
+            if node_id in declared:
+                error(f"duplicate node declaration {node_id!r}", span, node_id)
+            declared.add(node_id)
+            display, attrs = split_label(match.group(kind))
+            decls.append(NodeDecl._make((span, node_id, kind, display, MappingProxyType(attrs))))
+        elif _UNTERMINATED_DECL_RE.match(stripped):
+            error(f"unterminated string in node declaration: {stripped!r}", span)
         else:
-            decl = _parse_node_decl(stripped, span)
-            if decl is None:
-                if _UNTERMINATED_DECL_RE.match(stripped):
-                    error(f"unterminated string in node declaration: {stripped!r}")
-                else:
-                    error(f"unrecognized statement: {stripped!r}")
-                continue
-            if not IDENT_RE.match(decl.id):
-                error(f"bad node id in declaration: {decl.id!r}")
-                continue
-            if decl.id in declared:
-                error(f"duplicate node declaration {decl.id!r}", decl.id)
-            declared.add(decl.id)
-            decls.append(decl)
+            error(f"unrecognized statement: {stripped!r}", span)
 
     # the two findings about the whole text point at its last and first line
     if in_prompt:
-        span = SourceSpan(len(lines), 1)
-        error("unterminated <prompt> block")
+        error("unterminated <prompt> block", SourceSpan(len(lines), 1))
     if direction is None:
-        span = SourceSpan(1, 1)
-        error("missing 'flowchart <direction>' header")
+        error("missing 'flowchart <direction>' header", SourceSpan(1, 1))
     return MermaidDocument(
         direction or "TD",
         tuple(decls),
@@ -355,17 +355,6 @@ def parse_workflow(text: str) -> MermaidDocument:
         tuple(prompts),
         tuple(diagnostics),
     )
-
-
-def _parse_node_decl(stripped: str, span: SourceSpan) -> NodeDecl | None:
-    match = _STADIUM_RE.match(stripped)
-    if match:
-        return NodeDecl(span, match.group(1), "stadium", _unescape_label(match.group(2).strip()))
-    for regex, shape in ((_RECT_RE, "rect"), (_DIAMOND_RE, "diamond")):
-        match = regex.match(stripped)
-        if match:
-            return NodeDecl(span, match.group(1), shape, *split_label(match.group(2)))
-    return None
 
 
 # -- lowering ------------------------------------------------------------------
@@ -460,18 +449,16 @@ def node_shape(graph: WorkflowGraph, node: Node) -> str:
 
 
 def _node_decl_line(graph: WorkflowGraph, node: Node) -> str:
-    display = effective_display(graph, node)
-    shape = node_shape(graph, node)
-    if shape == "stadium":
-        return f"{node.id}([{_escape_label(display)}])"
+    body = _escape_label(effective_display(graph, node))
     if node.attributes:
         attrs = ", ".join(
-            f"{_escape_attr_key(key)}: {_quote_attr(_escape_label(value))}"
+            f"{_quote_attr(_escape_attr_key(key))}: {_quote_attr(_escape_label(value))}"
             for key, value in node.attributes.items()
         )
-        body = f"{_escape_label(display)}<br/>({attrs})"
-    else:
-        body = _escape_label(display)
+        body = f"{body}<br/>({attrs})"
+    shape = node_shape(graph, node)
+    if shape == "stadium":
+        return f"{node.id}([{body}])"
     if shape == "diamond":
         return f"{node.id}{{{body}}}"
     return f'{node.id}["{body}"]'

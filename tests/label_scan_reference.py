@@ -1,7 +1,9 @@
 """Frozen copy of the two character loops that once split attribute lists.
 
 ``reference_split_label`` is ``mermaid.split_label`` as it was before the
-loops became one token walk; the property test compares the two.
+loops became one token walk; the property test compares the two. Keys are
+decoded as the current ``split_label`` decodes them: a quoted key is
+unquoted, like a value.
 """
 
 from __future__ import annotations
@@ -98,9 +100,9 @@ def reference_split_label(label: str) -> tuple[str, dict]:
     attrs: dict = {}
     for part in _split_top_level(body):
         key, _, value = part.partition(":")
-        key = _unescape_label(key.strip())
+        key = key.strip()
         value = value.strip()
         if not key:
             continue
-        attrs[key] = _unescape_label(_unquote_attr(value))
+        attrs[_unescape_label(_unquote_attr(key))] = _unescape_label(_unquote_attr(value))
     return display, attrs

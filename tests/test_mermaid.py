@@ -17,6 +17,7 @@ from flowevo import (
     serialize_workflow,
     validate,
 )
+from flowevo.diagnostics import SourceSpan
 from flowevo.mermaid import NodeDecl, _escape_prompt, _unescape_prompt, split_label
 
 from conftest import CORPUS_NAMES, corpus_path, load_corpus_graph, load_workflow_gen
@@ -43,6 +44,31 @@ def test_node_decl_attributes_are_read_only():
     built = NodeDecl(decl.span, "K", "rect", "Custom", attrs)
     attrs["role"] = "changed"
     assert built.attributes == {"role": "r"}
+
+
+def test_source_span_checks_its_bounds():
+    with pytest.raises(ValueError):
+        SourceSpan(0, 1)
+    with pytest.raises(ValueError):
+        SourceSpan(1, 0)
+    assert repr(SourceSpan(2, 3, 4)) == "SourceSpan(line=2, column=3, length=4)"
+    assert str(SourceSpan(2, 3, 4)) == "2:3"
+
+
+def test_statement_records_are_immutable():
+    text = HEADER + 'K["Custom<br/>(role: r)"]\nclass K CustomOp\nK --> K\n<prompt>\nr="x"\n</prompt>\n'
+    doc = parse_workflow(text)
+    decl = doc.decls[0]
+    fields = [
+        (decl.span, "line"),
+        (decl, "id"),
+        (doc.class_assigns[0], "name"),
+        (doc.edges[0], "label"),
+        (doc.prompts[0], "text"),
+    ]
+    for record, field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_parse_quoted_attribute_value():
@@ -323,6 +349,45 @@ def test_attribute_value_round_trip(value):
     )
     relowered, _ = lower_to_graph(parse_workflow(serialize_workflow(graph)), domain="math")
     assert relowered.node("A").attributes == {"role": value}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.text(
+        alphabet=st.characters(min_codepoint=32, max_codepoint=126),
+        max_size=20,
+    )
+)
+def test_attribute_key_round_trip(key):
+    # a key that is not an identifier is written quoted, so commas, brackets,
+    # colons, quotes, surrounding blanks and the empty key all come back
+    graph = build_graph(
+        [
+            Node("PROBLEM", "Interface"),
+            Node("A", "CustomOp", {key: "v"}),
+            Node("RETURN", "Interface"),
+        ],
+        [Edge("PROBLEM", "A", "input"), Edge("A", "RETURN")],
+    )
+    relowered, _ = lower_to_graph(parse_workflow(serialize_workflow(graph)), domain="math")
+    assert relowered.node("A").attributes == {key: "v"}
+
+
+def test_interface_attributes_round_trip():
+    graph = build_graph(
+        [
+            Node("PROBLEM", "Interface", {"note": "x", "a b": "c, d"}),
+            Node("A", "CustomOp", {"role": "r"}),
+            Node("RETURN", "Interface"),
+        ],
+        [Edge("PROBLEM", "A", "input"), Edge("A", "RETURN")],
+    )
+    assert validate(graph).q == 1
+    text = serialize_workflow(graph)
+    assert "PROBLEM([Problem<br/>('a b': 'c, d', note: x)])" in text
+    relowered, diagnostics = lower_to_graph(parse_workflow(text), domain=graph.domain)
+    assert not diagnostics
+    assert relowered == graph
 
 
 def test_parse_is_pure():
