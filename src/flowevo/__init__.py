@@ -13,8 +13,6 @@ from .graph import (
     Node,
     PromptTable,
     WorkflowGraph,
-    build_graph,
-    type_of_input,
     type_of_output,
 )
 from .mermaid import (
@@ -52,7 +50,6 @@ __all__ = [
     "SourceSpan",
     "Verdict",
     "WorkflowGraph",
-    "build_graph",
     "default_registry",
     "hard_check",
     "infer_domain",
@@ -61,7 +58,6 @@ __all__ = [
     "parse_workflow",
     "serialize_workflow",
     "soft_check",
-    "type_of_input",
     "type_of_output",
     "validate",
     "__version__",

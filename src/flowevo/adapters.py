@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import subprocess
 
+from . import mermaid  # read per call, so a rebinding of mermaid.serialize_workflow (bench tracing) applies
 from .engine import JudgeScore, Proposal, ProposalRequest
 
 
@@ -22,7 +23,9 @@ class AdapterError(Exception):
     pass
 
 
-class _JsonLineProcess:
+class _Adapter:
+    """One external role: the command is started on first use, and again if it has exited."""
+
     def __init__(self, command):
         self.command = list(command)
         self._process = None
@@ -37,7 +40,7 @@ class _JsonLineProcess:
                 raise AdapterError(f"cannot start adapter {self.command[0]!r}: {exc}") from exc
         return self._process
 
-    def call(self, request: dict) -> dict:
+    def _call(self, request: dict) -> dict:
         process = self._ensure()
         try:
             process.stdin.write(json.dumps(request, ensure_ascii=False) + "\n")
@@ -68,16 +71,6 @@ class _JsonLineProcess:
             process.wait()
 
 
-class _Adapter:
-    """One external role: the command is started on first use."""
-
-    def __init__(self, command):
-        self._process = _JsonLineProcess(command)
-
-    def close(self):
-        self._process.close()
-
-
 class SubprocessProposer(_Adapter):
     """External proposer: receives parents plus previous-attempt errors."""
 
@@ -97,7 +90,7 @@ class SubprocessProposer(_Adapter):
                 "errors": [d.render() for d in request.prev_attempt.errors],
             },
         }
-        response = self._process.call(payload)
+        response = self._call(payload)
         if not isinstance(response.get("text"), str):
             raise AdapterError("proposer response lacks a string 'text'")
         return Proposal(response["text"], response.get("modification", ""))
@@ -119,7 +112,7 @@ class SubprocessJudge(_Adapter):
                 {"round": h.round, "score": h.score} for h in history
             ],
         }
-        response = self._process.call(payload)
+        response = self._call(payload)
         scores = response.get("scores")
         if not isinstance(scores, list) or len(scores) != len(candidates):
             raise AdapterError("judge response must score every candidate")
@@ -133,9 +126,7 @@ class SubprocessEvaluator(_Adapter):
     """External evaluator: maps a workflow source to a score in [0, 1]."""
 
     def evaluate(self, graph) -> float:
-        from .mermaid import serialize_workflow
-
-        response = self._process.call({"kind": "evaluate", "source": serialize_workflow(graph)})
+        response = self._call({"kind": "evaluate", "source": mermaid.serialize_workflow(graph)})
         score = response.get("score")
         if not isinstance(score, (int, float)) or not 0.0 <= float(score) <= 1.0:
             raise AdapterError(f"evaluator score out of range: {score!r}")

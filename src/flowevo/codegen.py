@@ -14,7 +14,7 @@ import functools
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
 
@@ -112,10 +112,6 @@ class ProgramIR:
             else:
                 out.extend([step.test, step.repair, step.retest])
         return out
-
-    def node_call_count(self) -> int:
-        """Calls corresponding to graph nodes (branch re-test is sugar)."""
-        return sum(1 if isinstance(s, CallStep) else 2 for s in self.steps)
 
 
 def _binding_names(node_ids) -> dict:
@@ -462,17 +458,10 @@ class DiffReport:
     arity_mismatches: list = field(default_factory=list)
 
     def is_empty(self) -> bool:
-        return not (
-            self.missing_calls or self.orphan_calls or self.flow_mismatches or self.arity_mismatches
-        )
+        return not any(self.to_dict().values())
 
     def to_dict(self) -> dict:
-        return {
-            "missing_calls": self.missing_calls,
-            "orphan_calls": self.orphan_calls,
-            "flow_mismatches": self.flow_mismatches,
-            "arity_mismatches": self.arity_mismatches,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .graph import WorkflowGraph, prompt_refs
+from .graph import GraphConstructionError, WorkflowGraph, prompt_refs
 from .mermaid import lower_to_graph, parse_workflow, serialize_workflow
 from .operators import OperatorKind, apply_random, default_operator_weights
 from .sampling import sample_parent, sample_parent_pair
@@ -251,10 +251,9 @@ class StructuralJudge:
             schema = graph.schema(node.id)
             if schema is None:
                 continue
-            for port in schema.input_ports:
-                if port.variadic and port.min_count >= 2:
-                    if bound_fan_in(graph, node.id, port) == port.min_count:
-                        score -= 2  # structurally legal but one lost edge from invalid
+            for port in schema.fan_in_ports:
+                if bound_fan_in(graph, node.id, port) == port.min_count:
+                    score -= 2  # structurally legal but one lost edge from invalid
         return max(1, min(10, score))
 
     def _innovation(self, graph, parent_graphs) -> int:
@@ -372,7 +371,7 @@ def graph_features(graph: WorkflowGraph) -> dict:
                 if dist[succ] is None or candidate > dist[succ]:
                     dist[succ] = candidate
         depth = max((dist[nid] or 0) for nid in roles.exits) if roles.exits else 0
-    except Exception:
+    except GraphConstructionError:  # a cycle: no topological order
         depth = 0
     return {
         "has_ensemble": has_ensemble,

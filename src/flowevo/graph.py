@@ -241,13 +241,6 @@ class WorkflowGraph:
     def edge_multiset(self) -> Counter:
         return Counter(e.key() for e in self.edges)
 
-    def has_edge(self, source: str, target: str, label=...) -> bool:
-        for edge in self.edges:
-            if edge.source == source and edge.target == target:
-                if label is ... or edge.label == label:
-                    return True
-        return False
-
     # -- interface roles ----------------------------------------------------
 
     def interface_roles(self) -> InterfaceRoles:
@@ -407,40 +400,35 @@ class WorkflowGraph:
     def __repr__(self) -> str:
         return f"WorkflowGraph({len(self.nodes)} nodes, {len(self.edges)} edges, domain={self.domain})"
 
-    def with_changes(self, delta=None, *, nodes=None, edges=None, prompts=None, domain=None) -> "WorkflowGraph":
-        """A new graph value: this one with a rewrite ``delta`` applied, or
-        with its ``nodes`` and ``edges`` replaced whole.
+    def with_changes(self, delta: "GraphDelta") -> "WorkflowGraph":
+        """A new graph value: this one with the rewrite ``delta`` applied.
 
-        The product of a delta inherits the schema of every node whose kind
-        it keeps, and the port binding of every node whose kind and incoming
-        edges it keeps, since a binding depends on nothing else. Replacing
-        nodes or edges whole inherits nothing.
+        The product inherits the schema of every node whose kind the delta
+        keeps, and the port binding of every node whose kind and incoming
+        edges it keeps, since a binding depends on nothing else.
         """
-        delta = delta or GraphDelta()
-        whole = nodes is not None or edges is not None
         child = WorkflowGraph(
-            nodes=delta.nodes_of(self) if nodes is None else nodes,
-            edges=delta.edges_of(self) if edges is None else edges,
-            prompts=(self.prompts if delta.prompts is None else delta.prompts) if prompts is None else prompts,
-            domain=self.domain if domain is None else domain,
+            nodes=delta.nodes_of(self),
+            edges=delta.edges_of(self),
+            prompts=self.prompts if delta.prompts is None else delta.prompts,
+            domain=self.domain,
             registry=self.registry,
         )
-        if not whole:
-            schemas = self._schemas
-            if schemas is not None and delta.changes_nodes():
-                schemas = dict(schemas)
-                for nid in delta.removed_nodes:
-                    del schemas[nid]
-                for node in delta.added_nodes + delta.replaced_nodes:
-                    schemas[node.id] = self.registry.get(node.kind)
-            child._schemas = schemas
-            rebound = delta.rebound(self)
-            # a snapshot: another thread may be binding this graph's nodes. A
-            # copy allocates no tracked object per entry, so no collection can
-            # run Python code, and switch threads, halfway through it
-            for nid, binding in self._bindings.copy().items():
-                if nid not in rebound:
-                    child._bindings[nid] = binding
+        schemas = self._schemas
+        if schemas is not None and delta.changes_nodes():
+            schemas = dict(schemas)
+            for nid in delta.removed_nodes:
+                del schemas[nid]
+            for node in delta.added_nodes + delta.replaced_nodes:
+                schemas[node.id] = self.registry.get(node.kind)
+        child._schemas = schemas
+        rebound = delta.rebound(self)
+        # a snapshot: another thread may be binding this graph's nodes. A
+        # copy allocates no tracked object per entry, so no collection can
+        # run Python code, and switch threads, halfway through it
+        for nid, binding in self._bindings.copy().items():
+            if nid not in rebound:
+                child._bindings[nid] = binding
         return child
 
 
@@ -516,16 +504,6 @@ def effective_display(graph: WorkflowGraph, node: Node) -> str:
     return node.kind[:-2] if node.kind.endswith("Op") else node.kind
 
 
-def build_graph(nodes, edges, prompts=None, domain="math", registry=None) -> WorkflowGraph:
-    """Construct a graph value; never silently drops elements.
-
-    Malformed structure (cycles, missing interfaces, bad fan-in) is allowed
-    here; only duplicate ids, dangling endpoints, and malformed identifiers
-    are construction errors.
-    """
-    return WorkflowGraph(nodes, edges, prompts=prompts, domain=domain, registry=registry)
-
-
 def prompt_refs(graph: WorkflowGraph, nodes=None):
     """Yield (node, attribute key, prompt name) for each prompt reference.
 
@@ -558,14 +536,3 @@ def type_of_output(graph: WorkflowGraph, node_id: str) -> str | None:
             return None
         return "any"
     return schema.output_port.type if schema.output_port else None
-
-
-def type_of_input(graph: WorkflowGraph, node_id: str, label: str):
-    """Schema port for ``label`` on the node's kind; raises on unknown ports."""
-    schema = graph.schema(node_id)
-    if schema is None:
-        raise KeyError(f"node {node_id!r} has unregistered kind {graph.node(node_id).kind!r}")
-    for port in schema.input_ports:
-        if port.label == label:
-            return port
-    raise KeyError(f"kind {schema.kind!r} has no input port {label!r}")

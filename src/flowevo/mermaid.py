@@ -29,7 +29,6 @@ from .graph import (
     Node,
     PromptTable,
     WorkflowGraph,
-    build_graph,
     effective_display,
 )
 from .registry import Registry, STANDARD_CLASSES, default_registry
@@ -431,7 +430,7 @@ def lower_to_graph(
 
     edges = [Edge(e.source, e.target, e.label) for e in doc.edges]
     prompts = PromptTable({p.name: p.text for p in doc.prompts})
-    graph = build_graph(nodes, edges, prompts=prompts, domain=domain, registry=registry)
+    graph = WorkflowGraph(nodes, edges, prompts=prompts, domain=domain, registry=registry)
     return graph, diagnostics
 
 

@@ -33,10 +33,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
-from .diagnostics import ERROR, STRUCT, W3, Diagnostic
+from .diagnostics import Diagnostic
 from .graph import RESERVED_IDS, Edge, GraphDelta, Node, WorkflowGraph, prompt_refs, type_of_output
 from .registry import NodeTypeSchema, port_accepts
-from .validator import bind_input_ports, validate
+from .validator import bind_input_ports, cycle_node, duplicate_edge, stranded_node, validate
 
 
 class OperatorKind(enum.Enum):
@@ -125,19 +125,17 @@ def _screen(parent: WorkflowGraph, delta: GraphDelta) -> Diagnostic | None:
             degree[e.source][1] += sign
     for nid, (d_in, d_out) in degree.items():
         if 0 in (d_in, d_out) and (nid in new_nodes or nid not in delta.removed_nodes):
-            kind = (new_nodes[nid] if nid in new_nodes else parent.node(nid)).kind
-            message = f"node of kind {kind} plays an entry/exit role but is not an Interface"
-            return Diagnostic(W3, ERROR, message, subject=nid)
+            node = new_nodes[nid] if nid in new_nodes else parent.node(nid)
+            return stranded_node(nid, node.kind)
     removed = [e.key() for e in delta.removed_edges]
     added = [e.key() for e in delta.added_edges]
     for key in added:
         source, target, label = key
         count = parent._out.get(source, ()).count((target, label)) - removed.count(key) + added.count(key)
         if count > 1:
-            suffix = f" labeled {label!r}" if label else ""
-            return Diagnostic(STRUCT, ERROR, f"duplicate edge{suffix} (x{count})", subject=f"{source}->{target}")
+            return duplicate_edge(key, count)
     if len(added) == 1 and _reaches(parent, set(removed), *added[0][:2]):
-        return Diagnostic(STRUCT, ERROR, "node lies on a directed cycle", subject=added[0][0])
+        return cycle_node(added[0][0])
     return None
 
 
@@ -349,6 +347,21 @@ def _referenced_prompts(graph: WorkflowGraph, nodes) -> dict:
     return {name: graph.prompts.get(name) for _, _, name in refs if name in graph.prompts}
 
 
+def _fresh_ids(ids, taken: set, suffix: str) -> dict:
+    """Each of ``ids`` -> itself, or ``<id>_<suffix><n>`` with the least n >= 2
+    that is neither in ``taken`` nor given to an earlier id."""
+    used = set(taken)
+    rename = {}
+    for nid in ids:
+        new_id, counter = nid, 2
+        while new_id in used:
+            new_id = f"{nid}_{suffix}{counter}"
+            counter += 1
+        rename[nid] = new_id
+        used.add(new_id)
+    return rename
+
+
 def _edges_at(graph: WorkflowGraph, region) -> list[Edge]:
     """Every edge with an endpoint in ``region``, each once, read from the adjacency."""
     edges = []
@@ -429,16 +442,7 @@ def mutate_subgraph(graph: WorkflowGraph, region, replacement: Fragment) -> Rewr
             "boundary signature mismatch: " + "; ".join(sorted(set(mismatched)))
         )
 
-    kept_ids = set(graph.node_ids()) - region
-    rename: dict[str, str] = {}
-    for node in replacement.nodes:
-        new_id = node.id
-        counter = 2
-        while new_id in kept_ids or new_id in rename.values():
-            new_id = f"{node.id}_r{counter}"
-            counter += 1
-        rename[node.id] = new_id
-
+    rename = _fresh_ids([n.id for n in replacement.nodes], set(graph.node_ids()) - region, "r")
     edges = [Edge(rename[e.source], rename[e.target], e.label) for e in replacement.edges]
     for e in incoming:
         for fid in replacement.inputs:
@@ -510,15 +514,7 @@ def default_crossover_point(g1: WorkflowGraph, g2: WorkflowGraph):
 def _graft_downstream(own: WorkflowGraph, v_own: str, donor: WorkflowGraph, v_donor: str) -> GraphDelta:
     drop = own.downstream_of(v_own)
     imported = donor.downstream_of(v_donor)
-    kept_ids = set(own.node_ids()) - drop
-    rename = {}
-    for nid in sorted(imported):
-        new_id = nid
-        counter = 2
-        while new_id in kept_ids or new_id in rename.values():
-            new_id = f"{nid}_x{counter}"
-            counter += 1
-        rename[nid] = new_id
+    rename = _fresh_ids(sorted(imported), set(own.node_ids()) - drop, "x")
     rename[v_donor] = v_own
 
     migrated = [n for n in donor.nodes if n.id in imported]

@@ -39,10 +39,6 @@ class PortSpec:
     ambient: bool = False
     accepts: tuple[str, ...] = ("any",)
 
-    @property
-    def type(self) -> str:
-        return self.label
-
 
 @dataclass(frozen=True)
 class OutputSpec:
@@ -102,12 +98,15 @@ class NodeTypeSchema:
         return next((p for p in self.input_ports if p.variadic), None)
 
     @functools.cached_property
+    def fan_in_ports(self) -> tuple[PortSpec, ...]:
+        """Variadic ports with a fan-in minimum of two or more, which W5 checks."""
+        return tuple(p for p in self.input_ports if p.variadic and p.min_count >= 2)
+
+    @functools.cached_property
     def required_ports(self) -> tuple[PortSpec, ...]:
         """Ports an edge must feed; fan-in minimums belong to W5."""
         return tuple(
-            p
-            for p in self.input_ports
-            if p.required and not p.ambient and not (p.variadic and p.min_count >= 2)
+            p for p in self.input_ports if p.required and not p.ambient and p not in self.fan_in_ports
         )
 
 

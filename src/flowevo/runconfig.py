@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -23,21 +23,9 @@ class ConfigError(Exception):
     pass
 
 
-_SCALAR_KEYS = {
-    "lambda": float,
-    "alpha": float,
-    "candidate_pool": int,
-    "max_rounds": int,
-    "num_tries": int,
-    "seed": int,
-    "crossover_rate": float,
-    "site_budget": int,
-    "domain": str,
-    "scenario": str,
-}
-
-_PATH_KEYS = ("history", "manifest", "registry")
-_CMD_KEYS = ("proposer_cmd", "judge_cmd", "evaluator_cmd")
+# config key -> EvolutionConfig field, for every field with a scalar default; a
+# value read for the key is cast to the type of that default
+_SCALAR_KEYS = {f.name.rstrip("_"): f.name for f in fields(EvolutionConfig) if f.default is not None}
 
 
 @dataclass
@@ -54,27 +42,11 @@ class RunConfig:
     evaluator_cmd: str | None = None
 
     def to_dict(self) -> dict:
-        weights = {k.value: v for k, v in self.evolution.weights().items()}
-        return {
-            "lambda": self.evolution.lambda_,
-            "alpha": self.evolution.alpha,
-            "candidate_pool": self.evolution.candidate_pool,
-            "max_rounds": self.evolution.max_rounds,
-            "num_tries": self.evolution.num_tries,
-            "seed": self.evolution.seed,
-            "crossover_rate": self.evolution.crossover_rate,
-            "site_budget": self.evolution.site_budget,
-            "domain": self.evolution.domain,
-            "scenario": self.evolution.scenario,
-            "operator_weights": weights,
-            "seeds": list(self.seeds),
-            "history": self.history,
-            "manifest": self.manifest,
-            "registry": self.registry,
-            "proposer_cmd": self.proposer_cmd,
-            "judge_cmd": self.judge_cmd,
-            "evaluator_cmd": self.evaluator_cmd,
-        }
+        out = {key: getattr(self.evolution, name) for key, name in _SCALAR_KEYS.items()}
+        out["operator_weights"] = {k.value: v for k, v in self.evolution.weights().items()}
+        out.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "evolution")
+        out["seeds"] = list(self.seeds)
+        return out
 
 
 def _parse_file(path) -> dict:
@@ -113,12 +85,16 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
         if value is not None:
             raw[key] = value
 
+    if "crossover_rate" in raw and any(key.startswith("weights.") for key in raw):
+        # the weights replace the crossover_rate split whole, so the rate would be ignored
+        raise ConfigError("crossover_rate cannot be combined with weights.* keys; use weights.crossover")
+
     # only the keys that were set: EvolutionConfig states every default
     knobs: dict = {}
-    for key, cast in _SCALAR_KEYS.items():
+    for key, name in _SCALAR_KEYS.items():
         if key in raw:
             try:
-                knobs["lambda_" if key == "lambda" else key] = cast(raw.pop(key))
+                knobs[name] = type(getattr(EvolutionConfig, name))(raw.pop(key))
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
@@ -142,9 +118,9 @@ def load_run_config(path=None, overrides=None) -> RunConfig:
         part.strip() for part in raw.pop("seeds", "").split(",") if part.strip()
     )
     config = RunConfig(evolution=evolution, seeds=seeds)
-    for key in _PATH_KEYS + _CMD_KEYS:
-        if key in raw:
-            setattr(config, key, raw.pop(key) or None)
+    for f in fields(RunConfig)[2:]:  # the paths and commands, after evolution and seeds
+        if f.name in raw:
+            setattr(config, f.name, raw.pop(f.name) or None)
     if raw:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(raw))}")
     return config
@@ -158,7 +134,3 @@ def write_manifest(config: RunConfig, path) -> None:
         "config": config.to_dict(),
     }
     Path(path).write_text(json.dumps(manifest, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-
-
-def read_manifest(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

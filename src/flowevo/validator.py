@@ -135,6 +135,25 @@ def soft_check(graph: WorkflowGraph) -> list[Diagnostic]:
     return sort_diagnostics(out)
 
 
+# the closure guard's screen reports these findings too, so each is worded once, here
+def stranded_node(node_id: str, kind: str) -> Diagnostic:
+    """W3: a non-interface node with no in-edge or no out-edge."""
+    message = f"node of kind {kind} plays an entry/exit role but is not an Interface"
+    return Diagnostic(W3, ERROR, message, subject=node_id)
+
+
+def duplicate_edge(key: tuple, count: int) -> Diagnostic:
+    """STRUCT: the edge ``(source, target, label)`` occurs ``count`` > 1 times."""
+    source, target, label = key
+    suffix = f" labeled {label!r}" if label else ""
+    return Diagnostic(STRUCT, ERROR, f"duplicate edge{suffix} (x{count})", subject=f"{source}->{target}")
+
+
+def cycle_node(node_id: str) -> Diagnostic:
+    """STRUCT: the node lies on a directed cycle."""
+    return Diagnostic(STRUCT, ERROR, "node lies on a directed cycle", subject=node_id)
+
+
 def _check_w1(graph):
     roles = graph.interface_roles()
     out = []
@@ -200,14 +219,7 @@ def _check_w3(graph):
         if interface:
             continue
         if graph.in_degree(nid) == 0 or graph.out_degree(nid) == 0:
-            out.append(
-                Diagnostic(
-                    W3,
-                    ERROR,
-                    f"node of kind {node.kind} plays an entry/exit role but is not an Interface",
-                    subject=nid,
-                )
-            )
+            out.append(stranded_node(nid, node.kind))
     for nid in roles.midstream + roles.isolated:
         out.append(
             Diagnostic(W3, ERROR, "interface node is neither entry nor exit", subject=nid)
@@ -255,19 +267,18 @@ def _check_w5(graph):
         schema = graph.schema(node.id)
         if schema is None:
             continue
-        for port in schema.input_ports:
-            if port.variadic and port.min_count >= 2:
-                fed = bound_fan_in(graph, node.id, port)
-                if fed < port.min_count:
-                    out.append(
-                        Diagnostic(
-                            W5,
-                            ERROR,
-                            f"{schema.kind} node has {fed} incoming connection"
-                            f"{'s' if fed != 1 else ''}; at least {port.min_count} required",
-                            subject=node.id,
-                        )
+        for port in schema.fan_in_ports:
+            fed = bound_fan_in(graph, node.id, port)
+            if fed < port.min_count:
+                out.append(
+                    Diagnostic(
+                        W5,
+                        ERROR,
+                        f"{schema.kind} node has {fed} incoming connection"
+                        f"{'s' if fed != 1 else ''}; at least {port.min_count} required",
+                        subject=node.id,
                     )
+                )
     return out
 
 
@@ -278,19 +289,11 @@ def _check_struct(graph):
             out.append(
                 Diagnostic(STRUCT, ERROR, "self-loop edge", subject=f"{edge.source}->{edge.target}")
             )
-    for (source, target, label), count in graph.edge_multiset().items():
+    for key, count in graph.edge_multiset().items():
         if count > 1:
-            suffix = f" labeled {label!r}" if label else ""
-            out.append(
-                Diagnostic(
-                    STRUCT,
-                    ERROR,
-                    f"duplicate edge{suffix} (x{count})",
-                    subject=f"{source}->{target}",
-                )
-            )
+            out.append(duplicate_edge(key, count))
     for nid in sorted(graph.cycle_nodes()):
-        out.append(Diagnostic(STRUCT, ERROR, "node lies on a directed cycle", subject=nid))
+        out.append(cycle_node(nid))
 
     for nid in graph.node_ids():
         schema = graph.schema(nid)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from flowevo import PromptTable, build_graph, lower_to_graph, parse_workflow
+from flowevo import PromptTable, WorkflowGraph, lower_to_graph, parse_workflow
 from flowevo import registry as registry_module
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -54,6 +54,12 @@ def vote_registry(tmp_path):
     return registry_module.load_registry(cfg)
 
 
+def rebuilt(graph, **parts):
+    """``graph`` built again from its nodes, edges, prompts and domain, ``parts`` replacing some."""
+    kwargs = {"nodes": graph.nodes, "edges": graph.edges, "prompts": graph.prompts, "domain": graph.domain}
+    return WorkflowGraph(**{**kwargs, **parts}, registry=graph.registry)
+
+
 def shuffled_twin(graph, seed: int):
     """The same graph value built from shuffled nodes, edges, attributes and prompts."""
     rng = random.Random(seed)
@@ -65,7 +71,7 @@ def shuffled_twin(graph, seed: int):
 
     nodes = shuffled(replace(n, attributes=dict(shuffled(n.attributes.items()))) for n in graph.nodes)
     prompts = PromptTable(dict(shuffled(graph.prompts.entries.items())))
-    return build_graph(nodes, shuffled(graph.edges), prompts=prompts, domain=graph.domain)
+    return WorkflowGraph(nodes, shuffled(graph.edges), prompts=prompts, domain=graph.domain)
 
 
 @pytest.fixture(scope="session")

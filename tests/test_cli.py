@@ -291,6 +291,12 @@ def test_evolve_site_budget_zero_exits_2(tmp_path, corpus_dir, capsys):
         ("weights.substitution = 1.5\nweights.deletion = -0.5\n", [], "deletion must be finite and nonnegative"),
         ("", ["--seed", "-1"], "seed must be >= 0"),
         ("", ["--max-rounds", "-5"], "max_rounds must be >= 0"),
+        (
+            "crossover_rate = 0.5\nweights.substitution = 0.2\nweights.addition = 0.2\nweights.rewiring = 0.2\n"
+            "weights.deletion = 0.2\nweights.subgraph_mutation = 0.1\nweights.crossover = 0.1\n",
+            [],
+            "crossover_rate cannot be combined with weights",
+        ),
     ],
 )
 def test_evolve_bad_knob_exits_2(tmp_path, corpus_dir, capsys, line, flags, message):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from flowevo import Edge, Node, build_graph, validate
+from flowevo import Edge, Node, WorkflowGraph, validate
 from flowevo.codegen import (
     BranchStep,
     CallStep,
@@ -15,8 +15,9 @@ from flowevo.codegen import (
     lower_to_ir,
     structural_diff,
 )
+from flowevo.graph import GraphDelta
 
-from conftest import CORPUS_NAMES, load_corpus_graph
+from conftest import CORPUS_NAMES, load_corpus_graph, rebuilt
 
 
 def test_gsm8k_ir_shape(gsm8k):
@@ -51,7 +52,7 @@ def test_math_ir_matches_published_listing(math_graph):
 
 
 def test_minimal_graph_nothing_to_emit():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [Node("PROBLEM", "Interface"), Node("RETURN", "Interface")],
         [Edge("PROBLEM", "RETURN")],
     )
@@ -60,14 +61,14 @@ def test_minimal_graph_nothing_to_emit():
 
 
 def test_invalid_graph_refused(gsm8k):
-    broken = gsm8k.with_changes(edges=tuple(e for e in gsm8k.edges if e.source != "P6"))
+    broken = rebuilt(gsm8k, edges=tuple(e for e in gsm8k.edges if e.source != "P6"))
     with pytest.raises(InvalidGraphError) as exc_info:
         lower_to_ir(broken)
     assert exc_info.value.verdict.q == 0
 
 
 def test_invalid_graph_refused_on_every_call(gsm8k):
-    broken = gsm8k.with_changes(edges=tuple(e for e in gsm8k.edges if e.source != "P6"))
+    broken = rebuilt(gsm8k, edges=tuple(e for e in gsm8k.edges if e.source != "P6"))
     for _ in range(2):
         with pytest.raises(InvalidGraphError):
             lower_to_ir(broken)
@@ -80,7 +81,7 @@ def test_lowering_is_memoized_on_the_graph(gsm8k):
     assert structural_diff(program, gsm8k).is_empty()
     assert lower_to_ir(gsm8k) is ir
     # an equal graph value built anew lowers to an equal IR
-    assert lower_to_ir(gsm8k.with_changes()) == ir
+    assert lower_to_ir(gsm8k.with_changes(GraphDelta())) == ir
 
 
 def test_memoized_ir_is_read_only():
@@ -101,7 +102,7 @@ def test_memoized_ir_is_read_only():
 
 
 def test_unlowered_kind_named():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("D", "DecisionOp"),
@@ -133,7 +134,8 @@ def _edit_humaneval(humaneval, drop=(), add=(), nodes=(), drop_nodes=()):
         for e in humaneval.edges
         if (e.source, e.target, e.label) not in drop and not {e.source, e.target} & set(drop_nodes)
     ]
-    graph = humaneval.with_changes(
+    graph = rebuilt(
+        humaneval,
         nodes=tuple(n for n in humaneval.nodes if n.id not in drop_nodes) + tuple(nodes),
         edges=tuple(edges) + tuple(Edge(*edge) for edge in add),
     )
@@ -254,7 +256,7 @@ def test_prompt_module_contains_referenced_texts(gsm8k):
 
 
 def test_no_prompt_refs_empty_module():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("P1", "ProgrammerOp", {"analysis": "Calculate step by step"}),
@@ -336,7 +338,7 @@ def test_diff_ignores_binding_names_inside_literals(gsm8k):
     from dataclasses import replace
 
     p1 = replace(gsm8k.node("P1"), attributes={"analysis": "compare with p6_result"})
-    graph = gsm8k.with_changes(nodes=tuple(p1 if n.id == "P1" else n for n in gsm8k.nodes))
+    graph = rebuilt(gsm8k, nodes=tuple(p1 if n.id == "P1" else n for n in gsm8k.nodes))
     program, _ = emit(lower_to_ir(graph))
     assert 'analysis="compare with p6_result"' in program
     assert structural_diff(program, graph).is_empty()

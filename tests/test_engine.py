@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowevo import Edge, Node, PromptTable, build_graph, lower_to_graph, parse_workflow, serialize_workflow, validate
+from flowevo import Edge, Node, PromptTable, WorkflowGraph, lower_to_graph, parse_workflow, serialize_workflow, validate
 from flowevo.diagnostics import Verdict
 from flowevo.engine import (
     JUDGE_DIMENSIONS,
@@ -37,7 +37,7 @@ from flowevo.operators import OperatorKind
 from flowevo.runconfig import load_run_config
 from flowevo.sampling import mixed_probabilities
 
-from conftest import CORPUS_NAMES, load_corpus_graph, shuffled_twin, vote_registry
+from conftest import CORPUS_NAMES, load_corpus_graph, rebuilt, shuffled_twin, vote_registry
 
 
 def entry_for(graph, score=0.5):
@@ -142,10 +142,11 @@ def test_judge_fuller_ensemble_wins(gsm8k):
     # drop P5's ensemble feed and P5 itself to stay valid
     trimmed_edges = tuple(e for e in gsm8k.edges if "P5" not in (e.source, e.target))
     trimmed_nodes = tuple(n for n in gsm8k.nodes if n.id != "P5")
-    near = gsm8k.with_changes(nodes=trimmed_nodes, edges=trimmed_edges)
+    near = rebuilt(gsm8k, nodes=trimmed_nodes, edges=trimmed_edges)
     # reduce further to exactly the minimum fan-in of 2
     for victim in ("P2", "P3", "P4"):
-        near = near.with_changes(
+        near = rebuilt(
+            near,
             nodes=tuple(n for n in near.nodes if n.id != victim),
             edges=tuple(e for e in near.edges if victim not in (e.source, e.target)),
         )
@@ -164,7 +165,7 @@ def test_judge_fuller_ensemble_wins(gsm8k):
 def test_judge_near_miss_counts_sources_bound_to_the_variadic_port(tmp_path):
     # V is at exactly its W5 minimum of two solution sources; its problem
     # edge lands on another port, so the in-degree of 3 must not hide that
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("A", "CustomOp", {"role": "x"}),
@@ -197,9 +198,9 @@ def test_judge_tie_breaks_to_first(gsm8k):
 
 def test_judge_treats_non_ascii_prompt_value_as_inline_text():
     # the judge and the validator agree on what a prompt reference is
-    from flowevo import Edge, Node, build_graph
+    from flowevo import Edge, Node, WorkflowGraph
 
-    graph = build_graph(
+    graph = WorkflowGraph(
         [Node("PROBLEM", "Interface"), Node("C", "CustomOp", {"role": "café"}), Node("RETURN", "Interface")],
         [Edge("PROBLEM", "C"), Edge("C", "RETURN")],
     )
@@ -227,6 +228,14 @@ def test_synthetic_evaluator_features(gsm8k, seed_minimal):
     minimal = graph_features(seed_minimal)
     assert minimal["has_ensemble"] is False
     assert minimal["depth"] == 2
+
+
+def test_a_cyclic_graph_has_depth_zero(gsm8k):
+    cyclic = rebuilt(gsm8k, edges=gsm8k.edges + (Edge("P6", "C"),))
+    assert cyclic.cycle_nodes()
+    features = graph_features(cyclic)
+    assert features["depth"] == 0
+    assert features["has_ensemble"] is True
 
 
 def test_synthetic_evaluator_scores(gsm8k, seed_minimal):
@@ -304,7 +313,7 @@ def test_run_evolution_replay_depends_only_on_the_seed_value(gsm8k, seed):
 
 
 def test_run_evolution_rejects_invalid_seed(gsm8k):
-    broken = gsm8k.with_changes(edges=tuple(e for e in gsm8k.edges if e.source != "P6"))
+    broken = rebuilt(gsm8k, edges=tuple(e for e in gsm8k.edges if e.source != "P6"))
     cfg = EvolutionConfig(max_rounds=1)
     with pytest.raises(EvolutionError, match="seed workflow does not validate"):
         run_evolution([broken], cfg, OperatorProposer(), StructuralJudge(), SyntheticTaskEvaluator())

@@ -8,16 +8,15 @@ from flowevo import (
     MissingInterfaceError,
     Node,
     PromptTable,
-    build_graph,
-    type_of_input,
+    WorkflowGraph,
     type_of_output,
 )
 
-from conftest import shuffled_twin
+from conftest import rebuilt, shuffled_twin
 
 
 def minimal_graph():
-    return build_graph(
+    return WorkflowGraph(
         [Node("PROBLEM", "Interface"), Node("RETURN", "Interface")],
         [Edge("PROBLEM", "RETURN")],
     )
@@ -39,17 +38,17 @@ def test_gsm8k_census(gsm8k):
 
 def test_duplicate_node_id_rejected():
     with pytest.raises(GraphConstructionError, match="duplicate node id 'A'"):
-        build_graph([Node("A", "CustomOp"), Node("A", "CustomOp")], [])
+        WorkflowGraph([Node("A", "CustomOp"), Node("A", "CustomOp")], [])
 
 
 def test_dangling_endpoint_rejected():
     with pytest.raises(GraphConstructionError, match="dangling endpoint 'X'"):
-        build_graph([Node("A", "CustomOp")], [Edge("A", "X")])
+        WorkflowGraph([Node("A", "CustomOp")], [Edge("A", "X")])
 
 
 def test_bad_node_id_rejected():
     with pytest.raises(GraphConstructionError, match="bad node id"):
-        build_graph([Node("9lives", "CustomOp")], [])
+        WorkflowGraph([Node("9lives", "CustomOp")], [])
 
 
 def test_bad_prompt_name_rejected():
@@ -67,7 +66,7 @@ def test_predecessors_of_entry_empty(gsm8k):
 
 
 def test_predecessors_chain():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [Node("A", "Interface"), Node("B", "CustomOp", {"role": "x"}), Node("C", "Interface")],
         [Edge("A", "B", "input"), Edge("B", "C")],
     )
@@ -103,7 +102,7 @@ def test_reachability_gsm8k_full(gsm8k):
 
 
 def test_isolated_node_absent_from_closures():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("RETURN", "Interface"),
@@ -116,22 +115,22 @@ def test_isolated_node_absent_from_closures():
 
 
 def test_missing_interface_raises():
-    graph = build_graph([Node("A", "CustomOp", {"role": "x"})], [])
+    graph = WorkflowGraph([Node("A", "CustomOp", {"role": "x"})], [])
     with pytest.raises(MissingInterfaceError):
         graph.reachable_from_entry()
     with pytest.raises(MissingInterfaceError):
         graph.reaches_exit()
 
 
-def test_type_of_input_ensemble(gsm8k):
-    port = type_of_input(gsm8k, "ENSEMBLE", "solution")
-    assert port.type == "solution"
+def test_ensemble_input_port(gsm8k):
+    port = gsm8k.schema("ENSEMBLE").ports_by_label["solution"]
+    assert port.label == "solution"
     assert port.min_count == 2
 
 
-def test_type_of_input_unknown_port(gsm8k):
-    with pytest.raises(KeyError, match="no input port"):
-        type_of_input(gsm8k, "ENSEMBLE", "nonsense")
+def test_unknown_input_port_is_absent(gsm8k):
+    with pytest.raises(KeyError):
+        gsm8k.schema("ENSEMBLE").ports_by_label["nonsense"]
 
 
 def test_type_of_output_entry(gsm8k):
@@ -143,8 +142,8 @@ def test_type_of_output_aux_entry(humaneval):
 
 
 def test_testop_entry_point_port(humaneval):
-    port = type_of_input(humaneval, "T", "entry_point")
-    assert port.type == "entry_point"
+    port = humaneval.schema("T").ports_by_label["entry_point"]
+    assert port.label == "entry_point"
     assert port.ambient
 
 
@@ -176,7 +175,7 @@ def test_downstream_of(gsm8k):
 
 
 def test_topological_order_raises_on_cycle():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [Node("A", "CustomOp", {"role": "x"}), Node("B", "CustomOp", {"role": "y"})],
         [Edge("A", "B"), Edge("B", "A")],
     )
@@ -200,7 +199,7 @@ def test_forward_break_reports_w2(gsm8k):
     from flowevo.validator import soft_check
 
     edges = tuple(e for e in gsm8k.edges if not (e.source == "PROBLEM" and e.target == "C"))
-    broken = gsm8k.with_changes(edges=edges)
+    broken = rebuilt(gsm8k, edges=edges)
     assert broken.reachable_from_entry() != set(broken.node_ids())
     assert any(d.rule == "W2" and d.subject == "C" for d in soft_check(broken))
 

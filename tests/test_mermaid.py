@@ -9,7 +9,7 @@ from flowevo import (
     LoweringError,
     Node,
     PromptTable,
-    build_graph,
+    WorkflowGraph,
     hard_check,
     infer_domain,
     lower_to_graph,
@@ -280,7 +280,7 @@ def test_canonical_fixed_point(name):
 
 
 def test_minimal_serialization_shape():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [Node("PROBLEM", "Interface"), Node("RETURN", "Interface")],
         [Edge("PROBLEM", "RETURN")],
     )
@@ -293,7 +293,7 @@ def test_minimal_serialization_shape():
 
 def test_display_label_escaping_round_trip():
     node = Node("A", "CustomOp", {"role": 'say "hi" & more'}, 'Custom "quoted"')
-    graph = build_graph(
+    graph = WorkflowGraph(
         [Node("PROBLEM", "Interface"), node, Node("RETURN", "Interface")],
         [Edge("PROBLEM", "A", "input"), Edge("A", "RETURN")],
     )
@@ -317,7 +317,7 @@ def test_infer_domain(corpus_dir):
     )
 )
 def test_prompt_text_round_trip(text):
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("A", "CustomOp", {"role": "p1"}),
@@ -339,7 +339,7 @@ def test_prompt_text_round_trip(text):
     )
 )
 def test_attribute_value_round_trip(value):
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("A", "CustomOp", {"role": value}),
@@ -361,7 +361,7 @@ def test_attribute_value_round_trip(value):
 def test_attribute_key_round_trip(key):
     # a key that is not an identifier is written quoted, so commas, brackets,
     # colons, quotes, surrounding blanks and the empty key all come back
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("A", "CustomOp", {key: "v"}),
@@ -374,7 +374,7 @@ def test_attribute_key_round_trip(key):
 
 
 def test_interface_attributes_round_trip():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface", {"note": "x", "a b": "c, d"}),
             Node("A", "CustomOp", {"role": "r"}),
@@ -429,7 +429,7 @@ def test_parser_total_on_arbitrary_text(text):
 
 def test_invalid_graph_serialization_round_trip():
     # serialization is total: even cyclic, interface-free graphs round-trip
-    graph = build_graph(
+    graph = WorkflowGraph(
         [Node("A", "CustomOp", {"role": "x"}), Node("B", "CustomOp", {"role": "y"})],
         [Edge("A", "B"), Edge("B", "A"), Edge("A", "A")],
     )
@@ -448,7 +448,7 @@ def test_invalid_graph_serialization_round_trip():
     ],
 )
 def test_hostile_label_round_trip(display, role, edge_label):
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("A", "CustomOp", {"role": role}, display),

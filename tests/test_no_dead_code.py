@@ -1,0 +1,68 @@
+"""No definition in the package that neither the package nor the benchmark uses.
+
+The scan reads ``src/flowevo/*.py`` (the package ``__init__`` aside) for
+module-level functions and classes and for the non-dunder methods of those
+classes. A definition is used when its name appears in those modules or in
+``bench/*.py``, as a name, an attribute or an imported name. Neither the
+tests nor the ``__init__`` re-exports count: a name that only a test calls
+is a second public path to keep working.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "flowevo"
+MODULES = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+
+# name -> why it stays without a use in the package or the benchmark
+ALLOWED = {
+    "hard_check": "the syntax-level check of the package API, which acceptance C1 and C5 call",
+    "load_history": "the only engine code that reads parse_workflow and lower_to_graph, which "
+    "bench/workloads.install_tracing rebinds on the engine module",
+    "sample_parent_indices": "the sampling rule acceptance C4 checks the loop's draws against",
+}
+
+
+def _definitions(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item.name
+
+
+def _uses(path: Path) -> set:
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.split(".")[-1])
+    return used
+
+
+def _unused() -> list:
+    """(module file, name) of each definition with no use, in file order."""
+    used = set()
+    for path in MODULES + sorted((ROOT / "bench").glob("*.py")):
+        used |= _uses(path)
+    return [(path.name, name) for path in MODULES for name in _definitions(path) if name not in used]
+
+
+def test_every_definition_has_a_use_outside_the_tests():
+    unused = [f"{module}: {name}" for module, name in _unused() if name not in ALLOWED]
+    assert not unused, "definitions nothing in src/flowevo or bench/ uses: " + ", ".join(unused)
+
+
+def test_every_allowed_name_is_defined_and_unused():
+    assert sorted(name for _, name in _unused()) == sorted(ALLOWED)

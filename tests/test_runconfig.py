@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from flowevo.operators import OperatorKind
-from flowevo.runconfig import ConfigError, load_run_config, read_manifest, write_manifest
+from flowevo.runconfig import ConfigError, load_run_config, write_manifest
 
 
 def test_defaults_without_file():
@@ -70,6 +72,21 @@ def test_operator_weight_keys(tmp_path):
     assert weights[OperatorKind.ADDITION] == 0.5
 
 
+SIX_WEIGHTS = "".join(f"weights.{kind.value} = {w}\n" for kind, w in zip(OperatorKind, (0.2,) * 4 + (0.1, 0.1)))
+
+
+@pytest.mark.parametrize("source", ["file", "env", "flag"])
+def test_crossover_rate_with_operator_weights_rejected(tmp_path, monkeypatch, source):
+    # the weights replace the crossover_rate split, so the rate would be ignored
+    path = tmp_path / "run.cfg"
+    path.write_text(SIX_WEIGHTS + ("crossover_rate = 0.5\n" if source == "file" else ""), encoding="utf-8")
+    if source == "env":
+        monkeypatch.setenv("FLOWEVO_CROSSOVER_RATE", "0.5")
+    overrides = {"crossover_rate": 0.5} if source == "flag" else None
+    with pytest.raises(ConfigError, match="crossover_rate cannot be combined with weights"):
+        load_run_config(path, overrides)
+
+
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("frobnicate = yes\n", encoding="utf-8")
@@ -127,8 +144,17 @@ def test_manifest_round_trip(tmp_path):
     config = load_run_config(None, {"seed": 42, "max_rounds": 5})
     path = tmp_path / "manifest.json"
     write_manifest(config, path)
-    manifest = read_manifest(path)
+    manifest = json.loads(path.read_text(encoding="utf-8"))
     assert manifest["tool"] == "flowevo"
     assert manifest["config"]["seed"] == 42
     assert manifest["config"]["max_rounds"] == 5
     assert "created_utc" in manifest
+
+
+def test_manifest_config_keys_and_order():
+    # the keys come from the EvolutionConfig and RunConfig fields, in this order
+    assert list(load_run_config(None).to_dict()) == [
+        "lambda", "alpha", "candidate_pool", "max_rounds", "num_tries", "seed", "crossover_rate",
+        "site_budget", "domain", "scenario", "operator_weights", "seeds", "history", "manifest",
+        "registry", "proposer_cmd", "judge_cmd", "evaluator_cmd",
+    ]

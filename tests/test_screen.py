@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowevo import Edge, Node, WorkflowGraph, build_graph, lower_to_graph, operators, parse_workflow, validate
+from flowevo import Edge, Node, WorkflowGraph, lower_to_graph, operators, parse_workflow, validate
 from flowevo import validator
 from flowevo.diagnostics import ERROR, STRUCT, W3, Diagnostic
 from flowevo.graph import GraphDelta
@@ -159,16 +159,16 @@ def test_bridge_onto_an_existing_edge_is_a_screened_duplicate():
         Node("RETURN", "Interface"),
     ]
     kept = [Edge("PROBLEM", "A", "input"), Edge("A", "E"), Edge("E", "RETURN")]
-    graph = build_graph(nodes, kept + [Edge("A", "X"), Edge("X", "E")])
+    graph = WorkflowGraph(nodes, kept + [Edge("A", "X"), Edge("X", "E")])
     with pytest.raises(RewriteRejectedError) as exc_info:
         delete_node(graph, "X")
     (finding,) = exc_info.value.diagnostics
     assert finding == Diagnostic(STRUCT, ERROR, "duplicate edge (x2)", subject="A->E")
-    assert finding in soft_check(build_graph([n for n in nodes if n.id != "X"], kept + [Edge("A", "E")]))
+    assert finding in soft_check(WorkflowGraph([n for n in nodes if n.id != "X"], kept + [Edge("A", "E")]))
 
 
 def test_cycle_search_skips_the_removed_edges():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [Node("PROBLEM", "Interface"), *(Node(n, "CustomOp", {"role": "x"}) for n in "ABC"), Node("RETURN", "Interface")],
         [
             Edge("PROBLEM", "A"),
@@ -191,7 +191,7 @@ def test_cycle_search_skips_the_removed_edges():
 def test_interface_and_reserved_nodes_are_never_screened(exit_id, exit_kind):
     # moving the exit's only in-edge strands it, but W3 reports an interface
     # node, or a reserved id of another kind, with a message of its own
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("A", "CustomOp", {"role": "x"}),

@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from flowevo import Edge, Node, PromptTable, build_graph, validate
+from flowevo import Edge, Node, PromptTable, WorkflowGraph, validate
 from flowevo.diagnostics import RULE_ORDER
 from flowevo.validator import bind_input_ports, soft_check
 
-from conftest import CORPUS_NAMES, corpus_path, load_corpus_graph, vote_registry
+from conftest import CORPUS_NAMES, corpus_path, load_corpus_graph, rebuilt, vote_registry
 
 
 def errors_of(diags):
@@ -34,7 +34,7 @@ def test_corpus_validate_q1(name):
 
 
 def test_minimal_graph_q1():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [Node("PROBLEM", "Interface"), Node("RETURN", "Interface")],
         [Edge("PROBLEM", "RETURN")],
     )
@@ -46,7 +46,7 @@ def test_w2_after_edge_removal(gsm8k):
     # hand-traced: dropping C->ENSEMBLE leaves C reachable from the entry
     # but with no path onward to the exit
     edges = [e for e in gsm8k.edges if not (e.source == "C" and e.target == "ENSEMBLE")]
-    broken = gsm8k.with_changes(edges=tuple(edges))
+    broken = rebuilt(gsm8k, edges=tuple(edges))
     diags = soft_check(broken)
     w2 = [d for d in diags if d.rule == "W2"]
     assert any(d.subject == "C" for d in w2)
@@ -59,7 +59,7 @@ def test_w5_on_trimmed_ensemble(gsm8k):
         for e in gsm8k.edges
         if e.target != "ENSEMBLE" or e.source == "P1"
     ]
-    broken = gsm8k.with_changes(edges=tuple(edges))
+    broken = rebuilt(gsm8k, edges=tuple(edges))
     diags = soft_check(broken)
     w5 = [d for d in diags if d.rule == "W5"]
     assert len(w5) == 1 and w5[0].subject == "ENSEMBLE"
@@ -85,12 +85,12 @@ def test_w5_counts_sources_bound_to_the_variadic_port(tmp_path):
         Edge("B", "RETURN"),
     ]
     prompts = PromptTable({"x": "solve"})
-    graph = build_graph(nodes, edges, prompts=prompts, registry=registry)
+    graph = WorkflowGraph(nodes, edges, prompts=prompts, registry=registry)
     assert [(d.subject, d.message) for d in soft_check(graph) if d.rule == "W5"] == [
         ("V", "VoteOp node has 1 incoming connection; at least 2 required")
     ]
     assert validate(graph).q == 0
-    fixed = graph.with_changes(edges=graph.edges + (Edge("B", "V", "solution"),))
+    fixed = rebuilt(graph, edges=graph.edges + (Edge("B", "V", "solution"),))
     assert validate(fixed).q == 1
 
 
@@ -105,14 +105,14 @@ def test_bogus_kind_is_single_w4(corpus_dir):
 
 
 def test_w4_domain_restriction(gsm8k):
-    miscast = gsm8k.with_changes(domain="code")
+    miscast = rebuilt(gsm8k, domain="code")
     w4 = [d for d in soft_check(miscast) if d.rule == "W4"]
     # all six Programmer nodes are math-only
     assert {d.subject for d in w4} == {"P1", "P2", "P3", "P4", "P5", "P6"}
 
 
 def test_w4_missing_required_attribute():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("A", "CustomOp"),  # role missing
@@ -125,7 +125,7 @@ def test_w4_missing_required_attribute():
 
 
 def test_w1_missing_interfaces():
-    graph = build_graph([Node("A", "CustomOp", {"role": "x"})], [])
+    graph = WorkflowGraph([Node("A", "CustomOp", {"role": "x"})], [])
     diags = soft_check(graph)
     w1 = [d for d in diags if d.rule == "W1"]
     assert len(w1) == 2  # entry and exit both missing
@@ -133,7 +133,7 @@ def test_w1_missing_interfaces():
 
 
 def test_w1_multiple_entries():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("P2", "Interface"),
@@ -151,7 +151,7 @@ def test_w1_multiple_entries():
 
 
 def test_w3_reserved_id_misclassified():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "CustomOp", {"role": "x"}),
             Node("RETURN", "Interface"),
@@ -165,20 +165,20 @@ def test_w3_reserved_id_misclassified():
 def test_w3_non_interface_sink(gsm8k):
     # remove P6 -> RETURN so P6 becomes a sink of kind ProgrammerOp
     edges = [e for e in gsm8k.edges if not (e.source == "P6" and e.target == "RETURN")]
-    orphaned = gsm8k.with_changes(edges=tuple(edges))
+    orphaned = rebuilt(gsm8k, edges=tuple(edges))
     diags = soft_check(orphaned)
     assert any(d.rule == "W3" and d.subject == "P6" for d in diags)
 
 
 def test_struct_duplicate_edge(gsm8k):
-    doubled = gsm8k.with_changes(edges=gsm8k.edges + (Edge("C", "ENSEMBLE"),))
+    doubled = rebuilt(gsm8k, edges=gsm8k.edges + (Edge("C", "ENSEMBLE"),))
     diags = soft_check(doubled)
     dup = [d for d in diags if d.rule == "STRUCT" and "duplicate edge" in d.message]
     assert len(dup) == 1 and dup[0].subject == "C->ENSEMBLE"
 
 
 def test_struct_self_loop():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("A", "CustomOp", {"role": "x"}),
@@ -191,7 +191,7 @@ def test_struct_self_loop():
 
 
 def test_struct_cycle():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("A", "CustomOp", {"role": "x"}),
@@ -211,7 +211,7 @@ def test_struct_cycle():
 
 
 def test_struct_missing_required_input():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("A", "CustomOp", {"role": "x"}),
@@ -229,7 +229,7 @@ def test_struct_missing_required_input():
 
 def test_struct_type_mismatch():
     # an entry payload cannot feed an ensemble's solution port
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("E", "ScEnsembleOp"),
@@ -252,7 +252,7 @@ def test_unresolved_prompt_reference_is_warning(gsm8k):
         Node(n.id, n.kind, {"role": "never_defined"}, n.display_label) if n.id == "C" else n
         for n in gsm8k.nodes
     )
-    tweaked = gsm8k.with_changes(nodes=nodes)
+    tweaked = rebuilt(gsm8k, nodes=nodes)
     verdict = validate(tweaked)
     assert verdict.q == 1  # warnings do not block membership
     assert any("unresolved prompt reference" in d.message for d in verdict.warnings)
@@ -261,7 +261,7 @@ def test_unresolved_prompt_reference_is_warning(gsm8k):
 def test_unused_prompt_entry_is_warning(gsm8k):
     table = dict(gsm8k.prompts.entries)
     table["never_used"] = "spare text"
-    tweaked = gsm8k.with_changes(prompts=PromptTable(table))
+    tweaked = rebuilt(gsm8k, prompts=PromptTable(table))
     verdict = validate(tweaked)
     assert verdict.q == 1
     assert any("unused prompt entry" in d.message for d in verdict.warnings)
@@ -269,7 +269,7 @@ def test_unused_prompt_entry_is_warning(gsm8k):
 
 def test_non_ascii_prompt_value_is_inline_text():
     # only ASCII identifiers name prompt entries; anything else is the prompt itself
-    graph = build_graph(
+    graph = WorkflowGraph(
         [Node("PROBLEM", "Interface"), Node("C", "CustomOp", {"role": "café"}), Node("RETURN", "Interface")],
         [Edge("PROBLEM", "C"), Edge("C", "RETURN")],
     )
@@ -284,7 +284,7 @@ def test_quoted_attribute_is_not_a_reference(gsm8k):
 
 def test_diagnostics_rule_order_and_determinism(gsm8k):
     edges = [e for e in gsm8k.edges if e.source != "C"] + [Edge("C", "C")]
-    broken = gsm8k.with_changes(edges=tuple(edges))
+    broken = rebuilt(gsm8k, edges=tuple(edges))
     first = soft_check(broken)
     second = soft_check(broken)
     assert first == second
@@ -294,7 +294,7 @@ def test_diagnostics_rule_order_and_determinism(gsm8k):
 
 def test_render_line_format(gsm8k):
     edges = tuple(e for e in gsm8k.edges if e.target != "ENSEMBLE" or e.source == "P1")
-    diags = soft_check(gsm8k.with_changes(edges=edges))
+    diags = soft_check(rebuilt(gsm8k, edges=edges))
     rendered = "\n".join(d.render() for d in diags)
     assert re.search(r"^W5 error ENSEMBLE:- .+at least 2 required$", rendered, re.M)
 
@@ -307,7 +307,7 @@ def test_validate_verdict_json(gsm8k):
 def test_w5_monotone_under_edge_removal(gsm8k):
     # removing any edge not touching the ensemble never clears an existing W5
     edges = tuple(e for e in gsm8k.edges if e.target != "ENSEMBLE" or e.source == "P1")
-    broken = gsm8k.with_changes(edges=edges)
+    broken = rebuilt(gsm8k, edges=edges)
     assert any(d.rule == "W5" for d in soft_check(broken))
     rng = np.random.default_rng(5)
     removable = [
@@ -317,7 +317,8 @@ def test_w5_monotone_under_edge_removal(gsm8k):
     ]
     for _ in range(10):
         victim = removable[int(rng.integers(len(removable)))]
-        fewer = broken.with_changes(
+        fewer = rebuilt(
+            broken,
             edges=tuple(e for i, e in enumerate(broken.edges) if i != victim)
         )
         w5 = [d for d in soft_check(fewer) if d.rule == "W5" and d.subject == "ENSEMBLE"]
@@ -333,7 +334,7 @@ def test_bind_input_ports_unique_binding_silent(gsm8k):
 
 
 def test_bind_input_ports_ambiguous_warning():
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("A", "CustomOp", {"role": "x"}),
@@ -359,18 +360,19 @@ def test_bind_input_ports_ambiguous_warning():
 def test_w_rules_always_carry_subjects(gsm8k):
     # missing interfaces report under the conventional names; every W-rule
     # finding names a subject
-    empty = build_graph([Node("A", "CustomOp", {"role": "x"})], [])
-    trimmed = gsm8k.with_changes(
+    empty = WorkflowGraph([Node("A", "CustomOp", {"role": "x"})], [])
+    trimmed = rebuilt(
+        gsm8k,
         edges=tuple(e for e in gsm8k.edges if e.target != "ENSEMBLE" or e.source == "P1")
     )
-    for graph in (empty, trimmed, gsm8k.with_changes(domain="code")):
+    for graph in (empty, trimmed, rebuilt(gsm8k, domain="code")):
         for diag in soft_check(graph):
             if diag.rule.startswith("W"):
                 assert diag.subject is not None
 
 
 def test_graph_verdict_is_computed_once(gsm8k):
-    tweaked = gsm8k.with_changes(domain="code")
+    tweaked = rebuilt(gsm8k, domain="code")
     assert validate(tweaked) is validate(tweaked)
     assert validate(tweaked).q == 0
 
@@ -430,7 +432,7 @@ def test_text_verdict_keeps_every_graph_finding(name):
 
 def test_bind_input_ports_lists_bindings_in_predecessor_order(corpus_graphs):
     # A fills the open problem port; B binds to analysis by its label
-    graph = build_graph(
+    graph = WorkflowGraph(
         [
             Node("PROBLEM", "Interface"),
             Node("A", "CustomOp", {"role": "x"}),
