@@ -334,6 +334,20 @@ SCENARIOS = {
 }
 
 
+def _feeds_a_non_interface(graph: WorkflowGraph, node_id: str) -> bool:
+    """Whether a non-interface node lies strictly downstream; walked in adjacency order, stopping at the first."""
+    seen, stack = {node_id}, [node_id]
+    while stack:
+        for succ, _ in graph.successors(stack.pop()):
+            if succ not in seen:
+                schema = graph.schema(succ)
+                if schema is None or not schema.is_interface:
+                    return True
+                seen.add(succ)
+                stack.append(succ)
+    return False
+
+
 def graph_features(graph: WorkflowGraph) -> dict:
     """Structural features the synthetic evaluator scores against."""
     ensembles = [
@@ -349,15 +363,7 @@ def graph_features(graph: WorkflowGraph) -> dict:
         branch_count = max(
             (graph.out_degree(nid) for nid in roles.problem_entries), default=0
         )
-    refine_tail = False
-    for nid in ensembles:
-        for downstream in graph.downstream_of(nid):
-            schema = graph.schema(downstream)
-            if schema is None or not schema.is_interface:
-                refine_tail = True
-                break
-        if refine_tail:
-            break
+    refine_tail = any(_feeds_a_non_interface(graph, nid) for nid in ensembles)
     depth = 0
     try:
         order = graph.topological_order()

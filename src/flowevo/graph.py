@@ -155,12 +155,15 @@ class WorkflowGraph:
         "_roles",
         "_schemas",
         "_bindings",
+        "_findings",
+        "_lines",
+        "_cycles",
         "_verdict",
         "_ir",
     )
 
     def __init__(self, nodes, edges, prompts=None, domain="math", registry=None):
-        nodes = tuple(sorted(nodes, key=lambda n: n.id))
+        nodes = tuple(sorted(nodes, key=_node_id))
         edges = tuple(sorted(edges, key=edge_order))
         by_id: dict[str, Node] = {}
         for node in nodes:
@@ -178,17 +181,28 @@ class WorkflowGraph:
                 raise GraphConstructionError(f"dangling endpoint {edge.target!r}")
             out[edge.source].append((edge.target, edge.label))
             inc[edge.target].append((edge.source, edge.label))
+        out = {k: tuple(v) for k, v in out.items()}
+        inc = {k: tuple(v) for k, v in inc.items()}
+        prompts = prompts if prompts is not None else PromptTable()
+        registry = registry if registry is not None else default_registry()
+        self._assign(nodes, edges, prompts, domain, registry, by_id, out, inc)
+
+    def _assign(self, nodes, edges, prompts, domain, registry, by_id, out, inc) -> None:
+        """Set the graph's tables and start every memo empty."""
         self.nodes = nodes
         self.edges = edges
-        self.prompts = prompts if prompts is not None else PromptTable()
+        self.prompts = prompts
         self.domain = domain
-        self.registry = registry if registry is not None else default_registry()
-        self._by_id = by_id
-        self._out = {k: tuple(v) for k, v in out.items()}
-        self._in = {k: tuple(v) for k, v in inc.items()}
+        self.registry = registry
+        self._by_id = by_id  # id -> node, in id order; these three tables are never written again
+        self._out = out  # id -> ((target, label), ...) in edge order
+        self._in = inc  # id -> ((source, label), ...) in edge order
         self._roles = None
         self._schemas = None  # node id -> schema, filled once by schema()
         self._bindings = {}  # node id -> port binding, filled by validator.bind_input_ports
+        self._findings = {}  # node id -> the node's own soft-check findings, filled by validator.soft_check
+        self._lines = {}  # node id -> declaration line, filled by mermaid.serialize_workflow
+        self._cycles = None  # the nodes on a cycle, filled once by cycle_nodes()
         self._verdict = None  # the soft-check verdict, filled once by validator.validate
         self._ir = None  # the program IR, filled once by codegen.lower_to_ir
 
@@ -313,7 +327,13 @@ class WorkflowGraph:
     # -- cycles and ordering -------------------------------------------------
 
     def cycle_nodes(self) -> frozenset[str]:
-        """Nodes lying on at least one directed cycle (self-loops included)."""
+        """Nodes lying on at least one directed cycle (self-loops included), found once per graph."""
+        # the write is idempotent: a racing call stores an equal set
+        if self._cycles is None:
+            self._cycles = self._find_cycles()
+        return self._cycles
+
+    def _find_cycles(self) -> frozenset[str]:
         index_of: dict[str, int] = {}
         lowlink: dict[str, int] = {}
         on_stack: set[str] = set()
@@ -403,17 +423,79 @@ class WorkflowGraph:
     def with_changes(self, delta: "GraphDelta") -> "WorkflowGraph":
         """A new graph value: this one with the rewrite ``delta`` applied.
 
-        The product inherits the schema of every node whose kind the delta
-        keeps, and the port binding of every node whose kind and incoming
-        edges it keeps, since a binding depends on nothing else.
+        This graph's tables are patched where the delta touches them, and come
+        out as ``WorkflowGraph(...)`` builds them; the product inherits every
+        per-node fact the delta keeps (see ``_bequeath``).
         """
-        child = WorkflowGraph(
-            nodes=delta.nodes_of(self),
-            edges=delta.edges_of(self),
-            prompts=self.prompts if delta.prompts is None else delta.prompts,
-            domain=self.domain,
-            registry=self.registry,
-        )
+        edges = self.edges
+        if delta.removed_edges or delta.added_edges:
+            edges = list(edges)
+            for victim in delta.removed_edges:
+                # the parent's edges are in canonical order, so each victim is one bisection away
+                i = bisect.bisect_left(edges, edge_order(victim), key=edge_order)
+                if i == len(edges) or edges[i] != victim:
+                    raise GraphConstructionError(f"no edge {victim.source}->{victim.target} to remove")
+                del edges[i]
+            for edge in delta.added_edges:
+                bisect.insort(edges, edge, key=edge_order)
+            edges = tuple(edges)
+        nodes, by_id = self.nodes, self._by_id
+        if delta.changes_nodes():
+            nodes = list(nodes)
+            for nid in delta.removed_nodes:
+                del nodes[self._index_of(nodes, nid)]
+            for node in delta.replaced_nodes:
+                nodes[self._index_of(nodes, node.id)] = node
+            for node in sorted(delta.added_nodes, key=_node_id):
+                i = bisect.bisect_left(nodes, node.id, key=_node_id)
+                if not IDENT_RE.match(node.id):
+                    raise GraphConstructionError(f"bad node id {node.id!r}")
+                if i < len(nodes) and nodes[i].id == node.id:
+                    raise GraphConstructionError(f"duplicate node id {node.id!r}")
+                nodes.insert(i, node)
+            nodes = tuple(nodes)
+            by_id = {node.id: node for node in nodes}
+        out, inc = self._out, self._in
+        if edges is not self.edges or delta.removed_nodes or delta.added_nodes:
+            out, inc = dict(out), dict(inc)
+            for add, changed in ((False, delta.removed_edges), (True, delta.added_edges)):
+                for e in changed:
+                    out[e.source] = _edited(out.get(e.source, ()), (e.target, e.label), add)
+                    inc[e.target] = _edited(inc.get(e.target, ()), (e.source, e.label), add)
+            dangling = [e for e in delta.added_edges if e.source not in by_id or e.target not in by_id]
+            for nid in delta.removed_nodes:
+                if nid not in by_id:
+                    dangling += [Edge(nid, t, label) for t, label in out[nid]]
+                    dangling += [Edge(s, nid, label) for s, label in inc[nid]]
+            if dangling:
+                first = min(dangling, key=edge_order)
+                missing = first.source if first.source not in by_id else first.target
+                raise GraphConstructionError(f"dangling endpoint {missing!r}")
+            if delta.removed_nodes or delta.added_nodes:
+                # a fresh graph's key order: node ids in order
+                out = {nid: out.get(nid, ()) for nid in by_id}
+                inc = {nid: inc.get(nid, ()) for nid in by_id}
+        child = WorkflowGraph.__new__(WorkflowGraph)
+        prompts = self.prompts if delta.prompts is None else delta.prompts
+        child._assign(nodes, edges, prompts, self.domain, self.registry, by_id, out, inc)
+        self._bequeath(child, delta)
+        return child
+
+    @staticmethod
+    def _index_of(nodes, node_id: str) -> int:
+        i = bisect.bisect_left(nodes, node_id, key=_node_id)
+        if i == len(nodes) or nodes[i].id != node_id:
+            raise KeyError(f"unknown node id {node_id!r}")
+        return i
+
+    def _bequeath(self, child: "WorkflowGraph", delta: "GraphDelta") -> None:
+        """Give ``child``, this graph with ``delta`` applied, every memo entry the delta keeps.
+
+        A node's binding reads its kind and in-edges (``delta.rebound``), its
+        declaration line the node value and schema, and its findings what
+        ``delta.dirty`` covers plus the interface roles, so findings pass on
+        only while the roles stay equal. Roles read only interface nodes.
+        """
         schemas = self._schemas
         if schemas is not None and delta.changes_nodes():
             schemas = dict(schemas)
@@ -422,14 +504,69 @@ class WorkflowGraph:
             for node in delta.added_nodes + delta.replaced_nodes:
                 schemas[node.id] = self.registry.get(node.kind)
         child._schemas = schemas
-        rebound = delta.rebound(self)
-        # a snapshot: another thread may be binding this graph's nodes. A
-        # copy allocates no tracked object per entry, so no collection can
-        # run Python code, and switch threads, halfway through it
-        for nid, binding in self._bindings.copy().items():
-            if nid not in rebound:
-                child._bindings[nid] = binding
-        return child
+        child._bindings = _snapshot(self._bindings, delta.rebound(self))
+        new_ids = [node.id for node in delta.added_nodes + delta.replaced_nodes]
+        child._lines = _snapshot(self._lines, [*delta.removed_nodes, *new_ids])
+        touched = delta.touched()
+        kinds = [g.schema(nid) for g in (self, child) for nid in touched if nid in g]
+        if not any(schema is not None and schema.is_interface for schema in kinds):
+            child._roles = self._roles
+        if self._cycles == frozenset() and child._acyclic_after(delta.added_edges):
+            child._cycles = self._cycles
+        if self._findings and child.interface_roles() == self.interface_roles():
+            child._findings = _snapshot(self._findings, delta.dirty(self, child))
+
+    def _acyclic_after(self, added_edges) -> bool:
+        """Whether this graph, an acyclic one with ``added_edges`` added, is acyclic.
+
+        A cycle would run through some added s -> t, with t reaching s. Past
+        twice the node count in all, the searches stop and answer False.
+        """
+        budget = 2 * len(self._by_id)
+        for edge in added_edges:
+            seen, stack = {edge.target}, [edge.target]
+            while stack:
+                node = stack.pop()
+                budget -= 1
+                if node == edge.source or budget < 0:
+                    return False
+                for succ, _ in self._out[node]:
+                    if succ not in seen:
+                        seen.add(succ)
+                        stack.append(succ)
+        return True
+
+
+def _snapshot(memo: dict, dropped) -> dict:
+    """A copy of ``memo`` without the entries of the ``dropped`` ids.
+
+    Another thread may be filling ``memo``. A copy allocates no tracked
+    object per entry, so no collection can run Python code, and switch
+    threads, halfway through it.
+    """
+    kept = memo.copy()
+    for nid in dropped:
+        kept.pop(nid, None)
+    return kept
+
+
+def _node_id(node: Node) -> str:
+    return node.id
+
+
+def _pair_order(pair: tuple) -> tuple:
+    """Adjacency entries (neighbor id, label) sort like their edges: by id, the unlabeled one first."""
+    return (pair[0], pair[1] is not None, pair[1] or "")
+
+
+def _edited(pairs: tuple, pair: tuple, add: bool) -> tuple:
+    """An adjacency entry with ``pair`` inserted in order, or with one occurrence of it taken out."""
+    pairs = list(pairs)
+    if add:
+        bisect.insort(pairs, pair, key=_pair_order)
+    else:
+        pairs.remove(pair)
+    return tuple(pairs)
 
 
 class GraphDelta(NamedTuple):
@@ -452,32 +589,33 @@ class GraphDelta(NamedTuple):
     def changes_nodes(self) -> bool:
         return bool(self.removed_nodes or self.added_nodes or self.replaced_nodes)
 
+    def touched(self) -> set:
+        """Ids of the nodes the delta touches: the endpoints of its edges and the nodes it changes."""
+        ids = {nid for e in self.removed_edges + self.added_edges for nid in (e.source, e.target)}
+        ids.update(self.removed_nodes, (n.id for n in self.added_nodes + self.replaced_nodes))
+        return ids
+
+    def recast(self, parent: WorkflowGraph) -> list:
+        """Ids of the nodes that may get a new kind: added ones, and replaced ones of another kind."""
+        new = self.added_nodes + self.replaced_nodes
+        return [n.id for n in new if n.id not in parent or n.kind != parent.node(n.id).kind]
+
     def rebound(self, parent: WorkflowGraph) -> set:
         """Ids of the nodes whose kind or incoming edges the delta may change."""
         ids = {e.target for e in self.removed_edges + self.added_edges}
-        ids.update(self.removed_nodes)
-        ids.update(n.id for n in self.added_nodes)
-        ids.update(n.id for n in self.replaced_nodes if n.kind != parent.node(n.id).kind)
+        ids.update(self.removed_nodes, self.recast(parent))
         return ids
 
-    def nodes_of(self, parent: WorkflowGraph):
-        if not self.changes_nodes():
-            return parent.nodes
-        dropped = set(self.removed_nodes).union(n.id for n in self.replaced_nodes)
-        kept = [n for n in parent.nodes if n.id not in dropped]
-        return kept + list(self.replaced_nodes) + list(self.added_nodes)
+    def dirty(self, parent: WorkflowGraph, product: WorkflowGraph) -> set:
+        """Ids of the nodes whose own findings the delta may change, if it keeps the interface roles.
 
-    def edges_of(self, parent: WorkflowGraph):
-        if not (self.removed_edges or self.added_edges):
-            return parent.edges
-        edges = list(parent.edges)
-        for victim in self.removed_edges:
-            # the parent's edges are in canonical order, so each victim is one bisection away
-            i = bisect.bisect_left(edges, edge_order(victim), key=edge_order)
-            if i == len(edges) or edges[i] != victim:
-                raise GraphConstructionError(f"no edge {victim.source}->{victim.target} to remove")
-            del edges[i]
-        return edges + list(self.added_edges)
+        The touched nodes, and the product's successors of each recast node,
+        since their type checks read its output type.
+        """
+        ids = self.touched()
+        for nid in self.recast(parent):
+            ids.update(t for t, _ in product._out[nid])
+        return ids
 
 
 _INTERFACE_DISPLAY_DEFAULTS = {

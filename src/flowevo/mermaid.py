@@ -479,8 +479,14 @@ def serialize_workflow(graph: WorkflowGraph) -> str:
     ordered = entry_ids + middle + exit_ids
 
     lines = ["flowchart TD"]
+    # a declaration line reads only the node and its schema, so a product of
+    # with_changes starts with its parent's lines of the nodes it keeps
+    memo = graph._lines
     for nid in ordered:
-        lines.append("  " + _node_decl_line(graph, graph.node(nid)))
+        line = memo.get(nid)
+        if line is None:  # the write is idempotent: a racing caller stores an equal line
+            line = memo[nid] = "  " + _node_decl_line(graph, graph.node(nid))
+        lines.append(line)
     lines.append("")
 
     styles = {}

@@ -107,9 +107,7 @@ def _guard(pairs, applied: OperatorKind, description: str) -> RewriteOutcome:
 def _screen(parent: WorkflowGraph, delta: GraphDelta) -> Diagnostic | None:
     """A finding the product of ``delta`` certainly has, read from the parent; None if no rule decides."""
     new_nodes = {n.id: n for n in delta.replaced_nodes + delta.added_nodes}
-    changed = delta.removed_edges + delta.added_edges
-    touched = {e.source for e in changed}
-    touched.update([e.target for e in changed], new_nodes, delta.removed_nodes)
+    touched = delta.touched()
     if not touched.isdisjoint(RESERVED_IDS):
         return None
     degree = {}  # touched node id -> [in-degree, out-degree] in the product

@@ -124,14 +124,22 @@ def _bind_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
 
 
 def soft_check(graph: WorkflowGraph) -> list[Diagnostic]:
-    """Run every structural rule; total over arbitrary constructed graphs."""
-    out: list[Diagnostic] = []
-    out.extend(_check_w1(graph))
-    out.extend(_check_w2(graph))
-    out.extend(_check_w3(graph))
-    out.extend(_check_w4(graph))
-    out.extend(_check_w5(graph))
-    out.extend(_check_struct(graph))
+    """Run every structural rule; total over arbitrary constructed graphs.
+
+    The graph-wide rules run on every call. Each node's own findings are
+    found once and kept on the graph value, and a product of
+    ``with_changes`` starts with its parent's findings of the nodes the
+    delta leaves as they were (see ``WorkflowGraph.with_changes``).
+    """
+    out = _check_w1(graph) + _check_w2(graph) + _check_roles(graph) + _check_prompts(graph)
+    out += [cycle_node(nid) for nid in sorted(graph.cycle_nodes())]
+    findings = graph._findings
+    for nid in graph._by_id:
+        # the write is idempotent: a racing caller stores equal findings
+        found = findings.get(nid)
+        if found is None:
+            found = findings[nid] = _node_findings(graph, nid)
+        out += found
     return sort_diagnostics(out)
 
 
@@ -158,22 +166,12 @@ def _check_w1(graph):
     roles = graph.interface_roles()
     out = []
     if not roles.problem_entries:
-        out.append(
-            Diagnostic(W1, ERROR, "missing entry interface node", subject=RESERVED_ENTRY)
-        )
+        out.append(Diagnostic(W1, ERROR, "missing entry interface node", subject=RESERVED_ENTRY))
     if not roles.exits:
-        out.append(
-            Diagnostic(W1, ERROR, "missing exit interface node", subject=RESERVED_EXIT)
-        )
-    if len(roles.problem_entries) > 1:
-        for nid in roles.problem_entries:
-            out.append(Diagnostic(W1, ERROR, "multiple entry interface nodes", subject=nid))
-    if len(roles.aux_entries) > 1:
-        for nid in roles.aux_entries:
-            out.append(Diagnostic(W1, ERROR, "multiple auxiliary entry interface nodes", subject=nid))
-    if len(roles.exits) > 1:
-        for nid in roles.exits:
-            out.append(Diagnostic(W1, ERROR, "multiple exit interface nodes", subject=nid))
+        out.append(Diagnostic(W1, ERROR, "missing exit interface node", subject=RESERVED_EXIT))
+    for ids, role in ((roles.problem_entries, "entry"), (roles.aux_entries, "auxiliary entry"), (roles.exits, "exit")):
+        if len(ids) > 1:
+            out += [Diagnostic(W1, ERROR, f"multiple {role} interface nodes", subject=nid) for nid in ids]
     return out
 
 
@@ -181,6 +179,13 @@ def _check_w2(graph):
     roles = graph.interface_roles()
     if not roles.entries or not roles.exits:
         return []  # W1 already failed; reachability is undefined
+    # in an acyclic graph every node is reached from a node with no in-edge
+    # and reaches one with no out-edge, so when all of those are entries and
+    # exits respectively, every node lies on an entry-to-exit path
+    if not graph.cycle_nodes() and all(
+        pairs or nid in roles.entries for nid, pairs in graph._in.items()
+    ) and all(pairs or nid in roles.exits for nid, pairs in graph._out.items()):
+        return []
     forward = graph.reachable_from_entry()
     backward = graph.reaches_exit()
     out = []
@@ -199,162 +204,84 @@ def _check_w2(graph):
     return out
 
 
-def _check_w3(graph):
+def _check_roles(graph):
     roles = graph.interface_roles()
+    message = "interface node is neither entry nor exit"
+    return [Diagnostic(W3, ERROR, message, subject=nid) for nid in roles.midstream + roles.isolated]
+
+
+def _node_findings(graph: WorkflowGraph, nid: str) -> tuple:
+    """The findings about one node: W3-W5, its out-edges, and its ports and their input types.
+
+    They read only the node, its schema, its edges, its predecessors'
+    output types and the graph's domain.
+    """
+    node = graph.node(nid)
+    schema = graph.schema(nid)
     out = []
-    for nid in graph.node_ids():
-        node = graph.node(nid)
-        schema = graph.schema(nid)
-        interface = schema is not None and schema.is_interface
-        if nid in RESERVED_IDS and not interface:
-            out.append(
-                Diagnostic(
-                    W3,
-                    ERROR,
-                    f"reserved node {nid} must be classified as Interface, not {node.kind}",
-                    subject=nid,
-                )
-            )
-            continue
-        if interface:
-            continue
-        if graph.in_degree(nid) == 0 or graph.out_degree(nid) == 0:
+    pairs = graph._out[nid]
+    out += [Diagnostic(STRUCT, ERROR, "self-loop edge", subject=f"{nid}->{nid}") for t, _ in pairs if t == nid]
+    if len(set(pairs)) < len(pairs):
+        out += [duplicate_edge((nid, *pair), count) for pair, count in Counter(pairs).items() if count > 1]
+
+    if schema is None or not schema.is_interface:
+        if nid in RESERVED_IDS:
+            message = f"reserved node {nid} must be classified as Interface, not {node.kind}"
+            out.append(Diagnostic(W3, ERROR, message, subject=nid))
+        elif not graph._in[nid] or not pairs:
             out.append(stranded_node(nid, node.kind))
-    for nid in roles.midstream + roles.isolated:
-        out.append(
-            Diagnostic(W3, ERROR, "interface node is neither entry nor exit", subject=nid)
+
+    if schema is None:
+        if node.kind == UNCLASSIFIED:
+            message = f"unclassified node {nid!r} (no class assignment)"
+        else:
+            message = f"unknown node type {node.kind!r}"
+        out.append(Diagnostic(W4, ERROR, message, subject=nid))
+        return tuple(out)
+    if schema.domain_restriction and schema.domain_restriction != graph.domain:
+        message = (
+            f"kind {schema.kind} is restricted to {schema.domain_restriction} "
+            f"workflows but this graph is {graph.domain}"
         )
-    return out
+        out.append(Diagnostic(W4, ERROR, message, subject=nid))
+    for attr in schema.required_attrs():
+        if attr.key not in node.attributes:
+            message = f"missing required attribute {attr.key!r} for kind {schema.kind}"
+            out.append(Diagnostic(W4, ERROR, message, subject=nid))
 
-
-def _check_w4(graph):
-    out = []
-    for node in graph.nodes:
-        schema = graph.schema(node.id)
-        if schema is None:
-            if node.kind == UNCLASSIFIED:
-                message = f"unclassified node {node.id!r} (no class assignment)"
-            else:
-                message = f"unknown node type {node.kind!r}"
-            out.append(Diagnostic(W4, ERROR, message, subject=node.id))
-            continue
-        if schema.domain_restriction and schema.domain_restriction != graph.domain:
-            out.append(
-                Diagnostic(
-                    W4,
-                    ERROR,
-                    f"kind {schema.kind} is restricted to {schema.domain_restriction} "
-                    f"workflows but this graph is {graph.domain}",
-                    subject=node.id,
-                )
+    for port in schema.fan_in_ports:
+        fed = bound_fan_in(graph, nid, port)
+        if fed < port.min_count:
+            message = (
+                f"{schema.kind} node has {fed} incoming connection"
+                f"{'s' if fed != 1 else ''}; at least {port.min_count} required"
             )
-        for attr in schema.required_attrs():
-            if attr.key not in node.attributes:
-                out.append(
-                    Diagnostic(
-                        W4,
-                        ERROR,
-                        f"missing required attribute {attr.key!r} for kind {schema.kind}",
-                        subject=node.id,
-                    )
-                )
-    return out
+            out.append(Diagnostic(W5, ERROR, message, subject=nid))
 
-
-def _check_w5(graph):
-    out = []
-    for node in graph.nodes:
-        schema = graph.schema(node.id)
-        if schema is None:
-            continue
-        for port in schema.fan_in_ports:
-            fed = bound_fan_in(graph, node.id, port)
-            if fed < port.min_count:
-                out.append(
-                    Diagnostic(
-                        W5,
-                        ERROR,
-                        f"{schema.kind} node has {fed} incoming connection"
-                        f"{'s' if fed != 1 else ''}; at least {port.min_count} required",
-                        subject=node.id,
-                    )
-                )
-    return out
-
-
-def _check_struct(graph):
-    out = []
-    for edge in graph.edges:
-        if edge.source == edge.target:
-            out.append(
-                Diagnostic(STRUCT, ERROR, "self-loop edge", subject=f"{edge.source}->{edge.target}")
+    if schema.is_interface:
+        if schema.interface_role == "entry" and graph._in[nid]:
+            out.append(Diagnostic(STRUCT, ERROR, "entry interface must not receive input", subject=nid))
+        if schema.interface_role == "exit" and pairs:
+            out.append(Diagnostic(STRUCT, ERROR, "exit interface must not produce output", subject=nid))
+        return tuple(out)
+    result = bind_input_ports(graph, nid)
+    for port in result.missing:
+        out.append(Diagnostic(STRUCT, ERROR, f"missing required input {port.label!r}", subject=nid))
+    for source, label in result.unexpected:
+        out.append(Diagnostic(STRUCT, ERROR, f"unexpected input from {source} (no open port)", subject=nid))
+    for port in result.overfed:
+        out.append(Diagnostic(STRUCT, ERROR, f"port {port.label!r} bound more than once", subject=nid))
+    if result.ambiguous:
+        out.append(Diagnostic(STRUCT, WARNING, "ambiguous port binding resolved by edge order", subject=nid))
+    for (source, label), port in result.bindings:
+        payload = type_of_output(graph, source)  # None is the exit-produces-output rule's
+        if payload is not None and not port_accepts(port, payload):
+            message = (
+                f"type mismatch: {source} emits {payload!r} but port "
+                f"{port.label!r} accepts {', '.join(port.accepts)}"
             )
-    for key, count in graph.edge_multiset().items():
-        if count > 1:
-            out.append(duplicate_edge(key, count))
-    for nid in sorted(graph.cycle_nodes()):
-        out.append(cycle_node(nid))
-
-    for nid in graph.node_ids():
-        schema = graph.schema(nid)
-        if schema is None:
-            continue
-        if schema.is_interface:
-            if schema.interface_role == "entry" and graph.in_degree(nid) > 0:
-                out.append(
-                    Diagnostic(STRUCT, ERROR, "entry interface must not receive input", subject=nid)
-                )
-            if schema.interface_role == "exit" and graph.out_degree(nid) > 0:
-                out.append(
-                    Diagnostic(STRUCT, ERROR, "exit interface must not produce output", subject=nid)
-                )
-            continue
-        result = bind_input_ports(graph, nid)
-        for port in result.missing:
-            out.append(
-                Diagnostic(STRUCT, ERROR, f"missing required input {port.label!r}", subject=nid)
-            )
-        for source, label in result.unexpected:
-            out.append(
-                Diagnostic(
-                    STRUCT,
-                    ERROR,
-                    f"unexpected input from {source} (no open port)",
-                    subject=nid,
-                )
-            )
-        for port in result.overfed:
-            out.append(
-                Diagnostic(
-                    STRUCT, ERROR, f"port {port.label!r} bound more than once", subject=nid
-                )
-            )
-        if result.ambiguous:
-            out.append(
-                Diagnostic(
-                    STRUCT,
-                    WARNING,
-                    "ambiguous port binding resolved by edge order",
-                    subject=nid,
-                )
-            )
-        for (source, label), port in result.bindings:
-            payload = type_of_output(graph, source)
-            if payload is None:
-                continue  # covered by the exit-produces-output rule
-            if not port_accepts(port, payload):
-                out.append(
-                    Diagnostic(
-                        STRUCT,
-                        ERROR,
-                        f"type mismatch: {source} emits {payload!r} but port "
-                        f"{port.label!r} accepts {', '.join(port.accepts)}",
-                        subject=nid,
-                    )
-                )
-
-    out.extend(_check_prompts(graph))
-    return out
+            out.append(Diagnostic(STRUCT, ERROR, message, subject=nid))
+    return tuple(out)
 
 
 def _check_prompts(graph):

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from flowevo import PromptTable, WorkflowGraph, lower_to_graph, parse_workflow
+from flowevo import PromptTable, WorkflowGraph, lower_to_graph, parse_workflow, serialize_workflow
 from flowevo import registry as registry_module
+from flowevo.validator import bind_input_ports, soft_check
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -58,6 +59,29 @@ def rebuilt(graph, **parts):
     """``graph`` built again from its nodes, edges, prompts and domain, ``parts`` replacing some."""
     kwargs = {"nodes": graph.nodes, "edges": graph.edges, "prompts": graph.prompts, "domain": graph.domain}
     return WorkflowGraph(**{**kwargs, **parts}, registry=graph.registry)
+
+
+def assert_memos_exact(graph) -> None:
+    """Every table and memo of ``graph``, inherited or not, equals a fresh build's of the same value.
+
+    The tables must match in key order too. Findings and declaration lines
+    are compared after ``soft_check`` and ``serialize_workflow`` have run
+    on both graphs, so an entry ``graph`` inherited is compared as it was
+    inherited, and every other entry as the graph computed it.
+    """
+    fresh = rebuilt(graph)
+    assert graph.nodes == fresh.nodes and graph.edges == fresh.edges
+    for table in ("_by_id", "_out", "_in"):
+        assert list(getattr(graph, table).items()) == list(getattr(fresh, table).items()), table
+    assert graph.interface_roles() == fresh.interface_roles()
+    assert graph.cycle_nodes() == fresh.cycle_nodes()
+    assert soft_check(graph) == soft_check(fresh)
+    assert graph._findings == fresh._findings
+    assert serialize_workflow(graph) == serialize_workflow(fresh)
+    assert graph._lines == fresh._lines
+    for nid in graph.node_ids():
+        assert graph.schema(nid) == fresh.schema(nid)
+        assert bind_input_ports(graph, nid) == bind_input_ports(fresh, nid)
 
 
 def shuffled_twin(graph, seed: int):

@@ -1,10 +1,12 @@
-"""Port bindings are computed once per node of a graph value and shared.
+"""Per-node facts are computed once per graph value and shared with its products.
 
-``bind_input_ports`` keeps each node's binding on the graph, and a product of
-``with_changes`` starts with its parent's bindings of the nodes whose kind
-and incoming edges it kept. These tests pin that the shared bindings are
-exactly the ones a fresh graph computes, and that the pipeline binds each
-node once.
+``bind_input_ports``, ``soft_check`` and ``serialize_workflow`` keep each
+node's binding, findings and declaration line on the graph, and a product of
+``with_changes`` starts with its parent's entries of the nodes the delta
+keeps, its parent's interface roles and acyclicity when the delta keeps
+them, and tables patched from its parent's. These tests pin that everything
+shared is exactly what a fresh graph computes, and that the pipeline binds
+each node once.
 """
 
 from __future__ import annotations
@@ -14,20 +16,23 @@ import random
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowevo import WorkflowGraph, lower_to_graph, parse_workflow, validate
+from flowevo import Edge, Node, PromptTable, WorkflowGraph, lower_to_graph, parse_workflow, serialize_workflow, validate
 from flowevo import validator
 from flowevo.codegen import emit, lower_to_ir, structural_diff
-from flowevo.graph import GraphDelta
+from flowevo.diagnostics import ERROR, STRUCT, W3, Diagnostic
+from flowevo.graph import GraphConstructionError, GraphDelta
 from flowevo.operators import OperatorPreconditionError, RewriteRejectedError, apply_random, rewire_edge
+from flowevo.registry import load_registry
 from flowevo.validator import bind_input_ports, soft_check
 
-from conftest import CORPUS_NAMES, load_corpus_graph, load_workflow_gen
+from conftest import CORPUS_NAMES, assert_memos_exact, load_corpus_graph, load_workflow_gen, rebuilt
 
 
 def _generated(size: int, seed: int) -> WorkflowGraph:
@@ -111,24 +116,20 @@ def test_a_delta_that_changes_a_kind_rebinds_and_looks_up_the_new_schema(gsm8k):
     product = gsm8k.with_changes(GraphDelta(replaced_nodes=(node,)))
     assert product.schema("P6").kind == "CustomOp"
     assert bind_input_ports(product, "P6") != bind_input_ports(gsm8k, "P6")
-    _assert_bindings_exact(product)
-
-
-def _assert_bindings_exact(product: WorkflowGraph) -> None:
-    fresh = _fresh(product)
-    for nid in product.node_ids():
-        assert bind_input_ports(product, nid) == bind_input_ports(fresh, nid)
-    assert soft_check(product) == soft_check(fresh)
+    assert_memos_exact(product)
 
 
 def _chain(graph, partner, seed: int, steps: int) -> None:
+    # each product is serialized and checked before the next step derives
+    # from it, so every memo has entries to pass on
+    assert_memos_exact(graph)
     rng = np.random.default_rng(seed)
     for _ in range(steps):
         outcome = apply_random(graph if partner is None else (graph, partner), rng)
         if outcome is None:
             return
         for product in outcome.graphs:
-            _assert_bindings_exact(product)
+            assert_memos_exact(product)
         graph = outcome.graphs[0]
 
 
@@ -144,24 +145,28 @@ def test_inherited_bindings_are_exact_on_corpus_pairs(first, second, seed, steps
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(10, 100), st.integers(0, 2**32 - 1), st.integers(1, 5))
+@given(st.integers(10, 300), st.integers(0, 2**32 - 1), st.integers(1, 5))
 def test_inherited_bindings_are_exact_on_generated_graphs(size, seed, steps):
     _chain(_generated(size, seed), None, seed, steps)
 
 
 def test_binding_memo_under_concurrent_use():
-    # threads bind a shared graph's nodes while others derive products from
-    # it, so inheritance reads the memo while it is being written
+    # threads bind, check and serialize a shared graph while others derive
+    # products from it, so inheritance reads the memos while they are written
     graph = _generated(80, 11)
     fresh = _fresh(graph)
     expected = {nid: bind_input_ports(fresh, nid) for nid in fresh.node_ids()}
+    findings, text = soft_check(fresh), serialize_workflow(fresh)
     products, errors = [], []
 
     def work(offset):
         try:
             ids = graph.node_ids()
-            for nid in ids[offset:] + ids[:offset]:
+            for i, nid in enumerate(ids[offset:] + ids[:offset]):
                 assert bind_input_ports(graph, nid) == expected[nid]
+                if i % 4 == offset // 20:
+                    assert soft_check(graph) == findings
+                    assert serialize_workflow(graph) == text
                 products.append(graph.with_changes(GraphDelta(prompts=graph.prompts)))
         except BaseException as exc:  # reported by the main thread
             errors.append(exc)
@@ -181,3 +186,92 @@ def test_binding_memo_under_concurrent_use():
     assert len(products) == 4 * len(expected)
     for product in products[::9]:
         assert {nid: bind_input_ports(product, nid) for nid in product.node_ids()} == expected
+        assert soft_check(product) == findings
+        assert serialize_workflow(product) == text
+        assert_memos_exact(product)
+
+
+# -- hand-built deltas: each is a case a looser inheritance rule gets wrong --
+
+
+def test_an_added_edge_that_closes_a_cycle_is_found(gsm8k):
+    parent = rebuilt(gsm8k)
+    assert validate(parent).q == 1 and parent._cycles == frozenset()
+    product = parent.with_changes(GraphDelta(added_edges=(Edge("P6", "C"),)))
+    assert product.cycle_nodes() == {"C", "ENSEMBLE", "P6"}
+    assert_memos_exact(product)
+
+
+def test_a_rewiring_that_closes_no_cycle_inherits_acyclicity(gsm8k):
+    parent = rebuilt(gsm8k)
+    validate(parent)
+    product = parent.with_changes(GraphDelta(removed_edges=(Edge("P1", "ENSEMBLE"),), added_edges=(Edge("P1", "P6"),)))
+    assert product._cycles == frozenset()
+    assert product._roles is parent._roles
+    assert_memos_exact(product)
+
+
+def test_a_kind_change_to_an_interface_kind_reclassifies_the_roles(gsm8k):
+    parent = rebuilt(gsm8k)
+    validate(parent)
+    interface = Node("P6", "Interface", {}, "P6")
+    product = parent.with_changes(GraphDelta(replaced_nodes=(interface,)))
+    assert product.interface_roles().midstream == ("P6",)
+    assert Diagnostic(W3, ERROR, "interface node is neither entry nor exit", subject="P6") in soft_check(product)
+    assert_memos_exact(product)
+
+
+def test_an_edge_off_an_interface_node_reclassifies_the_roles(gsm8k):
+    parent = rebuilt(gsm8k)
+    validate(parent)
+    product = parent.with_changes(GraphDelta(removed_edges=(Edge("P6", "RETURN"),), added_edges=(Edge("P6", "P1"),)))
+    assert product.interface_roles().isolated == ("RETURN",)
+    assert_memos_exact(product)
+
+
+def test_a_kind_change_rechecks_the_types_its_untouched_successor_reads(gsm8k, tmp_path):
+    # an AnalystOp emits 'analysis', which the ensemble's solution port does not accept
+    cfg = tmp_path / "analyst.cfg"
+    cfg.write_text(
+        (Path(validator.__file__).with_name("registry.cfg")).read_text(encoding="utf-8")
+        + "\n[kind:AnalystOp]\ninputs =\n\tinput\noutput = analysis\n",
+        encoding="utf-8",
+    )
+    parent = WorkflowGraph(gsm8k.nodes, gsm8k.edges, gsm8k.prompts, gsm8k.domain, load_registry(cfg))
+    assert validate(parent).q == 1
+    analyst = dataclasses.replace(gsm8k.node("C"), kind="AnalystOp")
+    product = parent.with_changes(GraphDelta(replaced_nodes=(analyst,)))
+    mismatch = "type mismatch: C emits 'analysis' but port 'solution' accepts solution"
+    assert Diagnostic(STRUCT, ERROR, mismatch, subject="ENSEMBLE") in soft_check(product)
+    assert_memos_exact(product)
+
+
+def test_a_merged_prompt_table_resolves_a_reference_on_an_untouched_node(gsm8k):
+    parent = rebuilt(gsm8k, prompts=PromptTable())
+    unresolved = "unresolved prompt reference 'simple_solver_1' in attribute 'role'"
+    assert unresolved in [d.message for d in soft_check(parent)]
+    product = parent.with_changes(GraphDelta(prompts=parent.prompts.merged(gsm8k.prompts.entries)))
+    assert validate(product).q == 1 and not soft_check(product)
+    assert_memos_exact(product)
+
+
+@pytest.mark.parametrize(
+    "delta, message",
+    [
+        (GraphDelta(removed_nodes=("P6",), removed_edges=(Edge("ENSEMBLE", "P6"),)), "dangling endpoint 'P6'"),
+        (GraphDelta(added_edges=(Edge("P6", "NOPE"),)), "dangling endpoint 'NOPE'"),
+        (GraphDelta(added_nodes=(Node("P1", "CustomOp", {"role": "x"}),)), "duplicate node id 'P1'"),
+        (GraphDelta(added_nodes=(Node("1A", "CustomOp", {"role": "x"}),)), "bad node id '1A'"),
+        (GraphDelta(removed_edges=(Edge("P6", "C"),)), "no edge P6->C to remove"),
+    ],
+)
+def test_a_delta_that_breaks_the_graph_raises_what_the_constructor_raises(gsm8k, delta, message):
+    with pytest.raises(GraphConstructionError, match=f"^{message}$"):
+        gsm8k.with_changes(delta)
+    if delta.removed_edges and not delta.removed_nodes:
+        return  # an edge the parent lacks: no whole-list product to build
+    dropped = set(delta.removed_nodes)
+    nodes = [n for n in gsm8k.nodes if n.id not in dropped] + list(delta.added_nodes)
+    edges = [e for e in gsm8k.edges if e not in delta.removed_edges] + list(delta.added_edges)
+    with pytest.raises(GraphConstructionError, match=f"^{message}$"):
+        WorkflowGraph(nodes, edges, gsm8k.prompts, gsm8k.domain, gsm8k.registry)

@@ -3,6 +3,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +37,11 @@ from flowevo.engine import (
     run_evolution,
     save_history,
 )
-from flowevo.operators import OperatorKind
+from flowevo.operators import OperatorKind, apply_random
 from flowevo.runconfig import load_run_config
 from flowevo.sampling import mixed_probabilities
 
-from conftest import CORPUS_NAMES, load_corpus_graph, rebuilt, shuffled_twin, vote_registry
+from conftest import CORPUS_NAMES, load_corpus_graph, load_workflow_gen, rebuilt, shuffled_twin, vote_registry
 
 
 def entry_for(graph, score=0.5):
@@ -228,6 +232,75 @@ def test_synthetic_evaluator_features(gsm8k, seed_minimal):
     minimal = graph_features(seed_minimal)
     assert minimal["has_ensemble"] is False
     assert minimal["depth"] == 2
+
+
+def _refine_tail_by_downstream_sets(graph) -> bool:
+    """The earlier definition: some ensemble has a non-interface node in ``downstream_of``."""
+    ensembles = [n.id for n in graph.nodes if (s := graph.schema(n.id)) is not None and s.kind == "ScEnsembleOp"]
+    schemas = (graph.schema(d) for nid in ensembles for d in graph.downstream_of(nid))
+    return any(schema is None or not schema.is_interface for schema in schemas)
+
+
+def _generated(size: int, seed: int):
+    text = load_workflow_gen().generate(size, random.Random(seed), f"f{size}").text
+    return lower_to_graph(parse_workflow(text))[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([*CORPUS_NAMES, 12, 40, 150]), st.integers(0, 2**32 - 1), st.integers(0, 6))
+def test_refine_tail_matches_the_downstream_set_definition(source, seed, steps):
+    graph = _generated(source, seed) if isinstance(source, int) else load_corpus_graph(source)
+    rng = np.random.default_rng(seed)
+    for _ in range(steps + 1):
+        assert graph_features(graph)["refine_tail"] == _refine_tail_by_downstream_sets(graph)
+        outcome = apply_random(graph, rng)
+        if outcome is None:
+            break
+        graph = outcome.graphs[0]
+
+
+def test_a_cycle_back_into_the_ensemble_is_no_refine_tail(gsm8k):
+    # the ensemble is downstream of itself here, which does not count
+    kept = [e for e in gsm8k.edges if "P6" not in (e.source, e.target)]
+    graph = rebuilt(gsm8k, edges=kept + [Edge("ENSEMBLE", "RETURN"), Edge("RETURN", "ENSEMBLE")])
+    assert graph_features(graph)["refine_tail"] is False
+    assert _refine_tail_by_downstream_sets(graph) is False
+
+
+_COUNT_SCHEMA_CALLS = """
+import random, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workflow_gen
+from flowevo import WorkflowGraph, lower_to_graph, parse_workflow
+from flowevo.engine import graph_features
+texts = [path.read_text(encoding="utf-8") for path in sorted(Path(sys.argv[2]).glob("*.mmd"))]
+texts += [workflow_gen.generate(12 + seed, random.Random(seed), "h").text for seed in range(8)]
+graphs = [lower_to_graph(parse_workflow(text))[0] for text in texts]
+calls, schema = [0], WorkflowGraph.schema
+def counted(graph, node_id):
+    calls[0] += 1
+    return schema(graph, node_id)
+WorkflowGraph.schema = counted
+for graph in graphs:
+    graph_features(graph)
+    print(calls[0])
+"""
+
+
+def test_graph_features_costs_the_same_under_any_hash_seed(corpus_dir):
+    # the running count of schema lookups after each graph, in two processes
+    # whose string hashes differ
+    root = Path(__file__).resolve().parent.parent
+    counts = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(root / "src"))
+        run = subprocess.run(
+            [sys.executable, "-c", _COUNT_SCHEMA_CALLS, str(root / "bench"), str(corpus_dir)],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        counts.append(run.stdout.split())
+    assert counts[0] == counts[1] and len(counts[0]) == 13
 
 
 def test_a_cyclic_graph_has_depth_zero(gsm8k):

@@ -4,8 +4,9 @@
 only on a finding that ``soft_check`` reports on that product; every
 product it passes is built by ``with_changes`` and fully checked. These
 tests compare both paths with a product built independently of the parent,
-over ``apply_random`` chains and random edge swaps, and pin that a screened
-rejection builds and checks no graph.
+tables, memos and serialized text included, over ``apply_random`` chains
+and random edge swaps, and pin that a screened rejection builds and checks
+no graph.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from flowevo import validator
 from flowevo.diagnostics import ERROR, STRUCT, W3, Diagnostic
 from flowevo.graph import GraphDelta
 from flowevo.operators import RewriteRejectedError, apply_random, delete_node, rewire_edge
-from flowevo.validator import bind_input_ports, soft_check
+from flowevo.validator import soft_check
 
-from conftest import CORPUS_NAMES, load_corpus_graph, load_workflow_gen
+from conftest import CORPUS_NAMES, assert_memos_exact, load_corpus_graph, load_workflow_gen
 
 
 def _generated(size: int, seed: int) -> WorkflowGraph:
@@ -65,8 +66,7 @@ class _Differential:
         verdict = validate(graph)
         fresh = WorkflowGraph(graph.nodes, graph.edges, graph.prompts, graph.domain, graph.registry)
         assert verdict == validate(fresh)
-        for nid in graph.node_ids():
-            assert bind_input_ports(graph, nid) == bind_input_ports(fresh, nid)
+        assert_memos_exact(graph)
         self.checked += 1
         return verdict
 
