@@ -64,7 +64,7 @@ def _plain_repr(obj) -> str:
 
 @dataclass(frozen=True)
 class CallStep:
-    """One awaited call; ``args`` is a read-only copy, since lowerings are shared."""
+    """One awaited call; ``args`` is a read-only copy, since lowerings, and steps, are shared."""
 
     node_id: str
     kind: str
@@ -74,6 +74,7 @@ class CallStep:
 
     def __post_init__(self):
         object.__setattr__(self, "args", MappingProxyType(dict(self.args)))
+        object.__setattr__(self, "_rendered", {})  # id(templates) -> (templates, line), see _render_call
 
     __repr__ = _plain_repr
 
@@ -179,7 +180,7 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
         kinds[nid] = graph.schema(nid).kind  # a valid graph's kinds are all registered
         if kinds[nid] not in _OUTPUT_FIELD:
             raise EmissionError(f"kind {graph.node(nid).kind!r} has no emission semantics")
-    inputs = {nid: _inputs(graph, nid) for nid in order}
+    inputs = functools.cache(lambda nid: _inputs(graph, nid))  # read only for the calls built here
     bindings = _binding_names(order)
     position = {nid: i for i, nid in enumerate(topological)}
     exit_id = roles.exits[0]
@@ -227,14 +228,21 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
         return port_ref(source, "solution", _EMPTY, at)
 
     def port_ref(nid: str, port: str, default: ArgRef, at: str) -> ArgRef:
-        sources = inputs[nid].get(port)
+        sources = inputs(nid).get(port)
         return ref(sources[0], at) if sources else default
 
+    looked_up: list[str] = []  # the prompt names the call being built reads
+    resolved: list[tuple] = []  # and the (module name, text) entries they add
+
     def prompt_ref(value: str | None) -> ArgRef:
-        if value is None or value not in graph.prompts:
+        if value is None:
+            return _EMPTY
+        looked_up.append(value)
+        if value not in graph.prompts:
             return _EMPTY
         module_name = value.upper()
         prompts[module_name] = graph.prompts.get(value)
+        resolved.append((module_name, prompts[module_name]))
         return ArgRef("prompt", module_name)
 
     def build_call(nid: str, at: str) -> CallStep:
@@ -253,7 +261,7 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
             }
         elif kind == "ScEnsembleOp":
             args = {
-                "solutions": tuple(ref(source, at) for source in inputs[nid].get("solution", ())),
+                "solutions": tuple(ref(source, at) for source in inputs(nid).get("solution", ())),
                 "problem": _PROBLEM,
             }
         elif kind == "TestOp":
@@ -271,14 +279,30 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
         binding = bindings[nid]
         return CallStep(nid, kind, binding, args, f"{binding}{_OUTPUT_FIELD[kind]}")
 
+    # a plain call step is taken from the graph's memo when it has one; a branched
+    # test and its readers are always built. Binding names other than <id>_result
+    # depend on the order of ids that differ only by case, which a rewrite of
+    # other nodes can change, so then nothing is kept
+    plain = len({nid.lower() for nid in order}) == len(order)
+    memo = graph._calls if plain else {}
+    built = {*repair_of, *(t for test in repair_of for t, _ in graph.successors(test))}
+    kept = {}  # node id -> (plain call step, the prompt names it looked up, the entries they added)
     steps = []
     calls = []  # every call built from a graph node, i.e. all but the re-tests
     for nid in order:
         if nid in test_of:
             continue
-        call = build_call(nid, nid)
+        entry = None if nid in built else memo.get(nid)
+        if entry is None:
+            looked_up.clear()
+            resolved.clear()
+            entry = (build_call(nid, nid), tuple(looked_up), tuple(resolved))
+        else:
+            prompts.update(entry[2])
+        call = entry[0]
         calls.append(call)
         if nid not in repair_of:
+            kept[nid] = entry
             steps.append(call)
             continue
         repair = build_call(repair_of[nid], nid)
@@ -303,6 +327,7 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
     # ref and port_ref call each other; clearing one breaks that cycle, so the
     # tables above are freed on return instead of at the next garbage collection
     del port_ref
+    graph._calls = kept if plain else {}
     return ProgramIR(tuple(steps), terminal, prompts, graph.domain, entry_args)
 
 
@@ -381,6 +406,10 @@ def default_templates() -> EmissionTemplate:
 
 
 def _render_call(step: CallStep, templates: EmissionTemplate) -> str:
+    # an entry holds its template set, so no other set can have that id while the entry lives
+    known = step._rendered.get(id(templates))
+    if known is not None:
+        return known[1]
     template = templates.calls[step.kind]  # emit checked every kind has one
     values = {"binding": step.binding}
     for name, ref in step.args.items():
@@ -388,7 +417,9 @@ def _render_call(step: CallStep, templates: EmissionTemplate) -> str:
             values[name] = ", ".join(r.render() for r in ref)
         else:
             values[name] = ref.render()
-    return fill(template.call, values)
+    line = fill(template.call, values)
+    step._rendered[id(templates)] = (templates, line)
+    return line
 
 
 def emit(ir: ProgramIR, templates: EmissionTemplate | None = None) -> tuple[str, str]:

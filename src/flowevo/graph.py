@@ -160,6 +160,7 @@ class WorkflowGraph:
         "_cycles",
         "_verdict",
         "_ir",
+        "_calls",
     )
 
     def __init__(self, nodes, edges, prompts=None, domain="math", registry=None):
@@ -205,6 +206,7 @@ class WorkflowGraph:
         self._cycles = None  # the nodes on a cycle, filled once by cycle_nodes()
         self._verdict = None  # the soft-check verdict, filled once by validator.validate
         self._ir = None  # the program IR, filled once by codegen.lower_to_ir
+        self._calls = {}  # node id -> (call step, prompt names, prompt entries), set by codegen.lower_to_ir
 
     # -- basic queries ------------------------------------------------------
 
@@ -492,9 +494,12 @@ class WorkflowGraph:
         """Give ``child``, this graph with ``delta`` applied, every memo entry the delta keeps.
 
         A node's binding reads its kind and in-edges (``delta.rebound``), its
-        declaration line the node value and schema, and its findings what
-        ``delta.dirty`` covers plus the interface roles, so findings pass on
-        only while the roles stay equal. Roles read only interface nodes.
+        declaration line the node value and schema, its findings what
+        ``delta.dirty`` covers plus the interface roles, and its call step
+        the node, the kind, binding and branch status of each source (so the
+        successors of touched nodes lose theirs), the roles and the prompts
+        it names. Findings and call steps pass on only while the roles stay
+        equal. Roles read only interface nodes.
         """
         schemas = self._schemas
         if schemas is not None and delta.changes_nodes():
@@ -515,6 +520,12 @@ class WorkflowGraph:
             child._cycles = self._cycles
         if self._findings and child.interface_roles() == self.interface_roles():
             child._findings = _snapshot(self._findings, delta.dirty(self, child))
+        if self._calls and child.interface_roles() == self.interface_roles():
+            reread = touched | {t for nid in touched for t, _ in child._out.get(nid, ())}
+            old, new = self.prompts, child.prompts
+            if new is not old and new != old:
+                reread.update(nid for nid, (_, names, _) in self._calls.items() if any(old.get(n) != new.get(n) for n in names))
+            child._calls = _snapshot(self._calls, reread)
 
     def _acyclic_after(self, added_edges) -> bool:
         """Whether this graph, an acyclic one with ``added_edges`` added, is acyclic.

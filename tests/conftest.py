@@ -8,6 +8,7 @@ import pytest
 
 from flowevo import PromptTable, WorkflowGraph, lower_to_graph, parse_workflow, serialize_workflow
 from flowevo import registry as registry_module
+from flowevo.codegen import EmissionError, emit, lower_to_ir
 from flowevo.validator import bind_input_ports, soft_check
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -61,15 +62,33 @@ def rebuilt(graph, **parts):
     return WorkflowGraph(**{**kwargs, **parts}, registry=graph.registry)
 
 
+def lowering(graph):
+    """``graph``'s IR repr, program and prompt module, or the message lowering refuses it with."""
+    try:
+        ir = lower_to_ir(graph)
+    except EmissionError as exc:
+        return f"refused ({type(exc).__name__}): {exc}"
+    return (repr(ir), *emit(ir))
+
+
 def assert_memos_exact(graph) -> None:
     """Every table and memo of ``graph``, inherited or not, equals a fresh build's of the same value.
 
     The tables must match in key order too. Findings and declaration lines
     are compared after ``soft_check`` and ``serialize_workflow`` have run
     on both graphs, so an entry ``graph`` inherited is compared as it was
-    inherited, and every other entry as the graph computed it.
+    inherited, and every other entry as the graph computed it. Call steps
+    are taken before ``graph`` is lowered, and compared with those a fresh
+    lowering builds whenever it keeps any (it lowers, with every binding
+    name ``<id>_result``).
     """
+    calls = dict(graph._calls)
     fresh = rebuilt(graph)
+    assert lowering(graph) == lowering(fresh)
+    if fresh._calls:
+        for nid, entry in calls.items():
+            assert entry == fresh._calls[nid], nid
+        assert graph._calls == fresh._calls
     assert graph.nodes == fresh.nodes and graph.edges == fresh.edges
     for table in ("_by_id", "_out", "_in"):
         assert list(getattr(graph, table).items()) == list(getattr(fresh, table).items()), table

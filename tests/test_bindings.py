@@ -191,6 +191,55 @@ def test_binding_memo_under_concurrent_use():
         assert_memos_exact(product)
 
 
+def test_call_step_memo_under_concurrent_use(tmp_path):
+    # threads lower and emit a lowered parent and its unlowered products, which
+    # share the parent's call steps, alternating two template sets
+    import shutil
+
+    import flowevo.codegen
+    from flowevo.codegen import default_templates, load_templates
+
+    shipped = Path(flowevo.codegen.__file__).parent / "templates" / "default"
+    shutil.copytree(shipped, tmp_path / "alt")
+    for path in (tmp_path / "alt").glob("call_*.tmpl"):
+        path.write_text(path.read_text(encoding="utf-8").replace("await self.", "await self.alt_"), encoding="utf-8")
+    template_sets = (default_templates(), load_templates(tmp_path / "alt"))
+    parent = _generated(120, 5)
+    lower_to_ir(parent)
+    rng = np.random.default_rng(5)
+    graphs = [parent]
+    while len(graphs) < 12:
+        outcome = apply_random(parent, rng)
+        if outcome is not None:
+            graphs.append(outcome.graphs[0])
+    assert all(g._calls for g in graphs)
+    expected = [[emit(lower_to_ir(_fresh(g)), t)[0] for t in template_sets] for g in graphs]
+    assert all("await self.alt_" not in default and "await self.alt_" in alt for default, alt in expected)
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(4 * len(graphs)):
+                g = (i + offset) % len(graphs)
+                t = (i + offset // 2) % 2
+                assert emit(lower_to_ir(graphs[g]), template_sets[t])[0] == expected[g][t]
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[0]
+
+
 # -- hand-built deltas: each is a case a looser inheritance rule gets wrong --
 
 

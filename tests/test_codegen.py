@@ -17,7 +17,7 @@ from flowevo.codegen import (
 )
 from flowevo.graph import GraphDelta
 
-from conftest import CORPUS_NAMES, load_corpus_graph, rebuilt
+from conftest import CORPUS_NAMES, assert_memos_exact, load_corpus_graph, lowering, rebuilt
 
 
 def test_gsm8k_ir_shape(gsm8k):
@@ -455,3 +455,160 @@ def test_codegen_digest_golden():
     branched = [g for g in graphs if any(label == "fail" for _, _, label in g.edge_multiset())]
     assert len(graphs) > 400 and len(branched) > 20
     assert _codegen_digest(graphs) == "6f95661985e737017abf74971102cdc027b499b34c2dc019488c9441c3546dd3"
+
+
+# -- products inherit their parent's call steps ------------------------------------------
+
+
+def _inheriting_chains(graph, partner, seed: int, steps: int, restart: int) -> tuple[int, int, int, int]:
+    """apply_random chains from ``graph``, each parent lowered before its next rewrite.
+
+    Every product must lower, emit and refuse as a fresh graph of its value
+    does, with every call step it inherited exact. Returns the products, the
+    call steps they inherited, the call steps they hold once lowered, and
+    the products that inherited steps and lowered to a test/repair branch.
+    """
+    import numpy as np
+
+    from flowevo.operators import apply_random
+
+    rng = np.random.default_rng(seed)
+    products = inherited = held = branched = 0
+    current = graph
+    for step in range(steps):
+        if step % restart == 0:
+            current = graph
+            assert_memos_exact(current)  # lowers it, as it does each product, so products inherit
+        outcome = apply_random(current if partner is None else (current, partner), rng)
+        if outcome is None:
+            continue
+        for product in outcome.graphs:
+            products += 1
+            kept = len(product._calls)
+            inherited += kept
+            assert_memos_exact(product)
+            held += len(product._calls)
+            steps_of = product._ir.steps if product._ir is not None else ()
+            branched += bool(kept) and any(isinstance(s, BranchStep) for s in steps_of)
+        current = outcome.graphs[0]
+    return products, inherited, held, branched
+
+
+_DOMAIN = {name: load_corpus_graph(name).domain for name in CORPUS_NAMES}
+
+
+_PAIRS = [(a, b) for a in CORPUS_NAMES for b in CORPUS_NAMES if a != b and _DOMAIN[a] == _DOMAIN[b]]
+
+
+@pytest.mark.parametrize("a, b", _PAIRS)
+def test_products_lower_as_fresh_graphs_on_corpus_pairs(a, b):
+    # small graphs: a rewrite touches a large share of their calls; the code pair reaches branches
+    first, second = load_corpus_graph(a), load_corpus_graph(b)
+    products, inherited, held, branched = _inheriting_chains(first, second, CORPUS_NAMES.index(a), 100, 10)
+    assert products > 50 and inherited > held // 3
+    assert branched > 10 or first.domain != "code"
+
+
+@pytest.mark.parametrize("size, seed", [(10, 1), (40, 2), (120, 3), (300, 4)])
+def test_products_lower_as_fresh_graphs_on_generated_graphs(size, seed):
+    import random
+
+    from conftest import load_workflow_gen
+    from flowevo import lower_to_graph, parse_workflow
+
+    text = load_workflow_gen().generate(size, random.Random(seed), f"c{size}").text
+    graph = lower_to_graph(parse_workflow(text))[0]
+    products, inherited, held, _ = _inheriting_chains(graph, None, seed, 20, 20)
+    assert products > 10 and inherited > held * 2 // 3
+
+
+def test_a_merged_prompt_table_resolves_a_name_on_an_untouched_node(gsm8k):
+    from flowevo import PromptTable
+
+    parent = rebuilt(gsm8k, prompts=PromptTable())
+    assert lower_to_ir(parent).steps[0].args["instruction"].render() == '""'
+    product = parent.with_changes(GraphDelta(prompts=parent.prompts.merged(gsm8k.prompts.entries)))
+    assert "C" not in product._calls and "P1" in product._calls
+    ir = lower_to_ir(product)
+    assert ir.steps[0].node_id == "C"
+    assert ir.steps[0].args["instruction"].render() == "prompt_custom.SIMPLE_SOLVER_1"
+    assert "SIMPLE_SOLVER_1" in ir.prompts
+    assert lowering(product) == lowering(rebuilt(product))
+
+
+def _custom(nid: str) -> Node:
+    return Node(nid, "CustomOp", {"role": nid.lower()})
+
+
+def test_binding_suffixes_of_ids_that_differ_only_by_case_follow_the_order():
+    # B -> custom_1 and a -> Custom_1: Custom_1 comes first in topological order;
+    # with a -> n -> Custom_1, custom_1 does, though the rewrite touches neither it nor its source
+    nodes = [Node("PROBLEM", "Interface"), Node("RETURN", "Interface"), Node("ENSEMBLE", "ScEnsembleOp")]
+    nodes += [_custom(nid) for nid in ("B", "a", "Custom_1", "custom_1")]
+    edges = [Edge("PROBLEM", "B"), Edge("PROBLEM", "a"), Edge("B", "custom_1"), Edge("a", "Custom_1")]
+    edges += [Edge("custom_1", "ENSEMBLE"), Edge("Custom_1", "ENSEMBLE"), Edge("ENSEMBLE", "RETURN")]
+    parent = WorkflowGraph(nodes, edges)
+    bindings = {s.node_id: s.binding for s in lower_to_ir(parent).steps}
+    assert bindings["Custom_1"] == "custom_1_result" and bindings["custom_1"] == "custom_1_result_2"
+    product = parent.with_changes(
+        GraphDelta(
+            removed_edges=(Edge("a", "Custom_1"),),
+            added_edges=(Edge("a", "n"), Edge("n", "Custom_1")),
+            added_nodes=(_custom("n"),),
+        )
+    )
+    bindings = {s.node_id: s.binding for s in lower_to_ir(product).steps}
+    assert bindings["custom_1"] == "custom_1_result" and bindings["Custom_1"] == "custom_1_result_2"
+    assert lowering(product) == lowering(rebuilt(product))
+
+
+def test_a_source_of_another_kind_changes_what_its_untouched_reader_reads():
+    nodes = [Node("PROBLEM", "Interface"), Node("RETURN", "Interface"), _custom("A"), _custom("B")]
+    parent = WorkflowGraph(nodes, [Edge("PROBLEM", "A"), Edge("A", "B"), Edge("B", "RETURN")])
+    assert lower_to_ir(parent).steps[1].args["input"].render() == "a_result['response']"
+    programmer = Node("A", "ProgrammerOp", {"analysis": "a"})
+    product = parent.with_changes(GraphDelta(replaced_nodes=(programmer,)))
+    assert lower_to_ir(product).steps[1].args["input"].render() == "a_result['output']"
+    assert lowering(product) == lowering(rebuilt(product))
+
+
+def test_a_test_that_gains_a_fail_arm_switches_its_untouched_readers(humaneval):
+    # T --> X --> RETURN; then T --fail--> C4 --> RETURN is added, and X reads the branch result
+    reader = Node("X", "CustomCodeGenerateOp", {"instruction": "simple_solver_2"})
+    parent = _edit_humaneval(
+        humaneval,
+        drop_nodes=["C4"],
+        drop=[("T", "RETURN", "pass")],
+        nodes=[reader],
+        add=[("T", "X", None), ("ENTRY_POINT", "X", "entry_point"), ("X", "RETURN", None)],
+    )
+    x = next(s for s in lower_to_ir(parent).call_steps() if s.node_id == "X")
+    assert x.args["problem"].render() == "t_result['solution']"
+    product = parent.with_changes(
+        GraphDelta(
+            added_nodes=(humaneval.node("C4"),),
+            added_edges=(Edge("T", "C4", "fail"), Edge("C4", "RETURN")),
+        )
+    )
+    assert validate(product).q == 1
+    x = next(s for s in lower_to_ir(product).call_steps() if s.node_id == "X")
+    assert x.args["problem"].render() == "t_result_solution"
+    assert lowering(product) == lowering(rebuilt(product))
+
+
+def test_the_audit_reads_the_text_not_the_inherited_steps(gsm8k):
+    from dataclasses import replace
+
+    parent = rebuilt(gsm8k)
+    lower_to_ir(parent)
+    p1 = replace(parent.node("P1"), attributes={"analysis": "Calculate twice"})
+    product = parent.with_changes(GraphDelta(replaced_nodes=(p1,)))
+    ir = lower_to_ir(product)
+    p6 = next(s for s in ir.steps if s.node_id == "P6")
+    assert p6 is parent._calls["P6"][0]  # inherited
+    program, _ = emit(ir)
+    line = "p6_result = await self.programmer(problem=ensemble_result['response']"
+    assert line in program and structural_diff(program, product).is_empty()
+    tampered = program.replace(line, "p6_result = await self.programmer(problem=p5_result['output']")
+    report = structural_diff(tampered, product)
+    assert report.flow_mismatches == ["ENSEMBLE->P6: p6_result does not consume ensemble_result"]
