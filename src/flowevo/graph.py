@@ -10,6 +10,7 @@ edge endpoints, and malformed identifiers.
 from __future__ import annotations
 
 import bisect
+import heapq
 import re
 from collections import Counter, deque
 from collections.abc import Mapping
@@ -393,8 +394,6 @@ class WorkflowGraph:
         indeg = {nid: len(self._in[nid]) for nid in self._by_id}
         ready = [nid for nid, d in indeg.items() if d == 0]  # ids in order: already a heap
         order: list[str] = []
-        import heapq
-
         while ready:
             current = heapq.heappop(ready)
             order.append(current)

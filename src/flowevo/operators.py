@@ -8,21 +8,12 @@ rewrite as a ``GraphDelta`` against the parent; the closure guard then
 decides the product, which is rejected wholesale when it fails, so no
 partially rewritten state is ever observable.
 
-The guard first screens each (parent, delta) pair, before any product is
-built, from the nodes the delta touches and at most one search of the
-parent. Its rules are exact: each names a finding that ``soft_check``
-reports on the product, so a hit implies q=0.
-
-- W3: a non-interface node whose edges the delta changes is left with no
-  in-edge or no out-edge.
-- STRUCT: an added edge duplicates an edge the product keeps.
-- STRUCT: the delta adds one edge, and one search from its target in the
-  parent, skipping the removed edges, reaches its source: a cycle.
-
-A screened rejection carries that one deciding diagnostic. A delta that
-touches an interface or reserved node is never screened, so its rejection
-carries the full diagnostics, role findings included. Every product the
-screen passes is built and gets the full check.
+The guard builds each product with ``with_changes`` and decides it in two
+steps, both read from that product. ``local_findings`` first gives W1, the
+interface-role findings and the own findings of the nodes the delta
+touches; most of these are inherited, and any error among them rejects the
+product with those findings, sorted. A product with no such error gets the
+full ``validate``, which reuses the findings already found.
 """
 
 from __future__ import annotations
@@ -33,10 +24,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
-from .diagnostics import Diagnostic
-from .graph import RESERVED_IDS, Edge, GraphDelta, Node, WorkflowGraph, prompt_refs, type_of_output
+from .graph import Edge, GraphDelta, Node, WorkflowGraph, prompt_refs, type_of_output
 from .registry import NodeTypeSchema, port_accepts
-from .validator import bind_input_ports, cycle_node, duplicate_edge, stranded_node, validate
+from .validator import bind_input_ports, local_findings, validate
 
 
 class OperatorKind(enum.Enum):
@@ -61,7 +51,11 @@ class OperatorPreconditionError(Exception):
 
 
 class RewriteRejectedError(Exception):
-    """The rewritten product failed re-validation (closure guard)."""
+    """The rewritten product failed re-validation (closure guard).
+
+    ``diagnostics`` holds the full findings, or, for a product the early
+    exit rejects, its ``local_findings``.
+    """
 
     def __init__(self, message, diagnostics=()):
         super().__init__(message)
@@ -89,66 +83,19 @@ def _reject(applied: OperatorKind, diagnostics) -> RewriteRejectedError:
 
 
 def _guard(pairs, applied: OperatorKind, description: str) -> RewriteOutcome:
-    """Decide each (parent, delta) pair: the screen first, then the full check of a built product."""
-    for parent, delta in pairs:
-        finding = _screen(parent, delta)
-        if finding is not None:
-            raise _reject(applied, (finding,))
+    """Build each (parent, delta) pair's product; reject on a local error, then on the full check."""
     graphs = []
     for parent, delta in pairs:
         graph = parent.with_changes(delta)
+        found = local_findings(graph, delta.touched())
+        if any(d.is_error for d in found):
+            raise _reject(applied, found)
+        graphs.append(graph)
+    for graph in graphs:
         verdict = validate(graph)
         if verdict.q != 1:
             raise _reject(applied, verdict.diagnostics)
-        graphs.append(graph)
     return RewriteOutcome(tuple(graphs), applied, description)
-
-
-def _screen(parent: WorkflowGraph, delta: GraphDelta) -> Diagnostic | None:
-    """A finding the product of ``delta`` certainly has, read from the parent; None if no rule decides."""
-    new_nodes = {n.id: n for n in delta.replaced_nodes + delta.added_nodes}
-    touched = delta.touched()
-    if not touched.isdisjoint(RESERVED_IDS):
-        return None
-    degree = {}  # touched node id -> [in-degree, out-degree] in the product
-    for nid in sorted(touched):
-        old = parent.schema(nid) if nid in parent else None
-        new = parent.registry.get(new_nodes[nid].kind) if nid in new_nodes else None
-        if (old is not None and old.is_interface) or (new is not None and new.is_interface):
-            return None
-        degree[nid] = [len(parent._in.get(nid, ())), len(parent._out.get(nid, ()))]
-    for sign, edges in ((-1, delta.removed_edges), (1, delta.added_edges)):
-        for e in edges:
-            degree[e.target][0] += sign
-            degree[e.source][1] += sign
-    for nid, (d_in, d_out) in degree.items():
-        if 0 in (d_in, d_out) and (nid in new_nodes or nid not in delta.removed_nodes):
-            node = new_nodes[nid] if nid in new_nodes else parent.node(nid)
-            return stranded_node(nid, node.kind)
-    removed = [e.key() for e in delta.removed_edges]
-    added = [e.key() for e in delta.added_edges]
-    for key in added:
-        source, target, label = key
-        count = parent._out.get(source, ()).count((target, label)) - removed.count(key) + added.count(key)
-        if count > 1:
-            return duplicate_edge(key, count)
-    if len(added) == 1 and _reaches(parent, set(removed), *added[0][:2]):
-        return cycle_node(added[0][0])
-    return None
-
-
-def _reaches(parent: WorkflowGraph, removed: set, source: str, target: str) -> bool:
-    """Whether ``target`` reaches ``source`` in the parent without the ``removed`` edge keys."""
-    seen, stack = {target}, [target]
-    while stack:
-        node = stack.pop()
-        if node == source:
-            return True
-        for succ, label in parent._out.get(node, ()):
-            if succ not in seen and (node, succ, label) not in removed:
-                seen.add(succ)
-                stack.append(succ)
-    return False
 
 
 def _port_fed_by(graph: WorkflowGraph, target: str, source: str, label):

@@ -126,40 +126,44 @@ def _bind_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
 def soft_check(graph: WorkflowGraph) -> list[Diagnostic]:
     """Run every structural rule; total over arbitrary constructed graphs.
 
-    The graph-wide rules run on every call. Each node's own findings are
-    found once and kept on the graph value, and a product of
-    ``with_changes`` starts with its parent's findings of the nodes the
-    delta leaves as they were (see ``WorkflowGraph.with_changes``).
+    The graph-wide rules run on every call, and each node's own findings
+    are read through ``node_findings``.
     """
     out = _check_w1(graph) + _check_w2(graph) + _check_roles(graph) + _check_prompts(graph)
-    out += [cycle_node(nid) for nid in sorted(graph.cycle_nodes())]
+    cycle = "node lies on a directed cycle"
+    out += [Diagnostic(STRUCT, ERROR, cycle, subject=nid) for nid in sorted(graph.cycle_nodes())]
     findings = graph._findings
     for nid in graph._by_id:
-        # the write is idempotent: a racing caller stores equal findings
-        found = findings.get(nid)
-        if found is None:
-            found = findings[nid] = _node_findings(graph, nid)
-        out += found
+        found = findings.get(nid)  # read inline: most nodes' findings are memoized already
+        out += node_findings(graph, nid) if found is None else found
     return sort_diagnostics(out)
 
 
-# the closure guard's screen reports these findings too, so each is worded once, here
-def stranded_node(node_id: str, kind: str) -> Diagnostic:
-    """W3: a non-interface node with no in-edge or no out-edge."""
-    message = f"node of kind {kind} plays an entry/exit role but is not an Interface"
-    return Diagnostic(W3, ERROR, message, subject=node_id)
+def local_findings(graph: WorkflowGraph, node_ids) -> list[Diagnostic]:
+    """W1, the interface-role findings and the own findings of ``node_ids``, sorted.
+
+    Ids the graph does not hold are skipped. Each finding is one that
+    ``soft_check(graph)`` reports, so an error among them implies q=0
+    before any graph-wide rule runs.
+    """
+    out = _check_w1(graph) + _check_roles(graph)
+    for nid in node_ids:
+        if nid in graph._by_id:
+            out += node_findings(graph, nid)
+    return sort_diagnostics(out)
 
 
-def duplicate_edge(key: tuple, count: int) -> Diagnostic:
-    """STRUCT: the edge ``(source, target, label)`` occurs ``count`` > 1 times."""
-    source, target, label = key
-    suffix = f" labeled {label!r}" if label else ""
-    return Diagnostic(STRUCT, ERROR, f"duplicate edge{suffix} (x{count})", subject=f"{source}->{target}")
+def node_findings(graph: WorkflowGraph, nid: str) -> tuple:
+    """One node's own findings, found once and kept on the graph value.
 
-
-def cycle_node(node_id: str) -> Diagnostic:
-    """STRUCT: the node lies on a directed cycle."""
-    return Diagnostic(STRUCT, ERROR, "node lies on a directed cycle", subject=node_id)
+    A product of ``with_changes`` starts with its parent's findings of the
+    nodes the delta leaves as they were (see ``WorkflowGraph.with_changes``).
+    """
+    # the write is idempotent: a racing caller stores equal findings
+    found = graph._findings.get(nid)
+    if found is None:
+        found = graph._findings[nid] = _own_findings(graph, nid)
+    return found
 
 
 def _check_w1(graph):
@@ -210,7 +214,7 @@ def _check_roles(graph):
     return [Diagnostic(W3, ERROR, message, subject=nid) for nid in roles.midstream + roles.isolated]
 
 
-def _node_findings(graph: WorkflowGraph, nid: str) -> tuple:
+def _own_findings(graph: WorkflowGraph, nid: str) -> tuple:
     """The findings about one node: W3-W5, its out-edges, and its ports and their input types.
 
     They read only the node, its schema, its edges, its predecessors'
@@ -222,14 +226,19 @@ def _node_findings(graph: WorkflowGraph, nid: str) -> tuple:
     pairs = graph._out[nid]
     out += [Diagnostic(STRUCT, ERROR, "self-loop edge", subject=f"{nid}->{nid}") for t, _ in pairs if t == nid]
     if len(set(pairs)) < len(pairs):
-        out += [duplicate_edge((nid, *pair), count) for pair, count in Counter(pairs).items() if count > 1]
+        for (target, label), count in Counter(pairs).items():
+            if count > 1:
+                suffix = f" labeled {label!r}" if label else ""
+                message = f"duplicate edge{suffix} (x{count})"
+                out.append(Diagnostic(STRUCT, ERROR, message, subject=f"{nid}->{target}"))
 
     if schema is None or not schema.is_interface:
         if nid in RESERVED_IDS:
             message = f"reserved node {nid} must be classified as Interface, not {node.kind}"
             out.append(Diagnostic(W3, ERROR, message, subject=nid))
         elif not graph._in[nid] or not pairs:
-            out.append(stranded_node(nid, node.kind))
+            message = f"node of kind {node.kind} plays an entry/exit role but is not an Interface"
+            out.append(Diagnostic(W3, ERROR, message, subject=nid))
 
     if schema is None:
         if node.kind == UNCLASSIFIED:

@@ -1,12 +1,13 @@
-"""The closure guard screens a rewrite from its parent and delta.
+"""The closure guard screens each built product before the full check.
 
-``operators._screen`` rejects a rewrite before its product is built, but
-only on a finding that ``soft_check`` reports on that product; every
-product it passes is built by ``with_changes`` and fully checked. These
-tests compare both paths with a product built independently of the parent,
-tables, memos and serialized text included, over ``apply_random`` chains
-and random edge swaps, and pin that a screened rejection builds and checks
-no graph.
+``operators._guard`` builds every product with ``with_changes`` and rejects
+it on an error among ``validator.local_findings``: W1, the interface-role
+findings and the own findings of the nodes the delta touches. Only a
+product with no such error gets the full ``validate``. These tests compare
+each rejection with ``soft_check`` of a product built independently of the
+parent, and each accepted product, tables, memos and serialized text
+included, with a fresh build, over ``apply_random`` chains and random edge
+swaps. They pin that an early rejection runs no ``soft_check``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from hypothesis import strategies as st
 
 from flowevo import Edge, Node, WorkflowGraph, lower_to_graph, operators, parse_workflow, validate
 from flowevo import validator
-from flowevo.diagnostics import ERROR, STRUCT, W3, Diagnostic
+from flowevo.diagnostics import ERROR, STRUCT, W1, W3, Diagnostic
 from flowevo.graph import GraphDelta
-from flowevo.operators import RewriteRejectedError, apply_random, delete_node, rewire_edge
+from flowevo.operators import OperatorKind, RewriteRejectedError, apply_random, delete_node, rewire_edge
 from flowevo.validator import soft_check
 
 from conftest import CORPUS_NAMES, assert_memos_exact, load_corpus_graph, load_workflow_gen
@@ -45,33 +46,41 @@ def _product(parent: WorkflowGraph, delta: GraphDelta) -> WorkflowGraph:
     return WorkflowGraph(nodes, edges + list(delta.added_edges), prompts, parent.domain, parent.registry)
 
 
-_SCREEN = operators._screen
+def _guarded(pairs):
+    return operators._guard(pairs, OperatorKind.REWIRING, "test rewrite")
+
+
+_GUARD = operators._guard
 
 
 class _Differential:
-    """Checks each screen verdict, and each graph the guard checks in full, against a fresh product."""
+    """Checks each guard decision against fresh products; counts early rejections and full checks."""
 
     def __init__(self):
-        self.screened = self.checked = 0
+        self.early = self.full_checks = 0
 
-    def screen(self, parent, delta):
-        finding = _SCREEN(parent, delta)
-        if finding is not None:
-            fresh = soft_check(_product(parent, delta))
-            assert finding.is_error and finding in fresh, (finding, fresh)
-            self.screened += 1
-        return finding
+    def guard(self, pairs, applied, description):
+        full_checks = self.full_checks
+        try:
+            outcome = _GUARD(pairs, applied, description)
+        except RewriteRejectedError as exc:
+            errors = {d for d in exc.diagnostics if d.is_error}
+            fresh = [set(soft_check(_product(parent, delta))) for parent, delta in pairs]
+            assert errors and any(errors <= found for found in fresh), (errors, fresh)
+            self.early += self.full_checks == full_checks
+            raise
+        for graph, (parent, delta) in zip(outcome.graphs, pairs):
+            fresh = _product(parent, delta)
+            assert graph == fresh and validate(fresh).q == 1
+            assert_memos_exact(graph)
+        return outcome
 
     def validate(self, graph):
-        verdict = validate(graph)
-        fresh = WorkflowGraph(graph.nodes, graph.edges, graph.prompts, graph.domain, graph.registry)
-        assert verdict == validate(fresh)
-        assert_memos_exact(graph)
-        self.checked += 1
-        return verdict
+        self.full_checks += 1
+        return validate(graph)
 
     def __enter__(self):
-        self._patches = [patch.object(operators, "_screen", self.screen), patch.object(operators, "validate", self.validate)]
+        self._patches = [patch.object(operators, "_guard", self.guard), patch.object(operators, "validate", self.validate)]
         for p in self._patches:
             p.start()
         return self
@@ -122,39 +131,58 @@ def test_screen_is_exact_on_random_edge_swaps(source, seed):
             removed = tuple(rng.sample(graph.edges, rng.choice((1, 2))))
             added = Edge(rng.choice(ids), rng.choice(ids), rng.choice((None, removed[0].label)))
             delta = GraphDelta(removed_edges=removed, added_edges=(added,))
-            if diff.screen(graph, delta) is None:
-                diff.validate(graph.with_changes(delta))
+            try:
+                diff.guard([(graph, delta)], OperatorKind.REWIRING, "edge swap")
+            except RewriteRejectedError:
+                pass
 
 
 def test_chains_take_both_paths():
     diff = _chain(_generated(100, 5), None, 5, 30)
-    assert diff.screened > 5 and diff.checked > 5
+    assert diff.early > 5 and diff.full_checks > 5
 
 
-def test_stranded_rewiring_builds_and_checks_no_graph(math_graph, monkeypatch):
-    built, checked = [], []
-    init, check = WorkflowGraph.__init__, validator.soft_check
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(WorkflowGraph, "__init__", counting_init)
+def _counting_soft_check(monkeypatch) -> list:
+    checked, check = [], validator.soft_check
     monkeypatch.setattr(validator, "soft_check", lambda graph: checked.append(graph) or check(graph))
+    return checked
+
+
+def test_stranded_rewiring_is_rejected_without_soft_check(math_graph, monkeypatch):
+    checked = _counting_soft_check(monkeypatch)
     # REFINE's only in-edge moves to C1, so REFINE is left without input
     with pytest.raises(RewriteRejectedError) as exc_info:
         rewire_edge(math_graph, ("ENSEMBLE", "REFINE"), "C1", "to_third")
-    assert built == [] and checked == []
+    assert checked == []
     message = "node of kind CustomOp plays an entry/exit role but is not an Interface"
-    assert exc_info.value.diagnostics == (Diagnostic(W3, ERROR, message, subject="REFINE"),)
+    assert Diagnostic(W3, ERROR, message, subject="REFINE") in exc_info.value.diagnostics
+
+
+def _custom(node_id: str) -> Node:
+    return Node(node_id, "CustomOp", {"role": "x"})
+
+
+def test_rewiring_onto_a_fed_node_is_rejected_without_soft_check(monkeypatch):
+    # C's one port is fed by PROBLEM; moving A -> E onto C leaves one input without a port
+    graph = WorkflowGraph(
+        [Node("PROBLEM", "Interface"), *map(_custom, "ABC"), Node("E", "ScEnsembleOp"), Node("RETURN", "Interface")],
+        [Edge("PROBLEM", n) for n in "ABC"] + [Edge(n, "E") for n in "ABC"] + [Edge("E", "RETURN")],
+    )
+    assert validate(graph).q == 1
+    checked = _counting_soft_check(monkeypatch)
+    with pytest.raises(RewriteRejectedError) as exc_info:
+        rewire_edge(graph, ("A", "E"), "C", "to_third")
+    assert checked == []
+    unfed = Diagnostic(STRUCT, ERROR, "unexpected input from PROBLEM (no open port)", subject="C")
+    assert exc_info.value.diagnostics == (unfed,)
 
 
 def test_bridge_onto_an_existing_edge_is_a_screened_duplicate():
     # A feeds the ensemble E directly and through X; deleting X doubles A -> E
     nodes = [
         Node("PROBLEM", "Interface"),
-        Node("A", "CustomOp", {"role": "x"}),
-        Node("X", "CustomOp", {"role": "x"}),
+        _custom("A"),
+        _custom("X"),
         Node("E", "ScEnsembleOp"),
         Node("RETURN", "Interface"),
     ]
@@ -169,38 +197,52 @@ def test_bridge_onto_an_existing_edge_is_a_screened_duplicate():
 
 def test_cycle_search_skips_the_removed_edges():
     graph = WorkflowGraph(
-        [Node("PROBLEM", "Interface"), *(Node(n, "CustomOp", {"role": "x"}) for n in "ABC"), Node("RETURN", "Interface")],
+        [Node("PROBLEM", "Interface"), *map(_custom, "XYBC"), Node("E", "ScEnsembleOp"), Node("RETURN", "Interface")],
         [
-            Edge("PROBLEM", "A"),
-            Edge("PROBLEM", "C"),
-            Edge("A", "B"),
+            Edge("PROBLEM", "X"),
+            Edge("PROBLEM", "Y"),
+            Edge("X", "E"),
+            Edge("Y", "E"),
+            Edge("E", "B"),
             Edge("B", "C"),
             Edge("B", "RETURN"),
             Edge("C", "RETURN"),
         ],
     )
-    cycle = Diagnostic(STRUCT, ERROR, "node lies on a directed cycle", subject="C")
-    # C -> A closes A -> B -> C, unless B -> C goes; every node keeps an in- and an out-edge
-    assert operators._screen(graph, GraphDelta(added_edges=(Edge("C", "A"),))) == cycle
-    opened = GraphDelta(removed_edges=(Edge("B", "C"),), added_edges=(Edge("C", "A"),))
-    assert operators._screen(graph, opened) is None
-    assert not graph.with_changes(opened).cycle_nodes()
+    assert validate(graph).q == 1
+    # C -> E closes E -> B -> C, unless B -> C goes and Y feeds C instead
+    with pytest.raises(RewriteRejectedError) as exc_info:
+        _guarded([(graph, GraphDelta(added_edges=(Edge("C", "E"),)))])
+    errors = [d for d in exc_info.value.diagnostics if d.is_error]
+    assert errors == [Diagnostic(STRUCT, ERROR, "node lies on a directed cycle", subject=n) for n in "BCE"]
+    opened = GraphDelta(removed_edges=(Edge("B", "C"),), added_edges=(Edge("C", "E"), Edge("Y", "C")))
+    (product,) = _guarded([(graph, opened)]).graphs
+    assert not product.cycle_nodes()
 
 
-@pytest.mark.parametrize("exit_id, exit_kind", [("OUT", "Interface"), ("RETURN", "CustomOp")])
-def test_interface_and_reserved_nodes_are_never_screened(exit_id, exit_kind):
+@pytest.mark.parametrize(
+    "exit_id, exit_kind, finding",
+    [
+        ("OUT", "Interface", "interface node is neither entry nor exit"),
+        ("RETURN", "CustomOp", "reserved node RETURN must be classified as Interface, not CustomOp"),
+    ],
+    ids=["interface", "reserved"],
+)
+def test_stranded_interface_and_reserved_exits_keep_their_own_findings(exit_id, exit_kind, finding, monkeypatch):
     # moving the exit's only in-edge strands it, but W3 reports an interface
     # node, or a reserved id of another kind, with a message of its own
     graph = WorkflowGraph(
-        [
-            Node("PROBLEM", "Interface"),
-            Node("A", "CustomOp", {"role": "x"}),
-            Node("B", "CustomOp", {"role": "x"}),
-            Node(exit_id, exit_kind, {"role": "x"}),
-        ],
+        [Node("PROBLEM", "Interface"), _custom("A"), _custom("B"), Node(exit_id, exit_kind, {"role": "x"})],
         [Edge("PROBLEM", "A", "input"), Edge("A", "B"), Edge("B", exit_id)],
     )
     delta = GraphDelta(removed_edges=(Edge("B", exit_id),), added_edges=(Edge("B", "A"),))
-    assert operators._screen(graph, delta) is None
+    checked = _counting_soft_check(monkeypatch)
+    with pytest.raises(RewriteRejectedError) as exc_info:
+        _guarded([(graph, delta)])
+    assert checked == []
+    found = exc_info.value.diagnostics
+    assert Diagnostic(W1, ERROR, "missing exit interface node", subject="RETURN") in found
+    assert Diagnostic(W3, ERROR, finding, subject=exit_id) in found
     stranded = f"node of kind {exit_kind} plays an entry/exit role but is not an Interface"
-    assert stranded not in [d.message for d in soft_check(_product(graph, delta)) if d.subject == exit_id]
+    assert stranded not in [d.message for d in found]
+    assert set(found) <= set(soft_check(_product(graph, delta)))
