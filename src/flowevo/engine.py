@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -230,14 +231,14 @@ class StructuralJudge:
     """
 
     def score_candidates(self, candidates, parents, history) -> list[JudgeScore]:
-        parent_graphs = [p.workflow for p in parents]
-        return [self._score(c, parent_graphs) for c in candidates]
+        parent_shapes = [_shape(p.workflow) for p in parents]
+        return [self._score(c, parent_shapes) for c in candidates]
 
-    def _score(self, candidate: Candidate, parent_graphs) -> JudgeScore:
+    def _score(self, candidate: Candidate, parent_shapes) -> JudgeScore:
         graph = candidate.graph
         dims = {
             "workflow_coherence": self._coherence(graph),
-            "innovation": self._innovation(graph, parent_graphs),
+            "innovation": self._innovation(graph, parent_shapes),
             "complexity_balance": self._complexity(graph),
             "prompt_quality": self._prompt_quality(graph),
             "modification_rationale": self._rationale(candidate),
@@ -256,10 +257,11 @@ class StructuralJudge:
                     score -= 2  # structurally legal but one lost edge from invalid
         return max(1, min(10, score))
 
-    def _innovation(self, graph, parent_graphs) -> int:
-        if not parent_graphs:
+    def _innovation(self, graph, parent_shapes) -> int:
+        if not parent_shapes:
             return 5
-        ratio = min(_edit_ratio(graph, parent) for parent in parent_graphs)
+        shape = _shape(graph)
+        ratio = min(_edit_ratio(shape, parent) for parent in parent_shapes)
         return max(1, min(10, 1 + round(9 * min(1.0, 2.0 * ratio))))
 
     def _complexity(self, graph) -> int:
@@ -302,13 +304,23 @@ class StructuralJudge:
         return max(1, min(10, score))
 
 
-def _edit_ratio(g1: WorkflowGraph, g2: WorkflowGraph) -> float:
-    n1 = {(n.id, n.kind, tuple(n.attributes.items())) for n in g1.nodes}
-    n2 = {(n.id, n.kind, tuple(n.attributes.items())) for n in g2.nodes}
-    e1, e2 = g1.edge_multiset(), g2.edge_multiset()
-    edge_diff = sum((e1 - e2).values()) + sum((e2 - e1).values())
+def _shape(graph: WorkflowGraph) -> tuple:
+    """Node signatures, edge keys (a Counter only if an edge repeats, as q=1 forbids) and edge count."""
+    nodes = frozenset((n.id, n.kind, tuple(n.attributes.items())) for n in graph.nodes)
+    keys = frozenset(e.key() for e in graph.edges)
+    count = len(graph.edges)
+    return nodes, (keys if len(keys) == count else graph.edge_multiset()), count
+
+
+def _edit_ratio(shape1: tuple, shape2: tuple) -> float:
+    (n1, e1, m1), (n2, e2, m2) = shape1, shape2
+    if isinstance(e1, frozenset) and isinstance(e2, frozenset):
+        edge_diff = len(e1 ^ e2)
+    else:
+        e1, e2 = Counter(e1), Counter(e2)
+        edge_diff = sum((e1 - e2).values()) + sum((e2 - e1).values())
     numerator = len(n1 ^ n2) + edge_diff
-    denominator = len(n1) + len(n2) + sum(e1.values()) + sum(e2.values())
+    denominator = len(n1) + len(n2) + m1 + m2
     return numerator / denominator if denominator else 0.0
 
 

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import bisect
 import enum
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from types import MappingProxyType
 
 from .graph import Edge, GraphDelta, Node, WorkflowGraph, prompt_refs, type_of_output
@@ -887,14 +889,22 @@ def _first_rewrite(rng, sites, rewrite, budget=None) -> RewriteOutcome | None:
 
 
 def _weighted_kind_order(weights: dict, rng) -> list[OperatorKind]:
+    """Every kind of positive weight, drawn by weight without replacement.
+
+    Each pick replays ``rng.choice(len(remaining), p=probs)`` draw for draw:
+    one ``rng.random()`` against the cumulative sum of ``probs`` over its last entry.
+    """
     remaining = sorted(
         ((k, w) for k, w in weights.items() if w > 0), key=lambda kv: kv[0].value
     )
     order = []
     while remaining:
         total = sum(w for _, w in remaining)
-        probs = [w / total for _, w in remaining]
-        idx = int(rng.choice(len(remaining), p=probs))
+        if not math.isfinite(total):
+            raise ValueError(f"operator weights must have a finite sum (got {total})")
+        cdf = list(accumulate(float(w / total) for _, w in remaining))
+        last = cdf[-1]
+        idx = bisect.bisect_right([c / last for c in cdf], rng.random())
         order.append(remaining.pop(idx)[0])
     return order
 

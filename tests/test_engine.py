@@ -28,6 +28,8 @@ from flowevo.engine import (
     ProposalRequest,
     StructuralJudge,
     SyntheticTaskEvaluator,
+    _edit_ratio,
+    _shape,
     generate_candidates,
     graph_features,
     history_to_jsonl,
@@ -211,6 +213,78 @@ def test_judge_treats_non_ascii_prompt_value_as_inline_text():
     candidate = Candidate(graph, serialize_workflow(graph), "<modification>x</modification>")
     (score,) = StructuralJudge().score_candidates([candidate], [], [])
     assert score.dims["prompt_quality"] == 5  # no references at all
+
+
+def _counter_edit_ratio(g1, g2) -> float:
+    """The edit ratio as the judge computed it from two graphs, with edge Counters."""
+    n1 = {(n.id, n.kind, tuple(n.attributes.items())) for n in g1.nodes}
+    n2 = {(n.id, n.kind, tuple(n.attributes.items())) for n in g2.nodes}
+    e1, e2 = g1.edge_multiset(), g2.edge_multiset()
+    edge_diff = sum((e1 - e2).values()) + sum((e2 - e1).values())
+    numerator = len(n1 ^ n2) + edge_diff
+    denominator = len(n1) + len(n2) + sum(e1.values()) + sum(e2.values())
+    return numerator / denominator if denominator else 0.0
+
+
+def _assert_edit_ratio_exact(g1, g2) -> None:
+    assert _edit_ratio(_shape(g1), _shape(g2)) == _counter_edit_ratio(g1, g2)
+
+
+def test_edit_ratio_matches_the_counter_formula_on_corpus_pairs(corpus_graphs):
+    for g1 in corpus_graphs.values():
+        for g2 in corpus_graphs.values():
+            _assert_edit_ratio_exact(g1, g2)
+
+
+def test_edit_ratio_matches_the_counter_formula_on_products(corpus_graphs):
+    graphs = [corpus_graphs[name] for name in sorted(corpus_graphs)]
+    checked = 0
+    for i, primary in enumerate(graphs):
+        partner = graphs[(i + 1) % len(graphs)]
+        for seed in range(12):
+            outcome = apply_random((primary, partner), np.random.default_rng(seed))
+            for product in outcome.graphs:
+                for parent in (primary, partner):
+                    _assert_edit_ratio_exact(product, parent)
+                    _assert_edit_ratio_exact(parent, product)
+                    checked += 1
+    assert checked >= 96
+
+
+def test_edit_ratio_counts_each_copy_of_a_repeated_edge():
+    # q != 1 allows a repeated edge; the ratio still counts every copy
+    nodes = [Node("PROBLEM", "Interface"), Node("A", "CustomOp", {"role": "x"}), Node("RETURN", "Interface")]
+    repeated = WorkflowGraph(nodes, [Edge("PROBLEM", "A"), Edge("PROBLEM", "A"), Edge("A", "RETURN")])
+    clean = WorkflowGraph(nodes, [Edge("PROBLEM", "A"), Edge("A", "RETURN")])
+    assert validate(repeated).q == 0
+    for g1, g2 in ((repeated, clean), (clean, repeated), (repeated, repeated), (clean, clean)):
+        _assert_edit_ratio_exact(g1, g2)
+    assert _edit_ratio(_shape(repeated), _shape(clean)) == 1 / 11
+
+
+def test_judge_dims_golden(corpus_graphs):
+    # frozen when the judge read each graph's shape once per call: corpus
+    # graphs and apply_random products scored against two corpus parents
+    names = sorted(corpus_graphs)
+    graphs = [corpus_graphs[name] for name in names]
+    candidates = [
+        Candidate(g, serialize_workflow(g), f"<modification>keep {name}</modification>")
+        for name, g in zip(names, graphs)
+    ]
+    for seed in range(4):
+        outcome = apply_random((graphs[seed], graphs[(seed + 1) % 4]), np.random.default_rng(seed))
+        candidates += [Candidate(p, serialize_workflow(p), outcome.modification_record()) for p in outcome.graphs]
+    scores = StructuralJudge().score_candidates(candidates, [entry_for(graphs[0]), entry_for(graphs[2])], [])
+    assert [tuple(score.dims[d] for d in JUDGE_DIMENSIONS) for score in scores] == [
+        (10, 1, 10, 10, 5),
+        (10, 10, 10, 10, 5),
+        (10, 1, 10, 10, 5),
+        (10, 10, 10, 10, 5),
+        (10, 2, 10, 10, 9),
+        (10, 10, 10, 10, 9),
+        (9, 3, 10, 10, 10),
+        (10, 10, 10, 10, 10),
+    ]
 
 
 def test_judge_score_range_enforced():

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowevo import Edge, Node, WorkflowGraph, validate
+from flowevo.engine import EvolutionConfig
 from flowevo.operators import (
     Fragment,
     OperatorKind,
     OperatorPreconditionError,
     RewriteRejectedError,
     _RewiringSites,
+    _weighted_kind_order,
     add_node,
     apply_random,
     crossover,
@@ -23,6 +27,7 @@ from flowevo.operators import (
 )
 
 from conftest import CORPUS_NAMES, load_corpus_graph, load_workflow_gen, rebuilt, shuffled_twin
+from kind_order_reference import reference_kind_order
 from rewiring_sites_reference import reference_rewiring_sites
 
 
@@ -490,6 +495,16 @@ _APPLY_RANDOM_DIGESTS = {
     "subgraph_mutation": "deb02562f9c9e98d70bf488827de8628ee08942aac8c3809f1d3a6e4639e179b",
     "crossover": "4d8031e643e5cb5b12ec339933378702eab0fecd3ad0e86872b513894009ca2c",
     "default": "a15c9bc55d8a5c8729bcbc65745d133cf2c707c0a7650b00c4cc292d5fa88be8",
+    "uneven": "208efa39f21c5671fae7cedce6bb068cfd96e192f110f27ca492319fa3725f37",
+}
+
+# four kinds at four different weights: every kind order draw picks among
+# unequal probabilities, and a draw can fall through several kinds
+_UNEVEN_WEIGHTS = {
+    OperatorKind.SUBSTITUTION: 0.4,
+    OperatorKind.REWIRING: 0.3,
+    OperatorKind.DELETION: 0.2,
+    OperatorKind.CROSSOVER: 0.1,
 }
 
 
@@ -515,8 +530,79 @@ def _apply_random_digest(corpus_graphs, weights) -> str:
 
 @pytest.mark.parametrize("setting", sorted(_APPLY_RANDOM_DIGESTS))
 def test_apply_random_digest_golden(corpus_graphs, setting):
-    weights = None if setting == "default" else {OperatorKind(setting): 1.0}
+    mixes = {"default": None, "uneven": _UNEVEN_WEIGHTS}
+    weights = mixes[setting] if setting in mixes else {OperatorKind(setting): 1.0}
     assert _apply_random_digest(corpus_graphs, weights) == _APPLY_RANDOM_DIGESTS[setting]
+
+
+# -- kind order ------------------------------------------------------------------
+
+
+def test_kind_order_weight_contract():
+    # an infinite weight or an overflowing sum is an error; NaN and nonpositive
+    # weights are dropped; nothing to draw costs no draw
+    s, a, d, r = (OperatorKind.SUBSTITUTION, OperatorKind.ADDITION, OperatorKind.DELETION, OperatorKind.REWIRING)
+    for weights in ({s: math.inf, a: 1.0}, {s: 1e308, a: 1e308}):
+        with pytest.raises(ValueError):
+            _weighted_kind_order(weights, np.random.default_rng(0))
+    assert _weighted_kind_order({s: math.nan, a: 0.0, d: 1.0, r: -1.0}, np.random.default_rng(0)) == [d]
+    for weights in ({}, {s: math.nan, a: 0.0, r: -math.inf}):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert _weighted_kind_order(weights, rng) == []
+        assert rng.bit_generator.state == state
+
+
+class _TopDraw:
+    """A generator stub whose every uniform draw is the largest double below 1."""
+
+    def random(self):
+        return math.nextafter(1.0, 0.0)
+
+
+def test_kind_order_draw_just_below_one_picks_the_last_kind():
+    # 0.1/0.4 + 0.3/0.4 sums to just below 1; NumPy divides the cumulative
+    # sum by its last entry, so no draw in [0, 1) falls past the last kind
+    a, s = OperatorKind.ADDITION, OperatorKind.SUBSTITUTION
+    assert _weighted_kind_order({a: 0.1, s: 0.3}, _TopDraw()) == [s, a]
+
+
+def _kind_order_maps(family, rng):
+    """Weight maps of one family, drawn from a seeded ``random.Random``."""
+    kinds = list(OperatorKind)
+    if family == "config":
+        if rng.random() < 0.5:
+            rate = rng.choice([0.0, 0.05, 0.1, 0.25, 0.5, 1.0, rng.random()])
+            weights = EvolutionConfig(crossover_rate=rate).weights()
+        else:
+            raw = {k: rng.choice([0.0, rng.random()]) for k in kinds}
+            raw[rng.choice(kinds)] = 1.0
+            total = sum(raw.values())
+            weights = EvolutionConfig(operator_weights={k: w / total for k, w in raw.items()}).weights()
+        if rng.random() < 0.5:
+            weights.pop(OperatorKind.CROSSOVER)  # apply_random without a partner
+        return weights
+    if family == "single":
+        return {rng.choice(kinds): rng.choice([1.0, 0.1, 5e-324, 1e308, rng.expovariate(1.0)])}
+    chosen = rng.sample(kinds, rng.randint(1, len(kinds)))
+    if family == "positive":
+        return {k: rng.expovariate(1.0) for k in chosen}
+    if family == "zero_or_nan":
+        return {k: rng.choice([0.0, -0.5, math.nan, rng.random()]) for k in chosen}
+    assert family == "extreme"
+    return {k: rng.choice([5e-324, 1e-310, 2.2e-308, 1e-300, 1.0, 1e307, 2.5e307]) for k in chosen}
+
+
+@pytest.mark.parametrize("family", ["config", "single", "positive", "zero_or_nan", "extreme"])
+def test_kind_order_matches_the_choice_reference(family):
+    import random
+
+    maps = random.Random(family)
+    for seed in range(500):
+        weights = _kind_order_maps(family, maps)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _weighted_kind_order(weights, ours) == reference_kind_order(weights, theirs), (seed, weights)
+        assert ours.random() == theirs.random(), (seed, weights)
 
 
 def _generated_graphs(sizes, seed):
