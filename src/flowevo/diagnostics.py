@@ -33,8 +33,8 @@ class _SpanFields(NamedTuple):
 class SourceSpan(_SpanFields):
     """1-based location of a statement inside a workflow source text.
 
-    An immutable tuple; the constructor checks the bounds, and ``_make``
-    (which the parser uses) trusts its caller.
+    An immutable tuple; the constructor checks the bounds, and
+    ``tuple.__new__`` (which the parser uses) trusts its caller.
     """
 
     __slots__ = ()

@@ -165,29 +165,54 @@ class WorkflowGraph:
     )
 
     def __init__(self, nodes, edges, prompts=None, domain="math", registry=None):
-        nodes = tuple(sorted(nodes, key=_node_id))
-        edges = tuple(sorted(edges, key=edge_order))
         by_id: dict[str, Node] = {}
-        for node in nodes:
+        for node in sorted(nodes, key=_node_id):
             if not IDENT_RE.match(node.id):
                 raise GraphConstructionError(f"bad node id {node.id!r}")
             if node.id in by_id:
                 raise GraphConstructionError(f"duplicate node id {node.id!r}")
             by_id[node.id] = node
-        out: dict[str, list] = {nid: [] for nid in by_id}
-        inc: dict[str, list] = {nid: [] for nid in by_id}
+        edges = sorted(edges, key=edge_order)
         for edge in edges:
             if edge.source not in by_id:
                 raise GraphConstructionError(f"dangling endpoint {edge.source!r}")
             if edge.target not in by_id:
                 raise GraphConstructionError(f"dangling endpoint {edge.target!r}")
+        prompts = prompts if prompts is not None else PromptTable()
+        registry = registry if registry is not None else default_registry()
+        self._index(by_id, edges, prompts, domain, registry)
+
+    @classmethod
+    def _from_checked(cls, rows, edges, prompts, domain, registry) -> WorkflowGraph:
+        """A graph built without the constructors' checks and copies, from parts its caller
+        checked: ``rows`` are (id, kind, read-only attributes, display label) with valid,
+        distinct ids, and ``edges`` are (source, target, stripped label or "") between them."""
+        by_id: dict[str, Node] = {}
+        for node_id, kind, attributes, display in sorted(rows):
+            if len(attributes) > 1:
+                attributes = MappingProxyType(dict(sorted(attributes.items())))
+            node = by_id[node_id] = object.__new__(Node)
+            object.__setattr__(node, "id", node_id)
+            object.__setattr__(node, "kind", kind)
+            object.__setattr__(node, "attributes", attributes)
+            object.__setattr__(node, "display_label", display)
+        # as no edge keeps a blank label, (source, target, label or "") is the canonical order
+        edges = [Edge(source, target, label or None) for source, target, label in sorted(edges)]
+        graph = cls.__new__(cls)
+        graph._index(by_id, edges, prompts, domain, registry)
+        return graph
+
+    def _index(self, by_id, edges, prompts, domain, registry) -> None:
+        """Build the adjacency of ``by_id`` (id -> node, in id order) and ``edges`` (in canonical
+        order, every endpoint a key of ``by_id``), then set the graph's tables."""
+        out: dict[str, list] = {nid: [] for nid in by_id}
+        inc: dict[str, list] = {nid: [] for nid in by_id}
+        for edge in edges:
             out[edge.source].append((edge.target, edge.label))
             inc[edge.target].append((edge.source, edge.label))
         out = {k: tuple(v) for k, v in out.items()}
         inc = {k: tuple(v) for k, v in inc.items()}
-        prompts = prompts if prompts is not None else PromptTable()
-        registry = registry if registry is not None else default_registry()
-        self._assign(nodes, edges, prompts, domain, registry, by_id, out, inc)
+        self._assign(tuple(by_id.values()), tuple(edges), prompts, domain, registry, by_id, out, inc)
 
     def _assign(self, nodes, edges, prompts, domain, registry, by_id, out, inc) -> None:
         """Set the graph's tables and start every memo empty."""
@@ -227,8 +252,8 @@ class WorkflowGraph:
         write is idempotent, since a racing call stores an equal map.
         """
         if self._schemas is None:
-            get = self.registry.get
-            self._schemas = {nid: get(node.kind) for nid, node in self._by_id.items()}
+            by_kind = {kind: self.registry.get(kind) for kind in {node.kind for node in self.nodes}}
+            self._schemas = {nid: by_kind[node.kind] for nid, node in self._by_id.items()}
         try:
             return self._schemas[node_id]
         except KeyError:
@@ -337,56 +362,52 @@ class WorkflowGraph:
         return self._cycles
 
     def _find_cycles(self) -> frozenset[str]:
+        # one linear pass peels the nodes whose in-edges all come from peeled
+        # nodes; when every node peels there is no cycle, and otherwise Tarjan's
+        # strong components are searched among the rest, whose successors are
+        # never peeled
+        indeg = {nid: len(pairs) for nid, pairs in self._in.items()}
+        peeled = [nid for nid, d in indeg.items() if not d]
+        for nid in peeled:
+            for target, _ in self._out[nid]:
+                indeg[target] -= 1
+                if not indeg[target]:
+                    peeled.append(target)
+        if len(peeled) == len(indeg):
+            return frozenset()
         index_of: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
+        lowlink: dict[str, int] = {}  # of the nodes on the stack
         stack: list[str] = []
-        result: set[str] = set()
-        counter = [0]
-
-        def strongconnect(root: str) -> None:
-            work = [(root, iter(self._out[root]))]
-            index_of[root] = lowlink[root] = counter[0]
-            counter[0] += 1
+        result = {e.source for e in self.edges if e.source == e.target}
+        for root in self._by_id:
+            if root in index_of or not indeg[root]:
+                continue
+            index_of[root] = lowlink[root] = len(index_of)
             stack.append(root)
-            on_stack.add(root)
+            work = [(root, iter(self._out[root]))]
             while work:
-                node, it = work[-1]
-                advanced = False
-                for neighbor, _ in it:
+                node, successors = work[-1]
+                for neighbor, _ in successors:
                     if neighbor not in index_of:
-                        index_of[neighbor] = lowlink[neighbor] = counter[0]
-                        counter[0] += 1
+                        index_of[neighbor] = lowlink[neighbor] = len(index_of)
                         stack.append(neighbor)
-                        on_stack.add(neighbor)
                         work.append((neighbor, iter(self._out[neighbor])))
-                        advanced = True
                         break
-                    if neighbor in on_stack:
+                    if neighbor in lowlink:
                         lowlink[node] = min(lowlink[node], index_of[neighbor])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index_of[node]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    if len(component) > 1:
-                        result.update(component)
-
-        for nid in self._by_id:
-            if nid not in index_of:
-                strongconnect(nid)
-        for edge in self.edges:
-            if edge.source == edge.target:
-                result.add(edge.source)
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        lowlink[parent] = min(lowlink[parent], lowlink[node])
+                    if lowlink[node] == index_of[node]:
+                        component = [stack.pop()]
+                        while component[-1] != node:
+                            component.append(stack.pop())
+                        for member in component:
+                            del lowlink[member]
+                        if len(component) > 1:
+                            result.update(component)
         return frozenset(result)
 
     def topological_order(self) -> list[str]:

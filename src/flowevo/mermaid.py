@@ -11,7 +11,10 @@ source passes when every statement parses within this dialect.
 The parser reads each line once. Blank lines, comments and the prompt
 markers are told apart by string tests; every other line is classified by
 one match of ``_STATEMENT_RE``, whose alternatives are the statement forms
-in order of precedence.
+in order of precedence. Ids and prompt names are tested with
+``str.isascii() and str.isidentifier()``, which for ASCII text is exactly
+``[A-Za-z_][A-Za-z0-9_]*``. A label of the one-pair shape is decoded by one
+match of ``_ONE_PAIR_RE``, and every other label by the token walk.
 """
 
 from __future__ import annotations
@@ -23,14 +26,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .diagnostics import ERROR, STRUCT, SYNTAX, W4, WARNING, Diagnostic, SourceSpan
-from .graph import (
-    IDENT_RE,
-    Edge,
-    Node,
-    PromptTable,
-    WorkflowGraph,
-    effective_display,
-)
+from .graph import GraphConstructionError, Node, PromptTable, WorkflowGraph, effective_display
 from .registry import Registry, STANDARD_CLASSES, default_registry
 
 UNCLASSIFIED = "Unclassified"
@@ -41,8 +37,8 @@ class LoweringError(Exception):
 
 
 # -- statement forms ---------------------------------------------------------
-# Immutable tuples: the parser builds them with ``_make``, which skips the
-# constructor's copy.
+# Immutable tuples: the parser builds spans, edges and declarations with
+# ``tuple.__new__``, which skips the constructors' checks and copy.
 
 
 class _NodeDeclFields(NamedTuple):
@@ -108,6 +104,8 @@ class MermaidDocument:
 # shape bracket, so the lookahead leaves such lines to the later forms.
 # ``lastgroup`` names the kind: the outer group of a header, classDef, class
 # assignment or edge, and for a declaration the label group of its shape.
+# Groups are read by index: 2 direction, 4 style class, 6 ids, 7 class name,
+# 9-12 source, pipe label, text label, target, 13 declared id, 14-16 label.
 _STATEMENT_RE = re.compile(
     r"(?P<header>flowchart\s+(?P<direction>\w+)\s*$)"
     r"|(?P<class_def>classDef\s+(?P<style_class>\w+)\s+.+$)"
@@ -174,7 +172,13 @@ def split_label(label: str) -> tuple[str, dict]:
     (with ``\\'`` escapes); a quoted key may be empty. Unbalanced lists,
     which occur in published sources, are recovered by stripping stray
     trailing brackets.
+    The common one-pair shape is decoded by one match of ``_ONE_PAIR_RE``,
+    and every other label by the token walk, which reads that shape alike.
     """
+    match = _ONE_PAIR_RE.match(label)
+    if match:
+        display, key, quoted, plain = match.groups()
+        return display.strip(), {key: plain.strip() if quoted is None else quoted}
     if "<br/>" in label:
         display, _, rest = label.partition("<br/>")
     else:
@@ -193,6 +197,11 @@ def split_label(label: str) -> tuple[str, dict]:
             attrs[_unescape_label(_unquote_attr(key))] = _unescape_label(_unquote_attr(value.strip()))
     return display, attrs
 
+
+# ``Display<br/>(key: value)`` or ``(key: 'value')`` ending the label, with no
+# entity, no ``<`` before the separator, a word key, and a value quoted without
+# escapes or plain without quotes, brackets or commas; strip as the walk does.
+_ONE_PAIR_RE = re.compile(r"([^&<]*)<br/>\((\w+): (?:'([^'\\&]*)'|([^'(),&]*))\)\Z")
 
 # a quoted value (backslash escapes, maybe unterminated), a bracket or comma,
 # or a run of anything else
@@ -236,7 +245,7 @@ def _unquote_attr(value: str) -> str:
 
 
 def _quote_attr(value: str) -> str:
-    if IDENT_RE.match(value):
+    if value.isascii() and value.isidentifier():
         return value
     escaped = value.replace("\\", "\\\\").replace("'", "\\'")
     return f"'{escaped}'"
@@ -259,7 +268,6 @@ def parse_workflow(text: str) -> MermaidDocument:
     prompt_names: set[str] = set()
     in_prompt = False
     prompt_closed = False
-    new_span = SourceSpan._make
 
     def error(message, span, subject=None):
         diagnostics.append(Diagnostic(SYNTAX, ERROR, message, subject, span))
@@ -277,7 +285,7 @@ def parse_workflow(text: str) -> MermaidDocument:
                 continue
         elif stripped.startswith(("%%", "#")):
             continue
-        span = new_span((lineno, len(raw) - len(raw.lstrip()) + 1, len(stripped)))
+        span = tuple.__new__(SourceSpan, (lineno, len(raw) - len(raw.lstrip()) + 1, len(stripped)))
 
         if in_prompt:
             match = _PROMPT_ENTRY_RE.match(stripped)
@@ -285,11 +293,14 @@ def parse_workflow(text: str) -> MermaidDocument:
                 error(f"malformed prompt entry: {stripped!r}", span)
                 continue
             name = match.group(1)
+            if not (name.isascii() and name.isidentifier()):
+                error(f"bad prompt name {name!r}", span)
+                continue
             if name in prompt_names:
                 error(f"duplicate prompt name {name!r}", span)
                 continue
             prompt_names.add(name)
-            prompts.append(PromptEntry._make((span, name, _unescape_prompt(match.group(2)))))
+            prompts.append(PromptEntry(span, name, _unescape_prompt(match.group(2))))
             continue
         if stripped == "<prompt>":
             if prompt_closed:
@@ -300,41 +311,42 @@ def parse_workflow(text: str) -> MermaidDocument:
         match = _STATEMENT_RE.match(stripped)
         kind = match.lastgroup if match else None
         if kind == "edge":
-            source, target, label = match.group("source", "target", "pipe_label")
-            if not (IDENT_RE.match(source) and IDENT_RE.match(target)):
-                bad = source if not IDENT_RE.match(source) else target
+            source, pipe_label, text_label, target = match.group(9, 10, 11, 12)
+            if not (source.isascii() and source.isidentifier() and target.isascii() and target.isidentifier()):
+                bad = target if source.isascii() and source.isidentifier() else source
                 error(f"bad node id in edge: {bad!r}", span)
                 continue
-            label = _unescape_label((label or match.group("text_label") or "").strip()) or None
-            edges.append(EdgeStmt._make((span, source, target, label)))
+            label = pipe_label or text_label
+            label = (_unescape_label(label.strip()) or None) if label else None
+            edges.append(tuple.__new__(EdgeStmt, (span, source, target, label)))
         elif kind == "assign":
-            ids = tuple(part.strip() for part in match.group("ids").split(","))
-            bad = [i for i in ids if not IDENT_RE.match(i)]
+            ids = tuple(map(str.strip, match[6].split(",")))
+            bad = [i for i in ids if not (i.isascii() and i.isidentifier())]
             if bad:
                 error(f"bad node id in class assignment: {bad[0]!r}", span)
                 continue
-            name = match.group("class_name")
+            name = match[7]
             for node_id in ids:
                 previous = assigned.setdefault(node_id, name)
                 if previous != name:
                     error(f"conflicting class assignment for {node_id}: {previous} vs {name}", span, node_id)
-            assigns.append(ClassAssign._make((span, ids, name)))
+            assigns.append(ClassAssign(span, ids, name))
         elif kind == "class_def":
-            class_defs.append((match.group("style_class"), span))
+            class_defs.append((match[4], span))
         elif kind == "header":
             if direction is not None:
                 error("duplicate flowchart header", span)
-            direction = match.group("direction")
+            direction = match[2]
         elif kind is not None:  # a declaration; ``kind`` is its shape
-            node_id = match.group("decl_id")
-            if not IDENT_RE.match(node_id):
+            node_id, label = match.group(13, match.lastindex)
+            if not (node_id.isascii() and node_id.isidentifier()):
                 error(f"bad node id in declaration: {node_id!r}", span)
                 continue
             if node_id in declared:
                 error(f"duplicate node declaration {node_id!r}", span, node_id)
             declared.add(node_id)
-            display, attrs = split_label(match.group(kind))
-            decls.append(NodeDecl._make((span, node_id, kind, display, MappingProxyType(attrs))))
+            display, attrs = split_label(label)
+            decls.append(tuple.__new__(NodeDecl, (span, node_id, kind, display, MappingProxyType(attrs))))
         elif _UNTERMINATED_DECL_RE.match(stripped):
             error(f"unterminated string in node declaration: {stripped!r}", span)
         else:
@@ -345,15 +357,8 @@ def parse_workflow(text: str) -> MermaidDocument:
         error("unterminated <prompt> block", SourceSpan(len(lines), 1))
     if direction is None:
         error("missing 'flowchart <direction>' header", SourceSpan(1, 1))
-    return MermaidDocument(
-        direction or "TD",
-        tuple(decls),
-        tuple(assigns),
-        tuple(class_defs),
-        tuple(edges),
-        tuple(prompts),
-        tuple(diagnostics),
-    )
+    parts = (decls, assigns, class_defs, edges, prompts, diagnostics)
+    return MermaidDocument(direction or "TD", *map(tuple, parts))
 
 
 # -- lowering ------------------------------------------------------------------
@@ -362,8 +367,8 @@ def parse_workflow(text: str) -> MermaidDocument:
 def infer_domain(doc: MermaidDocument, registry: Registry | None = None) -> str:
     """Guess the task domain from the kinds a source assigns."""
     registry = registry or default_registry()
-    for assign in doc.class_assigns:
-        schema = registry.get(assign.name)
+    for name in {assign.name for assign in doc.class_assigns}:
+        schema = registry.get(name)
         if schema is not None and schema.domain_restriction == "code":
             return "code"
     return "math"
@@ -410,7 +415,7 @@ def lower_to_graph(
             if node_id not in decls:
                 implicit.setdefault(node_id, edge.span)
 
-    nodes = []
+    rows = []
     for node_id, decl in decls.items():
         name, span = assignments.get(node_id, (None, None))
         if name is not None:
@@ -423,15 +428,18 @@ def lower_to_graph(
         else:
             kind = UNCLASSIFIED
             finding(W4, ERROR, f"unclassified node {node_id!r} (no class assignment)", decl.span, node_id)
-        nodes.append(Node(node_id, kind, decl.attributes, decl.display))
+        rows.append((node_id, kind, decl.attributes, decl.display))
     for node_id, span in implicit.items():
         finding(W4, ERROR, f"node {node_id!r} used in an edge but never declared", span, node_id)
-        nodes.append(Node(node_id, UNCLASSIFIED, {}, node_id))
+        rows.append((node_id, UNCLASSIFIED, MappingProxyType({}), node_id))
+    for node_id, *_ in rows:  # a document built by hand, not parsed, may hold any id
+        if not (node_id.isascii() and node_id.isidentifier()):
+            raise GraphConstructionError(f"bad node id {node_id!r}")
 
-    edges = [Edge(e.source, e.target, e.label) for e in doc.edges]
+    # an unescaped label may be blank or padded
+    edges = [(e.source, e.target, (e.label and e.label.strip()) or "") for e in doc.edges]
     prompts = PromptTable({p.name: p.text for p in doc.prompts})
-    graph = WorkflowGraph(nodes, edges, prompts=prompts, domain=domain, registry=registry)
-    return graph, diagnostics
+    return WorkflowGraph._from_checked(rows, edges, prompts, domain, registry), diagnostics
 
 
 # -- serialization -------------------------------------------------------------
@@ -472,11 +480,8 @@ def serialize_workflow(graph: WorkflowGraph) -> str:
     graph's (source, target, label) order; then the prompt block by name.
     """
     roles = graph.interface_roles()
-    entry_ids = list(roles.problem_entries) + list(roles.aux_entries)
-    exit_ids = list(roles.exits)
-    placed = set(entry_ids) | set(exit_ids)
-    middle = [nid for nid in graph.node_ids() if nid not in placed]
-    ordered = entry_ids + middle + exit_ids
+    placed = {*roles.entries, *roles.exits}
+    ordered = [*roles.entries, *(nid for nid in graph._by_id if nid not in placed), *roles.exits]
 
     lines = ["flowchart TD"]
     # a declaration line reads only the node and its schema, so a product of
@@ -493,21 +498,8 @@ def serialize_workflow(graph: WorkflowGraph) -> str:
     for schema in graph.registry.schemas():
         if schema.style_class:
             styles[schema.style_class] = schema.style
-    emitted = set()
-    for name in STANDARD_CLASSES:
-        style = styles.get(name) or "fill:#ffffff"
-        lines.append(f"  classDef {name} {style};")
-        emitted.add(name)
-    extra = sorted(
-        {
-            s.style_class
-            for nid in ordered
-            if (s := graph.schema(nid)) is not None
-            and s.style_class
-            and s.style_class not in emitted
-        }
-    )
-    for name in extra:
+    used = {s.style_class for nid in ordered if (s := graph.schema(nid)) is not None and s.style_class}
+    for name in (*STANDARD_CLASSES, *sorted(used - set(STANDARD_CLASSES))):
         lines.append(f"  classDef {name} {styles.get(name) or 'fill:#ffffff'};")
     lines.append("")
 
@@ -518,17 +510,12 @@ def serialize_workflow(graph: WorkflowGraph) -> str:
     lines.append("")
 
     for edge in graph.edges:
-        if edge.label:
-            lines.append(f"  {edge.source} --> |{_escape_edge_label(edge.label)}|{edge.target}")
-        else:
-            lines.append(f"  {edge.source} --> {edge.target}")
+        label = f"|{_escape_edge_label(edge.label)}|" if edge.label else ""
+        lines.append(f"  {edge.source} --> {label}{edge.target}")
 
     if len(graph.prompts):
-        lines.append("")
-        lines.append("<prompt>")
-        for name, text in graph.prompts.entries.items():
-            lines.append(f'{name}="{_escape_prompt(text)}"')
-        lines.append("</prompt>")
+        entries = [f'{name}="{_escape_prompt(text)}"' for name, text in graph.prompts.entries.items()]
+        lines += ["", "<prompt>", *entries, "</prompt>"]
     return "\n".join(lines) + "\n"
 
 

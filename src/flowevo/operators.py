@@ -126,8 +126,8 @@ def substitute_node(graph: WorkflowGraph, node_id: str, new_attributes: dict) ->
     node = graph.node(node_id)
     schema = graph.schema(node_id)
     if schema is not None:
-        for attr in schema.required_attrs():
-            if attr.key not in new_attributes:
+        for attr in schema.attribute_keys:
+            if attr.required and attr.key not in new_attributes:
                 raise OperatorPreconditionError(
                     f"substitution on {node_id} drops required attribute {attr.key!r}"
                 )

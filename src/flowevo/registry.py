@@ -77,9 +77,6 @@ class NodeTypeSchema:
                 return port
         return None
 
-    def required_attrs(self) -> tuple[AttrSpec, ...]:
-        return tuple(a for a in self.attribute_keys if a.required)
-
     # the port table edge-to-port binding reads, computed on first use and kept
     # (a racing first use computes an equal value)
 

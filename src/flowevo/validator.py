@@ -90,18 +90,18 @@ def bound_fan_in(graph: WorkflowGraph, node_id: str, port) -> int:
 
 def _bind_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
     schema = graph.schema(node_id) or _NO_SCHEMA
-    counts: Counter = Counter()
+    counts: dict = {}
     bindings = []
     leftovers = []  # positions in bindings of the edges no label binds
-    for pair in graph.predecessors(node_id):
+    for pair in graph._in[node_id]:
         port = schema.ports_by_label.get(pair[1]) if pair[1] else None
         if port is None:
             leftovers.append(len(bindings))
         else:
-            counts[port.label] += 1
+            counts[port.label] = counts.get(port.label, 0) + 1
         bindings.append((pair, port))
 
-    open_ports = [p for p in schema.fillable_ports if counts[p.label] == 0]
+    open_ports = [p for p in schema.fillable_ports if p.label not in counts]
     ambiguous = len(leftovers) >= 2 and len(open_ports) >= 2
     unexpected = []
     for i in leftovers:
@@ -114,12 +114,12 @@ def _bind_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
             unexpected.append(pair)
             continue
         bindings[i] = (pair, port)
-        counts[port.label] += 1
+        counts[port.label] = counts.get(port.label, 0) + 1
     if unexpected:
         bindings = [(pair, port) for pair, port in bindings if port is not None]
 
-    missing = tuple(p for p in schema.required_ports if counts[p.label] == 0)
-    overfed = tuple(p for p in schema.input_ports if not p.variadic and counts[p.label] > 1)
+    missing = tuple(p for p in schema.required_ports if p.label not in counts)
+    overfed = tuple(p for p in schema.input_ports if not p.variadic and counts.get(p.label, 0) > 1)
     return BindingResult(tuple(bindings), missing, tuple(unexpected), overfed, ambiguous)
 
 
@@ -220,12 +220,12 @@ def _own_findings(graph: WorkflowGraph, nid: str) -> tuple:
     They read only the node, its schema, its edges, its predecessors'
     output types and the graph's domain.
     """
-    node = graph.node(nid)
+    node = graph._by_id[nid]
     schema = graph.schema(nid)
     out = []
     pairs = graph._out[nid]
     out += [Diagnostic(STRUCT, ERROR, "self-loop edge", subject=f"{nid}->{nid}") for t, _ in pairs if t == nid]
-    if len(set(pairs)) < len(pairs):
+    if len(pairs) > 1 and len(set(pairs)) < len(pairs):
         for (target, label), count in Counter(pairs).items():
             if count > 1:
                 suffix = f" labeled {label!r}" if label else ""
@@ -253,8 +253,8 @@ def _own_findings(graph: WorkflowGraph, nid: str) -> tuple:
             f"workflows but this graph is {graph.domain}"
         )
         out.append(Diagnostic(W4, ERROR, message, subject=nid))
-    for attr in schema.required_attrs():
-        if attr.key not in node.attributes:
+    for attr in schema.attribute_keys:
+        if attr.required and attr.key not in node.attributes:
             message = f"missing required attribute {attr.key!r} for kind {schema.kind}"
             out.append(Diagnostic(W4, ERROR, message, subject=nid))
 
@@ -300,14 +300,8 @@ def _check_prompts(graph):
         if name in graph.prompts:
             used.add(name)
         else:
-            out.append(
-                Diagnostic(
-                    STRUCT,
-                    WARNING,
-                    f"unresolved prompt reference {name!r} in attribute {key!r}",
-                    subject=node.id,
-                )
-            )
+            message = f"unresolved prompt reference {name!r} in attribute {key!r}"
+            out.append(Diagnostic(STRUCT, WARNING, message, subject=node.id))
     for name in graph.prompts:
         if name not in used:
             out.append(Diagnostic(STRUCT, WARNING, f"unused prompt entry {name!r}"))

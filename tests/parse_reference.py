@@ -5,6 +5,8 @@ each statement regex was tried in turn, with the stadium label sent
 through ``split_label`` as the current parser does (so a stadium carries
 attributes). Labels go through the current ``split_label``, which has its
 own reference; the differential test compares the statement cascade.
+One rule was added later: a prompt name that is not an identifier is a
+SYNTAX finding, as it is for node ids, because a prompt table cannot hold it.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ def reference_parse_workflow(text: str) -> MermaidDocument:
                 error(f"malformed prompt entry: {stripped!r}")
                 continue
             name = match.group(1)
+            if not IDENT_RE.match(name):  # the one rule added since the cascade was frozen
+                error(f"bad prompt name {name!r}")
+                continue
             if name in prompt_names:
                 error(f"duplicate prompt name {name!r}")
                 continue

@@ -107,6 +107,18 @@ def test_bad_node_id_is_a_syntax_finding(form, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["1x", "é"])
+def test_bad_prompt_name_is_a_syntax_finding(name, tmp_path, capsys):
+    # a \w+ prompt name that a prompt table cannot hold fails the hard check
+    path = tmp_path / "bad_prompt.mmd"
+    path.write_text(f'{MINIMAL_TWO_NODE}<prompt>\n{name}="a"\n</prompt>\n', encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"SYNTAX error -:10:1 bad prompt name {name!r}" in err and "Traceback" not in err
+    assert main(["validate", str(path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["q"] == 0
+
+
 def test_validate_json(capsys):
     assert main(["validate", str(corpus_path("mbpp_round8")), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

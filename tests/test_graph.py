@@ -184,6 +184,22 @@ def test_topological_order_raises_on_cycle():
     assert graph.cycle_nodes() == {"A", "B"}
 
 
+@pytest.mark.parametrize(
+    ("edges", "on_cycles"),
+    [
+        ([("A", "A")], {"A"}),  # a lone self-loop keeps one node from peeling
+        ([("A", "B"), ("B", "C")], set()),
+        ([("A", "B"), ("B", "C"), ("C", "B"), ("C", "D"), ("D", "D")], {"B", "C", "D"}),
+        ([("A", "B"), ("B", "C"), ("C", "A"), ("C", "D"), ("D", "E")], {"A", "B", "C"}),
+    ],
+)
+def test_cycle_nodes_are_the_nodes_on_a_cycle(edges, on_cycles):
+    # nodes upstream and downstream of a cycle are on none
+    ids = sorted({end for edge in edges for end in edge})
+    graph = WorkflowGraph([Node(i, "CustomOp") for i in ids], [Edge(s, t) for s, t in edges])
+    assert graph.cycle_nodes() == on_cycles
+
+
 def test_reachability_matches_w2_verdict(corpus_graphs):
     # cross-module consistency on the published corpus: full forward
     # reachability coincides with the absence of W2 findings

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowevo import (
     Edge,
+    GraphConstructionError,
     LoweringError,
+    MermaidDocument,
     Node,
     PromptTable,
     WorkflowGraph,
@@ -18,9 +22,10 @@ from flowevo import (
     validate,
 )
 from flowevo.diagnostics import SourceSpan
-from flowevo.mermaid import NodeDecl, _escape_prompt, _unescape_prompt, split_label
+from flowevo.mermaid import _ONE_PAIR_RE, EdgeStmt, NodeDecl, _escape_prompt, _unescape_prompt, split_label
+from flowevo.registry import default_registry
 
-from conftest import CORPUS_NAMES, corpus_path, load_corpus_graph, load_workflow_gen
+from conftest import CORPUS_NAMES, assert_memos_exact, corpus_path, load_corpus_graph, load_workflow_gen
 from label_scan_reference import reference_split_label
 
 
@@ -167,13 +172,82 @@ def test_prompt_escape_round_trip(text):
 _LABEL_TAIL = st.text(alphabet="ab :,()'\\]\n", max_size=40)
 
 
-@given(st.text(alphabet="ab<>/(", max_size=6), _LABEL_TAIL)
+@st.composite
+def _one_pair_label(draw) -> str:
+    """The one-pair shape ``Display<br/>(key: value)`` and its near misses.
+
+    Near misses: an entity in the display or the value, ``\\'`` in a quoted
+    value, spaces around the separator, the key or the value, an empty
+    value, two separators, a trailing ``]`` and a second pair.
+    """
+    display = draw(st.sampled_from(["Custom", "", " Custom ", "A &amp; B", "a<b", "x(y)'"]))
+    separator = draw(st.sampled_from(["<br/>", " <br/>", "<br/> ", "<br/><br/>"]))
+    key = draw(st.sampled_from(["role", "k_1", " role", "role ", "'role'", "é"]))
+    colon = draw(st.sampled_from([": ", ":", " : ", ":  "]))
+    value = draw(
+        st.sampled_from(
+            ["r", "", " ", " r ", "a b", "a:b", "a\\b", "&lt;x&gt;", "x]", "'a b'", "''", "'it\\'s'",
+             "'&amp;'", "'a, (b)'", "'x' y"]
+        )
+    )
+    second = draw(st.sampled_from(["", "", ", k2: v", ", 'k2': 'v'"]))
+    end = draw(st.sampled_from([")", ")", "", "]", ")]", "])", ") ", ")<br/>(k3: w)"]))
+    return f"{display}{separator}({key}{colon}{value}{second}{end}"
+
+
+@given(st.text(alphabet="ab<>/(", max_size=6), _LABEL_TAIL, _one_pair_label())
 @settings(max_examples=500, deadline=None)
-def test_split_label_matches_reference(display, tail):
+def test_split_label_matches_reference(display, tail, one_pair):
     # quotes, escapes, nesting, stray brackets and unclosed groups, scanned
     # the way the two character loops before the token walk did
-    for label in (f"{display}<br/>({tail}", f"{display}<br/>{tail}", tail):
+    for label in (f"{display}<br/>({tail}", f"{display}<br/>{tail}", tail, one_pair):
         assert split_label(label) == reference_split_label(label)
+
+
+@pytest.mark.parametrize(
+    ("label", "fast"),
+    [
+        ("Custom<br/>(role: role_0_0)", True),
+        ("Programmer<br/>(analysis: 'Verify intermediate results')", True),
+        (" Custom <br/>(role:  r )", True),
+        ("X<br/>(k: )", True),
+        ("X<br/>(k: '')", True),
+        ("X<br/>(k: a: b<br/>c])", True),
+        ("X<br/>(k: 'a, (b)')", True),
+        ("A &amp; B<br/>(k: v)", False),
+        ("X<br/>(k: &lt;v&gt;)", False),
+        ("X<br/>(k: 'it\\'s')", False),
+        ("X <br/> (k: v)", False),
+        ("X<br/>( k: v)", False),
+        ("X<br/>(k : v)", False),
+        ("X<br/>(k:v)", False),
+        ("X<br/><br/>(k: v)", False),
+        ("X<br/>(k: v)<br/>(k2: w)", False),
+        ("X<br/>(k: v]", False),
+        ("X<br/>(k: v)]", False),
+        ("X<br/>(k: v, k2: w)", False),
+        ("X<br/>('k': v)", False),
+        ("X<br/>(k: 'v' w)", False),
+    ],
+)
+def test_one_pair_fast_path_decodes_as_the_token_walk(label, fast):
+    # the fast path answers only for the one-pair shape, and then as the token walk would
+    assert bool(_ONE_PAIR_RE.match(label)) == fast
+    assert split_label(label) == reference_split_label(label)
+
+
+@pytest.mark.parametrize("name", ["1x", "é", "Ωmega"])
+def test_bad_prompt_name_is_a_syntax_finding(name):
+    # the dialect reads \w+ names, but a prompt table holds only identifiers
+    text = HEADER + f'PROBLEM([Problem])\n<prompt>\n{name}="a"\nok="b"\n</prompt>\n'
+    doc = parse_workflow(text)
+    assert [(d.rule, d.severity, d.message, d.span) for d in doc.diagnostics] == [
+        ("SYNTAX", "error", f"bad prompt name {name!r}", SourceSpan(4, 1, len(name) + 4))
+    ]
+    assert [p.name for p in doc.prompts] == ["ok"]
+    verdict = validate(text)
+    assert verdict.q == 0 and verdict.graph is None
+    assert f"SYNTAX error -:4:1 bad prompt name {name!r}" in verdict.render()
 
 
 def test_duplicate_prompt_name():
@@ -246,9 +320,88 @@ def test_implicit_edge_endpoint_flagged():
     assert any("never declared" in d.message for d in diagnostics)
 
 
+def _built_publicly(doc, registry):
+    """The graph ``doc`` lowers to, built through the public Node, Edge and WorkflowGraph constructors."""
+    assigned = {}
+    for assign in doc.class_assigns:
+        for node_id in assign.ids:
+            assigned.setdefault(node_id, assign.name)
+
+    def kind(decl):
+        name = assigned.get(decl.id)
+        if name is not None:
+            return registry.resolve_kind(name) or name
+        return "Interface" if decl.shape == "stadium" else "Unclassified"
+
+    declared = {decl.id for decl in doc.decls}
+    ends = dict.fromkeys(node_id for e in doc.edges for node_id in (e.source, e.target) if node_id not in declared)
+    nodes = [Node(d.id, kind(d), dict(d.attributes), d.display) for d in doc.decls]
+    nodes += [Node(node_id, "Unclassified", {}, node_id) for node_id in ends]
+    edges = [Edge(e.source, e.target, e.label) for e in doc.edges]
+    prompts = PromptTable({p.name: p.text for p in doc.prompts})
+    return WorkflowGraph(nodes, edges, prompts, infer_domain(doc, registry), registry)
+
+
+def assert_lowers_as_built_publicly(text):
+    doc = parse_workflow(text)
+    registry = default_registry()
+    lowered, _ = lower_to_graph(doc, registry=registry)
+    built = _built_publicly(doc, registry)
+    assert lowered == built
+    assert lowered.nodes == built.nodes and lowered.edges == built.edges
+    for mine, theirs in zip(lowered.nodes, built.nodes):
+        assert list(mine.attributes.items()) == list(theirs.attributes.items()), mine.id
+        assert type(mine.attributes) is type(theirs.attributes)
+    assert_memos_exact(lowered)
+
+
+_LOWERING_CORNERS = HEADER + (
+    'PROBLEM([Problem])\nA["Custom<br/>(role: r, b: 2, a: 1)"]\nB["x<br/>(\'z\': 1, y: 2)"]\n'
+    "class A CustomOp\nclass B customop\nclass C NoSuchOp\nC{c}\n"
+    "PROBLEM -->|&#10;input| A\nA -->|&#10;| B\nA -- &#10;x&#10; --> B\nA -->|w| B\nB --> C\nC --> GHOST\n"
+    '<prompt>\nr="text"\n</prompt>\n'
+)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_lowering_matches_the_public_constructors_on_the_corpus(name):
+    assert_lowers_as_built_publicly(corpus_path(name).read_text(encoding="utf-8"))
+
+
+def test_lowering_matches_the_public_constructors_on_corner_cases():
+    # attributes out of key order, a quoted key, a folded kind spelling, an
+    # unknown class, an implicit node, and edge labels that unescape to
+    # blank or padded text, which sort by their stripped form
+    assert_lowers_as_built_publicly(_LOWERING_CORNERS)
+    graph, _ = lower_to_graph(parse_workflow(_LOWERING_CORNERS))
+    assert list(graph.node("A").attributes) == ["a", "b", "role"]
+    assert [e.label for e in graph.edges] == [None, "w", "x", None, None, "input"]
+
+
+@given(st.integers(0, 2**32), st.integers(0, 99))
+@settings(max_examples=15, deadline=None)
+def test_lowering_matches_the_public_constructors_on_check_stream_batches(seed, index):
+    workflow_gen = load_workflow_gen()
+    for source in workflow_gen.check_stream_batch(random.Random(f"{seed}/{index}"), index, 4, high=60):
+        if parse_workflow(source.text).ok:
+            assert_lowers_as_built_publicly(source.text)
+
+
 def test_lower_refuses_syntax_errors():
     doc = parse_workflow(HEADER + "??\n")
     with pytest.raises(LoweringError):
+        lower_to_graph(doc)
+
+
+@pytest.mark.parametrize("where", ["declaration", "edge"])
+def test_lowering_a_hand_built_document_checks_node_ids(where):
+    # a document need not come from the parser, so lowering tests every id
+    # it turns into a node, declared or met only as an edge endpoint
+    span = SourceSpan(1, 1)
+    decls = (NodeDecl(span, "1A", "rect", "x"),) if where == "declaration" else ()
+    edges = (EdgeStmt(span, "A", "1A", None),) if where == "edge" else ()
+    doc = MermaidDocument("TD", decls, (), (), edges, (), ())
+    with pytest.raises(GraphConstructionError, match="bad node id '1A'"):
         lower_to_graph(doc)
 
 
@@ -520,8 +673,6 @@ _FRONT_END_EXTRAS = (
 
 def _front_end_sources() -> list[str]:
     """The corpus and seeded generated sources, each with line-level damage."""
-    import random
-
     workflow_gen = load_workflow_gen()
     rng = random.Random(8)
     bases = [corpus_path(name).read_text(encoding="utf-8") for name in CORPUS_NAMES]

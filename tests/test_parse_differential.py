@@ -100,6 +100,8 @@ def _line_soup(draw) -> str:
 @example("flowchart TD\nclass A --> B\nclass A[x B\nclass A(x) B\nclass A{ B")
 @example("flowchart TD x\nflowchart LR\n%x\n%% c\n# c")
 @example('A -->|a|b| B\nA -- a|b --> B\nA -->|&amp;| B\nA(["x"])\nA(["x"]) B')
+@example('flowchart TD\n<prompt>\n1x="a"\né="b"\nok="c"\n</prompt>')
+@example('flowchart TD\nA["Custom<br/>(role: r)"]\nB["Custom <br/>(role: r)"]\nC["x<br/>(k: \'v\')]"]')
 @settings(max_examples=1000, deadline=None)
 def test_parse_matches_reference_on_line_soups(text):
     assert_same_parse(text)
@@ -119,7 +121,8 @@ def test_parse_matches_reference_on_check_stream_batches(seed, index, rng):
 
 
 def test_parse_matches_reference_on_a_check_stream_window():
-    # the sources the benchmark's check_stream window 0 validates for seed 1
+    # the sources the benchmark's check_stream windows 0-2 validate for seed 1
     workflow_gen = load_workflow_gen()
-    for source in workflow_gen.check_stream_batch(random.Random("1/0"), 0, 60):
-        assert_same_parse(source.text)
+    for window in range(3):
+        for source in workflow_gen.check_stream_batch(random.Random(f"1/{window}"), window, 60):
+            assert_same_parse(source.text)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import random
 import re
 
 import numpy as np
@@ -7,9 +9,10 @@ import pytest
 
 from flowevo import Edge, Node, PromptTable, WorkflowGraph, validate
 from flowevo.diagnostics import RULE_ORDER
+from flowevo.registry import NodeTypeSchema, OutputSpec, PortSpec, Registry, default_registry
 from flowevo.validator import bind_input_ports, soft_check
 
-from conftest import CORPUS_NAMES, corpus_path, load_corpus_graph, rebuilt, vote_registry
+from conftest import CORPUS_NAMES, corpus_path, load_corpus_graph, load_workflow_gen, rebuilt, vote_registry
 
 
 def errors_of(diags):
@@ -430,6 +433,18 @@ def test_text_verdict_keeps_every_graph_finding(name):
             assert (d.rule, d.severity, d.subject, d.message) in found or (d.rule, d.subject) in subjects
 
 
+def test_two_fillable_ports_that_share_a_label_are_both_overfed():
+    # a registry may list two ports under one label; filling both counts the
+    # label twice, so each of them is bound more than once
+    twin = NodeTypeSchema("TwinOp", (PortSpec("x"), PortSpec("x", required=False)), OutputSpec("solution"))
+    registry = Registry([NodeTypeSchema("Interface", interface_role="auto"), twin])
+    nodes = [Node("A", "Interface"), Node("B", "Interface"), Node("T", "TwinOp")]
+    graph = WorkflowGraph(nodes, [Edge("A", "T"), Edge("B", "T")], registry=registry)
+    result = bind_input_ports(graph, "T")
+    assert [port for _, port in result.bindings] == list(twin.input_ports)
+    assert result.overfed == twin.input_ports and result.ambiguous and not result.missing
+
+
 def test_bind_input_ports_lists_bindings_in_predecessor_order(corpus_graphs):
     # A fills the open problem port; B binds to analysis by its label
     graph = WorkflowGraph(
@@ -457,3 +472,22 @@ def test_bind_input_ports_lists_bindings_in_predecessor_order(corpus_graphs):
         for nid in g.node_ids():
             bound = [pair for pair, _ in bind_input_ports(g, nid).bindings]
             assert bound == [pair for pair in g.predecessors(nid) if pair in bound]
+
+
+# the verdicts of the benchmark's check_stream windows at seed 1, digested as
+# bench/workloads.py digests them (window 0 is its window0_digest)
+CHECK_STREAM_DIGESTS = {
+    0: "4c38d33dd70c71bbc5c2c5789af146be518ec3094b0ae6a56eeb5965b62082ec",
+    1: "fc28876781d92baa7488c893f0129dbcd62d0e3294a3243850af706785eec18e",
+    2: "3a1af3f8690e3a2c7c78e926ce0f6b7a2f133b29b5fe897e9a8bc4a37bcb4dd4",
+}
+
+
+@pytest.mark.parametrize("window", sorted(CHECK_STREAM_DIGESTS))
+def test_check_stream_verdicts_golden(window):
+    workflow_gen = load_workflow_gen()
+    digest = hashlib.sha256()
+    for source in workflow_gen.check_stream_batch(random.Random(f"1/{window}"), window, 60):
+        digest.update(validate(source.text, registry=default_registry()).render().encode("utf-8"))
+        digest.update(b"\0")
+    assert digest.hexdigest() == CHECK_STREAM_DIGESTS[window]
