@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+from itertools import chain
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -142,6 +143,14 @@ _OUTPUT_FIELD = {
     "TestOp": "['solution']",
     "CustomCodeGenerateOp": "['response']",
 }
+_ENTRY_POINT_KINDS = frozenset({"TestOp", "CustomCodeGenerateOp"})  # the kinds with an entry_point port
+
+
+class _PlainBindings:
+    """Binding names when no two ids differ only by case: ``<id>_result`` for every id."""
+
+    def __getitem__(self, nid: str) -> str:
+        return f"{nid.lower()}_result"
 
 
 def _inputs(graph: WorkflowGraph, node_id: str) -> dict:
@@ -170,25 +179,29 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
     if verdict.q != 1:
         raise InvalidGraphError(verdict)
     roles = graph.interface_roles()
-    interface_ids = set(roles.entries) | set(roles.exits)
+    interface_ids = {*roles.entries, *roles.exits}
     topological = graph.topological_order()
     order = [nid for nid in topological if nid not in interface_ids]
     if not order:
         raise EmissionError("exit fed directly by entry; nothing to emit")
-    kinds = {}
-    for nid in order:
-        kinds[nid] = graph.schema(nid).kind  # a valid graph's kinds are all registered
-        if kinds[nid] not in _OUTPUT_FIELD:
-            raise EmissionError(f"kind {graph.node(nid).kind!r} has no emission semantics")
+    schemas = graph._schemas  # filled by interface_roles(); a valid graph's kinds are all registered
+    kinds = {nid: schemas[nid].kind for nid in order}
+    present = set(kinds.values())
+    if not present <= _OUTPUT_FIELD.keys():
+        nid = next(nid for nid in order if kinds[nid] not in _OUTPUT_FIELD)
+        raise EmissionError(f"kind {graph.node(nid).kind!r} has no emission semantics")
     inputs = functools.cache(lambda nid: _inputs(graph, nid))  # read only for the calls built here
-    bindings = _binding_names(order)
-    position = {nid: i for i, nid in enumerate(topological)}
+    # binding names other than <id>_result depend on the order of ids that
+    # differ only by case, which a rewrite of other nodes can change, so then
+    # no call step is kept
+    plain = len(set(map(str.lower, order))) == len(order)
+    bindings = _PlainBindings() if plain else _binding_names(order)
+    position = dict(zip(topological, range(len(topological))))
     exit_id = roles.exits[0]
-    prompts: dict = {}
 
     # classify test fan-outs: the fail arm's node is a repair, emitted inside its test's branch
     repair_of: dict[str, str] = {}
-    for nid in order:
+    for nid in order if "TestOp" in present else ():
         if kinds[nid] != "TestOp":
             continue
         fail_targets = [t for t, label in graph.successors(nid) if label == "fail"]
@@ -241,11 +254,13 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
         if value not in graph.prompts:
             return _EMPTY
         module_name = value.upper()
-        prompts[module_name] = graph.prompts.get(value)
-        resolved.append((module_name, prompts[module_name]))
+        resolved.append((module_name, graph.prompts.get(value)))
         return ArgRef("prompt", module_name)
 
-    def build_call(nid: str, at: str) -> CallStep:
+    def build_call(nid: str, at: str) -> tuple:
+        """(node ``nid``'s call, emitted at node ``at``'s step, the prompt names it looked up, the entries they add)."""
+        looked_up.clear()
+        resolved.clear()
         attributes = graph.node(nid).attributes
         kind = kinds[nid]
         if kind == "CustomOp":
@@ -277,36 +292,27 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
                 "instruction": prompt_ref(attributes.get("instruction")),
             }
         binding = bindings[nid]
-        return CallStep(nid, kind, binding, args, f"{binding}{_OUTPUT_FIELD[kind]}")
+        return CallStep(nid, kind, binding, args, f"{binding}{_OUTPUT_FIELD[kind]}"), tuple(looked_up), tuple(resolved)
 
     # a plain call step is taken from the graph's memo when it has one; a branched
-    # test and its readers are always built. Binding names other than <id>_result
-    # depend on the order of ids that differ only by case, which a rewrite of
-    # other nodes can change, so then nothing is kept
-    plain = len({nid.lower() for nid in order}) == len(order)
+    # test and its readers are always built
     memo = graph._calls if plain else {}
     built = {*repair_of, *(t for test in repair_of for t, _ in graph.successors(test))}
-    kept = {}  # node id -> (plain call step, the prompt names it looked up, the entries they added)
-    steps = []
-    calls = []  # every call built from a graph node, i.e. all but the re-tests
-    for nid in order:
-        if nid in test_of:
-            continue
-        entry = None if nid in built else memo.get(nid)
-        if entry is None:
-            looked_up.clear()
-            resolved.clear()
-            entry = (build_call(nid, nid), tuple(looked_up), tuple(resolved))
-        else:
-            prompts.update(entry[2])
-        call = entry[0]
-        calls.append(call)
+    emitted = [nid for nid in order if nid not in test_of] if test_of else order  # a repair is emitted in its test's branch
+    # per emitted node: (plain call step, the prompt names it looked up, the entries they added)
+    entries = [None if nid in built else memo.get(nid) for nid in emitted] if built else list(map(memo.get, emitted))
+    for i in [i for i, entry in enumerate(entries) if entry is None]:
+        entries[i] = build_call(emitted[i], emitted[i])
+    kept = dict(zip(emitted, entries))
+    steps = [entry[0] for entry in entries]
+    added = [entry[2] for entry in entries]  # the prompt entries, in emission order
+    for i, nid in enumerate(emitted) if repair_of else ():
         if nid not in repair_of:
-            kept[nid] = entry
-            steps.append(call)
             continue
-        repair = build_call(repair_of[nid], nid)
-        calls.append(repair)
+        del kept[nid]
+        call = steps[i]
+        repair, _, repair_added = build_call(repair_of[nid], nid)
+        added[i] += repair_added
         retest_binding = f"{bindings[nid]}_retest"
         retest = CallStep(
             nid,
@@ -315,14 +321,19 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
             {**call.args, "solution": ArgRef("binding", repair.output_expr)},
             f"{retest_binding}['solution']",
         )
-        steps.append(BranchStep(call, repair, retest, f"{bindings[nid]}_solution", call.args["solution"]))
+        steps[i] = BranchStep(call, repair, retest, f"{bindings[nid]}_solution", call.args["solution"])
+    prompts = dict(chain.from_iterable(added))
 
     # the exit returns its last plain feeder, else the branch of its last repair feeder
     feeders = [src for src, _ in graph.predecessors(exit_id) if src not in interface_ids]
     last = max(feeders, key=lambda nid: (nid not in test_of, position[nid]))
     terminal = ref(test_of.get(last, last), exit_id).render()
 
-    uses_entry_point = bool(roles.aux_entries) or any(c.args.get("entry_point") == _ENTRY_POINT for c in calls)
+    uses_entry_point = bool(roles.aux_entries)
+    if not uses_entry_point and not present.isdisjoint(_ENTRY_POINT_KINDS):
+        # only these kinds have an entry_point port, and a re-test reads what its test reads
+        calls = chain.from_iterable((s,) if isinstance(s, CallStep) else (s.test, s.repair) for s in steps)
+        uses_entry_point = any(c.args.get("entry_point") is _ENTRY_POINT for c in calls if c.kind in _ENTRY_POINT_KINDS)
     entry_args = ("problem", "entry_point") if uses_entry_point else ("problem",)
     # ref and port_ref call each other; clearing one breaks that cycle, so the
     # tables above are freed on return instead of at the next garbage collection
@@ -422,14 +433,20 @@ def _render_call(step: CallStep, templates: EmissionTemplate) -> str:
     return line
 
 
+@functools.lru_cache(maxsize=1024)
+def _prompt_entry(name: str, text: str) -> str:
+    """The prompt module's assignment of ``text`` to ``name``."""
+    text = text.replace('"""', '\\"\\"\\"')
+    return f'{name} = """{text}"""'
+
+
 def emit(ir: ProgramIR, templates: EmissionTemplate | None = None) -> tuple[str, str]:
     """Render (program text, prompt module text); pure and byte-stable."""
     templates = templates or default_templates()
-    init_lines: dict[str, str] = {}  # one per kind, in first-call order
-    for step in ir.call_steps():
-        if step.kind not in templates.calls:
-            raise EmissionError(f"no template for kind {step.kind!r}")
-        init_lines.setdefault(step.kind, "        " + templates.calls[step.kind].init)
+    kinds = dict.fromkeys(step.kind for step in ir.call_steps())  # in first-call order: one init line each
+    for kind in kinds:
+        if kind not in templates.calls:
+            raise EmissionError(f"no template for kind {kind!r}")
 
     body_lines = []
     for step in ir.steps:
@@ -454,7 +471,7 @@ def emit(ir: ProgramIR, templates: EmissionTemplate | None = None) -> tuple[str,
     program = fill(
         templates.program,
         {
-            "inits": "\n".join(init_lines.values()),
+            "inits": "\n".join("        " + templates.calls[kind].init for kind in kinds),
             "entry_args": ", ".join(f"{name}: str" for name in ir.entry_args),
             "body": "\n".join(body_lines),
             "terminal": ir.terminal,
@@ -462,11 +479,8 @@ def emit(ir: ProgramIR, templates: EmissionTemplate | None = None) -> tuple[str,
     )
 
     if ir.prompts:
-        entries = []
-        for name in sorted(ir.prompts):
-            text = ir.prompts[name].replace('"""', '\\"\\"\\"')
-            entries.append(f'{name} = """{text}"""')
-        prompt_module = fill(templates.prompts_module, {"entries": "\n\n".join(entries)})
+        entries = "\n\n".join([_prompt_entry(name, ir.prompts[name]) for name in sorted(ir.prompts)])
+        prompt_module = fill(templates.prompts_module, {"entries": entries})
     else:
         prompt_module = ""
     return program, prompt_module
@@ -477,8 +491,11 @@ def emit(ir: ProgramIR, templates: EmissionTemplate | None = None) -> tuple[str,
 
 _CALL_LINE_RE = re.compile(r"^\s*(\w+) = await self\.(\w+)\((.*)\)\s*$")
 _IF_LINE_RE = re.compile(r"^\s*if not (\w+)\[")
-_STRING_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')  # a double-quoted literal with backslash escapes
+# a double-quoted literal with backslash escapes, within one line
+_STRING_RE = re.compile(r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"')
 _WORD_RE = re.compile(r"\w+")
+_ASCII_NON_WORD = str.maketrans({c: " " for c in range(128) if not (chr(c).isalnum() or chr(c) in "_\n")})
+_LIST_PUNCTUATION_RE = re.compile(r"[\[\],]")
 
 
 @dataclass
@@ -512,10 +529,9 @@ def structural_diff(program_text: str, graph: WorkflowGraph) -> DiffReport:
     for line in program_text.splitlines():
         match = _CALL_LINE_RE.match(line)
         if match:
-            call_lines.append((match.group(1), match.group(3)))
-        match = _IF_LINE_RE.match(line)
-        if match:
-            branch_conditions.append(match.group(1))
+            call_lines.append(match.group(1, 3))
+        elif match := _IF_LINE_RE.match(line):  # a call line is never a branch condition
+            branch_conditions.append(match[1])
     found = dict(call_lines)
 
     expected: dict[str, CallStep] = {}
@@ -536,15 +552,22 @@ def structural_diff(program_text: str, graph: WorkflowGraph) -> DiffReport:
     for binding in found:
         if binding not in expected and binding not in sugar_bindings:
             report.orphan_calls.append(binding)
-    # each call line assigns a fresh binding, and reads only bindings assigned above it
-    assigned: set[str] = set()
-    for binding, args_text in call_lines:
-        for name in _WORD_RE.findall(_STRING_RE.sub("", args_text)):
-            if name in found and name not in assigned:
-                report.flow_mismatches.append(f"{binding} reads {name} before any line assigns it")
-        if binding in assigned:
+    # each call line assigns a fresh binding, and reads only bindings assigned
+    # above it: no word of its arguments, string literals taken out, is one
+    # that no line above assigns
+    stripped = _STRING_RE.sub("", "\n".join([args_text for _, args_text in call_lines]))
+    if stripped.isascii():  # then a word is a run of [A-Za-z0-9_]
+        rows, words_of = stripped.translate(_ASCII_NON_WORD).split("\n"), str.split
+    else:
+        rows, words_of = stripped.split("\n"), _WORD_RE.findall
+    pending = set(found)  # the bindings no line above assigns
+    for (binding, _), row in zip(call_lines, rows):
+        words = words_of(row)
+        if not pending.isdisjoint(words):
+            report.flow_mismatches += [f"{binding} reads {name} before any line assigns it" for name in words if name in pending]
+        if binding not in pending:
             report.orphan_calls.append(f"{binding} (assigned twice)")
-        assigned.add(binding)
+        pending.discard(binding)
 
     binding_of_node = {step.node_id: binding for binding, step in expected.items()}
     roles = graph.interface_roles()
@@ -581,18 +604,16 @@ def structural_diff(program_text: str, graph: WorkflowGraph) -> DiffReport:
             continue
         depth = 1
         top_commas = 0
-        body_len = 0
-        for ch in rendered[1]:
+        for ch in _LIST_PUNCTUATION_RE.findall(rendered[1]):
             if ch == "[":
                 depth += 1
             elif ch == "]":
                 depth -= 1
                 if depth == 0:
                     break
-            elif ch == "," and depth == 1:
+            elif depth == 1:
                 top_commas += 1
-            body_len += 1
-        emitted_count = (top_commas + 1) if body_len else 0
+        emitted_count = 0 if rendered[1][:1] in ("", "]") else top_commas + 1  # the list is empty or not
         expected_count = graph.in_degree(step.node_id)
         if emitted_count != len(solutions) or emitted_count != expected_count:
             report.arity_mismatches.append(

@@ -89,6 +89,7 @@ class PromptTable:
             if not IDENT_RE.match(name):
                 raise GraphConstructionError(f"bad prompt name {name!r}")
         self._entries = entries
+        self._lines = {}  # name -> serialized entry, filled by mermaid.serialize_workflow
 
     @property
     def entries(self):
@@ -115,9 +116,14 @@ class PromptTable:
         return f"PromptTable({list(self._entries)})"
 
     def merged(self, extra: Mapping) -> "PromptTable":
+        """This table plus the entries of ``extra`` it lacks; the table itself when it lacks none."""
         merged = dict(extra)
         merged.update(self._entries)  # existing entries win
-        return PromptTable(merged)
+        if len(merged) == len(self._entries):
+            return self
+        table = PromptTable(merged)
+        table._lines = self._lines.copy()  # every entry of this table stays as it is
+        return table
 
 
 @dataclass(frozen=True)
@@ -158,6 +164,8 @@ class WorkflowGraph:
         "_bindings",
         "_findings",
         "_lines",
+        "_refs",
+        "_order",
         "_cycles",
         "_verdict",
         "_ir",
@@ -228,7 +236,9 @@ class WorkflowGraph:
         self._schemas = None  # node id -> schema, filled once by schema()
         self._bindings = {}  # node id -> port binding, filled by validator.bind_input_ports
         self._findings = {}  # node id -> the node's own soft-check findings, filled by validator.soft_check
-        self._lines = {}  # node id -> declaration line, filled by mermaid.serialize_workflow
+        self._lines = {}  # node id -> (declaration, class and out-edge lines), filled by mermaid.serialize_workflow
+        self._refs = None  # node id -> its prompt references, for the nodes with any, filled once by prompt_ref_table()
+        self._order = None  # the topological order, filled once by topological_order()
         self._cycles = None  # the nodes on a cycle, filled once by cycle_nodes()
         self._verdict = None  # the soft-check verdict, filled once by validator.validate
         self._ir = None  # the program IR, filled once by codegen.lower_to_ir
@@ -410,8 +420,10 @@ class WorkflowGraph:
                             result.update(component)
         return frozenset(result)
 
-    def topological_order(self) -> list[str]:
-        """Kahn's algorithm with id tie-breaking; raises on cycles."""
+    def topological_order(self) -> tuple[str, ...]:
+        """Kahn's algorithm with id tie-breaking, found once per graph; raises on cycles."""
+        if self._order is not None:
+            return self._order
         indeg = {nid: len(self._in[nid]) for nid in self._by_id}
         ready = [nid for nid, d in indeg.items() if d == 0]  # ids in order: already a heap
         order: list[str] = []
@@ -424,7 +436,23 @@ class WorkflowGraph:
                     heapq.heappush(ready, neighbor)
         if len(order) != len(self._by_id):
             raise GraphConstructionError("graph contains a cycle; no topological order")
+        # the write is idempotent: a racing call stores an equal order
+        self._order = order = tuple(order)
         return order
+
+    # -- prompt references -----------------------------------------------------
+
+    def prompt_ref_table(self) -> dict:
+        """Node id -> the node's (attribute key, prompt name) references, for the nodes with any.
+
+        Found once per graph (a racing call stores an equal table) when the
+        graph first passes it on: ``with_changes`` gives the product this
+        table patched at the nodes the delta changes, and ``prompt_refs``
+        reads it. Read-only for callers.
+        """
+        if self._refs is None:
+            self._refs = _collect({}, prompt_refs(self))
+        return self._refs
 
     # -- equality and derivation ---------------------------------------------
 
@@ -514,12 +542,14 @@ class WorkflowGraph:
         """Give ``child``, this graph with ``delta`` applied, every memo entry the delta keeps.
 
         A node's binding reads its kind and in-edges (``delta.rebound``), its
-        declaration line the node value and schema, its findings what
+        declaration and class lines and its prompt references the node value
+        and schema, its edge lines its out-edges, its findings what
         ``delta.dirty`` covers plus the interface roles, and its call step
         the node, the kind, binding and branch status of each source (so the
         successors of touched nodes lose theirs), the roles and the prompts
         it names. Findings and call steps pass on only while the roles stay
-        equal. Roles read only interface nodes.
+        equal. Roles read only interface nodes, and the topological order
+        only node ids and edges.
         """
         schemas = self._schemas
         if schemas is not None and delta.changes_nodes():
@@ -530,8 +560,13 @@ class WorkflowGraph:
                 schemas[node.id] = self.registry.get(node.kind)
         child._schemas = schemas
         child._bindings = _snapshot(self._bindings, delta.rebound(self))
-        new_ids = [node.id for node in delta.added_nodes + delta.replaced_nodes]
-        child._lines = _snapshot(self._lines, [*delta.removed_nodes, *new_ids])
+        new_nodes = delta.added_nodes + delta.replaced_nodes
+        changed = [*delta.removed_nodes, *(node.id for node in new_nodes)]
+        edges = delta.removed_edges + delta.added_edges
+        child._lines = _snapshot(self._lines, [*changed, *(e.source for e in edges)])
+        child._refs = _collect(_snapshot(self.prompt_ref_table(), changed), prompt_refs(child, new_nodes))
+        if not (edges or delta.removed_nodes or delta.added_nodes):
+            child._order = self._order
         touched = delta.touched()
         kinds = [g.schema(nid) for g in (self, child) for nid in touched if nid in g]
         if not any(schema is not None and schema.is_interface for schema in kinds):
@@ -674,20 +709,31 @@ def effective_display(graph: WorkflowGraph, node: Node) -> str:
 
 
 def prompt_refs(graph: WorkflowGraph, nodes=None):
-    """Yield (node, attribute key, prompt name) for each prompt reference.
+    """Yield (node id, attribute key, prompt name) for each prompt reference.
 
     Walks ``nodes`` (nodes of ``graph``; default: all of them) in order, and each
     node's prompt-ref attributes in schema order. Only identifier values are
-    references; any other value is inline prompt text.
+    references; any other value is inline prompt text. Reads the graph's table
+    of references when it has one (see ``WorkflowGraph.prompt_ref_table``).
     """
+    table = graph._refs
     for node in graph.nodes if nodes is None else nodes:
-        schema = graph.schema(node.id)
-        if schema is None:
+        if table is not None:
+            for key, name in table.get(node.id, ()):
+                yield node.id, key, name
             continue
-        for attr in schema.attribute_keys:
-            value = node.attributes.get(attr.key)
-            if attr.prompt_ref and value is not None and IDENT_RE.match(value):
-                yield node, attr.key, value
+        schema = graph.schema(node.id)
+        for key in () if schema is None else schema.prompt_ref_keys:
+            value = node.attributes.get(key)
+            if value is not None and IDENT_RE.match(value):
+                yield node.id, key, value
+
+
+def _collect(table: dict, refs) -> dict:
+    """``table`` with each (node id, key, name) of ``refs`` added to its node's entry."""
+    for nid, key, name in refs:
+        table[nid] = table.get(nid, ()) + ((key, name),)
+    return table
 
 
 def type_of_output(graph: WorkflowGraph, node_id: str) -> str | None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
+from itertools import chain
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -471,6 +472,18 @@ def _node_decl_line(graph: WorkflowGraph, node: Node) -> str:
     return f'{node.id}["{body}"]'
 
 
+def _node_lines(graph: WorkflowGraph, node: Node) -> tuple:
+    """The lines ``node`` adds to its graph's source: its declaration, its class
+    assignment and its out-edges, and the style class it uses ("" for none)."""
+    schema = graph.schema(node.id)
+    style = schema.style_class if schema is not None else ""
+    edges = tuple(
+        f"  {node.id} --> |{_escape_edge_label(label)}|{target}" if label else f"  {node.id} --> {target}"
+        for target, label in graph._out[node.id]
+    )
+    return "  " + _node_decl_line(graph, node), f"  class {node.id} {style or node.kind}", edges, style
+
+
 def serialize_workflow(graph: WorkflowGraph) -> str:
     """Emit the canonical source form: a fixed point of serialize-parse-serialize.
 
@@ -479,43 +492,36 @@ def serialize_workflow(graph: WorkflowGraph) -> str:
     emitted, even for unused classes); class assignments by id; edges in the
     graph's (source, target, label) order; then the prompt block by name.
     """
-    roles = graph.interface_roles()
-    placed = {*roles.entries, *roles.exits}
-    ordered = [*roles.entries, *(nid for nid in graph._by_id if nid not in placed), *roles.exits]
-
-    lines = ["flowchart TD"]
-    # a declaration line reads only the node and its schema, so a product of
-    # with_changes starts with its parent's lines of the nodes it keeps
+    # a node's lines read only the node, its schema and its out-edges, so a
+    # product of with_changes starts with its parent's lines of the nodes the
+    # delta leaves as they were, and a prompt table keeps its entries' lines
     memo = graph._lines
-    for nid in ordered:
-        line = memo.get(nid)
-        if line is None:  # the write is idempotent: a racing caller stores an equal line
-            line = memo[nid] = "  " + _node_decl_line(graph, graph.node(nid))
-        lines.append(line)
-    lines.append("")
+    for nid in graph._by_id.keys() - memo.keys():  # the write is idempotent: a racing caller stores equal lines
+        memo[nid] = _node_lines(graph, graph._by_id[nid])
+    decls, classes, edges, used = zip(*map(memo.__getitem__, graph._by_id)) if memo else ((),) * 4
+
+    roles = graph.interface_roles()
+    first, last = roles.entries, roles.exits
+    decls = list(decls)
+    for i in sorted((WorkflowGraph._index_of(graph.nodes, nid) for nid in {*first, *last}), reverse=True):
+        del decls[i]
+    lines = ["flowchart TD", *(memo[nid][0] for nid in first), *decls, *(memo[nid][0] for nid in last), ""]
 
     styles = {}
     for schema in graph.registry.schemas():
         if schema.style_class:
             styles[schema.style_class] = schema.style
-    used = {s.style_class for nid in ordered if (s := graph.schema(nid)) is not None and s.style_class}
-    for name in (*STANDARD_CLASSES, *sorted(used - set(STANDARD_CLASSES))):
+    for name in (*STANDARD_CLASSES, *sorted(set(used) - {""} - set(STANDARD_CLASSES))):
         lines.append(f"  classDef {name} {styles.get(name) or 'fill:#ffffff'};")
-    lines.append("")
+    lines += ["", *classes, "", *chain.from_iterable(edges)]
 
-    for node in graph.nodes:
-        schema = graph.schema(node.id)
-        class_name = schema.style_class if schema is not None and schema.style_class else node.kind
-        lines.append(f"  class {node.id} {class_name}")
-    lines.append("")
-
-    for edge in graph.edges:
-        label = f"|{_escape_edge_label(edge.label)}|" if edge.label else ""
-        lines.append(f"  {edge.source} --> {label}{edge.target}")
-
-    if len(graph.prompts):
-        entries = [f'{name}="{_escape_prompt(text)}"' for name, text in graph.prompts.entries.items()]
-        lines += ["", "<prompt>", *entries, "</prompt>"]
+    prompts = graph.prompts
+    if len(prompts):
+        entries = prompts._lines
+        if len(entries) != len(prompts):  # a new table, or one that merged() gave a part of its lines
+            entries = {name: entries.get(name) or f'{name}="{_escape_prompt(text)}"' for name, text in prompts.entries.items()}
+            prompts._lines = entries  # the write is idempotent: a racing caller stores equal lines
+        lines += ["", "<prompt>", *entries.values(), "</prompt>"]
     return "\n".join(lines) + "\n"
 
 

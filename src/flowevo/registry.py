@@ -100,6 +100,11 @@ class NodeTypeSchema:
         return tuple(p for p in self.input_ports if p.variadic and p.min_count >= 2)
 
     @functools.cached_property
+    def prompt_ref_keys(self) -> tuple[str, ...]:
+        """The keys of the attributes that name a prompt, in schema order."""
+        return tuple(a.key for a in self.attribute_keys if a.prompt_ref)
+
+    @functools.cached_property
     def required_ports(self) -> tuple[PortSpec, ...]:
         """Ports an edge must feed; fan-in minimums belong to W5."""
         return tuple(

@@ -296,15 +296,15 @@ def _own_findings(graph: WorkflowGraph, nid: str) -> tuple:
 def _check_prompts(graph):
     out = []
     used = set()
-    for node, key, name in prompt_refs(graph):
-        if name in graph.prompts:
+    prompts = graph.prompts
+    for nid, key, name in prompt_refs(graph):
+        if name in prompts:
             used.add(name)
         else:
             message = f"unresolved prompt reference {name!r} in attribute {key!r}"
-            out.append(Diagnostic(STRUCT, WARNING, message, subject=node.id))
-    for name in graph.prompts:
-        if name not in used:
-            out.append(Diagnostic(STRUCT, WARNING, f"unused prompt entry {name!r}"))
+            out.append(Diagnostic(STRUCT, WARNING, message, subject=nid))
+    if len(used) < len(prompts):
+        out += [Diagnostic(STRUCT, WARNING, f"unused prompt entry {name!r}") for name in prompts if name not in used]
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 from flowevo import PromptTable, WorkflowGraph, lower_to_graph, parse_workflow, serialize_workflow
 from flowevo import registry as registry_module
 from flowevo.codegen import EmissionError, emit, lower_to_ir
+from flowevo.graph import prompt_refs
 from flowevo.validator import bind_input_ports, soft_check
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -74,16 +75,23 @@ def lowering(graph):
 def assert_memos_exact(graph) -> None:
     """Every table and memo of ``graph``, inherited or not, equals a fresh build's of the same value.
 
-    The tables must match in key order too. Findings and declaration lines
-    are compared after ``soft_check`` and ``serialize_workflow`` have run
-    on both graphs, so an entry ``graph`` inherited is compared as it was
-    inherited, and every other entry as the graph computed it. Call steps
-    are taken before ``graph`` is lowered, and compared with those a fresh
-    lowering builds whenever it keeps any (it lowers, with every binding
-    name ``<id>_result``).
+    The tables must match in key order too. Findings and the node and
+    prompt-entry lines are compared after ``soft_check`` and
+    ``serialize_workflow`` have run on both graphs (the fresh build gets its
+    own prompt table), so an entry ``graph`` inherited is compared as it was
+    inherited, and every other entry as the graph computed it. Call steps,
+    the topological order and the prompt-ref table are taken before
+    ``graph`` is lowered, and each one ``graph`` holds is compared with the
+    fresh build's (call steps whenever a fresh lowering keeps any: it
+    lowers, with every binding name ``<id>_result``).
     """
-    calls = dict(graph._calls)
-    fresh = rebuilt(graph)
+    calls, order, refs = dict(graph._calls), graph._order, graph._refs
+    fresh = rebuilt(graph, prompts=PromptTable(graph.prompts.entries))
+    assert list(prompt_refs(graph)) == list(prompt_refs(fresh))
+    if refs is not None:
+        assert refs == fresh.prompt_ref_table()
+    if order is not None:
+        assert order == fresh.topological_order()
     assert lowering(graph) == lowering(fresh)
     if fresh._calls:
         for nid, entry in calls.items():
@@ -98,6 +106,7 @@ def assert_memos_exact(graph) -> None:
     assert graph._findings == fresh._findings
     assert serialize_workflow(graph) == serialize_workflow(fresh)
     assert graph._lines == fresh._lines
+    assert list(graph.prompts._lines.items()) == list(fresh.prompts._lines.items())
     for nid in graph.node_ids():
         assert graph.schema(nid) == fresh.schema(nid)
         assert bind_input_ports(graph, nid) == bind_input_ports(fresh, nid)

@@ -28,7 +28,7 @@ from flowevo import validator
 from flowevo.codegen import emit, lower_to_ir, structural_diff
 from flowevo.diagnostics import ERROR, STRUCT, W3, Diagnostic
 from flowevo.graph import GraphConstructionError, GraphDelta
-from flowevo.operators import OperatorPreconditionError, RewriteRejectedError, apply_random, rewire_edge
+from flowevo.operators import OperatorKind, OperatorPreconditionError, RewriteRejectedError, apply_random, rewire_edge
 from flowevo.registry import load_registry
 from flowevo.validator import bind_input_ports, soft_check
 
@@ -131,6 +131,27 @@ def _chain(graph, partner, seed: int, steps: int) -> None:
         for product in outcome.graphs:
             assert_memos_exact(product)
         graph = outcome.graphs[0]
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+def test_products_of_each_operator_kind_inherit_exact_memos(kind):
+    # every parent has each memo filled (assert_memos_exact checks, serializes
+    # and lowers it) before a rewrite of the one kind derives from it
+    products = Counter()
+    starts = [(load_corpus_graph(a), load_corpus_graph(b)) for a, b in (("gsm8k_round16", "math_round16"), ("humaneval_round5", "mbpp_round8"))]
+    starts.append((_generated(60, 5), _generated(60, 6)))
+    for seed, (graph, partner) in enumerate(starts):
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            assert_memos_exact(graph)
+            outcome = apply_random((graph, partner), rng, weights={kind: 1.0}, site_budget=32)
+            if outcome is None:
+                break
+            for product in outcome.graphs:
+                assert_memos_exact(product)
+                products[seed] += 1
+            graph = outcome.graphs[0]
+    assert len(products) >= 2 and sum(products.values()) >= 8, products
 
 
 @settings(max_examples=30, deadline=None)

@@ -612,3 +612,59 @@ def test_the_audit_reads_the_text_not_the_inherited_steps(gsm8k):
     tampered = program.replace(line, "p6_result = await self.programmer(problem=p5_result['output']")
     report = structural_diff(tampered, product)
     assert report.flow_mismatches == ["ENSEMBLE->P6: p6_result does not consume ensemble_result"]
+
+
+# -- large_rewrite's products, pinned --------------------------------------------------
+
+LARGE_REWRITE_DIGESTS = {  # window -> (serialized products, emitted programs and audit reports)
+    0: (
+        "c69462bf005a0768fb6299de643474fcee0e87ca70decb773c018b36a228b3cd",
+        "c3571f9670d9a0c720d5d3ac37eeb08e5afc7daf3d5e6292191752ce0359d0d5",
+    ),
+    1: (
+        "a62f44973f22351b0eb5ca2add43c758ca053ae0324d2b008213d9597a1eccf8",
+        "7d6289771a50808ccf4d7b7950ddaf0d2d66dfde4828feb437172b015f469205",
+    ),
+    2: (
+        "0a166c403d2eaaff601a8400be007c2a5c065bca0fad83883641596b9b906939",
+        "d0727a1594b8524644736c54af4fd338391e5641628695296e2bd758ee202b4c",
+    ),
+}
+
+
+@pytest.mark.parametrize("window", sorted(LARGE_REWRITE_DIGESTS))
+def test_large_rewrite_products_golden(window):
+    # the benchmark's large_rewrite window at seed 1: rewrite chains on generated
+    # 100- and 300-node graphs; pins each product's serialized source (the
+    # window digest the benchmark reports), and its emitted program and audit
+    import hashlib
+    import json
+    import random
+
+    import numpy as np
+
+    from conftest import load_workflow_gen
+    from flowevo import lower_to_graph, parse_workflow, serialize_workflow
+    from flowevo.operators import apply_random
+    from flowevo.registry import default_registry
+
+    workflow_gen = load_workflow_gen()
+    rng = random.Random(f"1/{window}")
+    sources, programs = hashlib.sha256(), hashlib.sha256()
+    for c, nodes in enumerate((100, 100, 100, 100, 100, 300)):
+        graph, partner = (
+            lower_to_graph(parse_workflow(workflow_gen.generate(nodes, rng, tag).text), registry=default_registry())[0]
+            for tag in (f"w{window}.{c}", f"w{window}.{c}.partner")
+        )
+        op_rng = np.random.default_rng(rng.getrandbits(63))
+        for _ in range(10):
+            outcome = apply_random((graph, partner), op_rng)
+            if outcome is None:
+                sources.update(b"none\0")
+                continue
+            graph = outcome.graphs[0]
+            sources.update(serialize_workflow(graph).encode() + b"\0")
+            program, _ = emit(lower_to_ir(graph))
+            report = json.dumps(structural_diff(program, graph).to_dict(), sort_keys=True)
+            programs.update(program.encode() + b"\0" + report.encode() + b"\0")
+    assert (sources.hexdigest(), programs.hexdigest()) == LARGE_REWRITE_DIGESTS[window]
