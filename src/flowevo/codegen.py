@@ -435,8 +435,14 @@ def _render_call(step: CallStep, templates: EmissionTemplate) -> str:
 
 @functools.lru_cache(maxsize=1024)
 def _prompt_entry(name: str, text: str) -> str:
-    """The prompt module's assignment of ``text`` to ``name``."""
-    text = text.replace('"""', '\\"\\"\\"')
+    """The prompt module's assignment of ``text`` to ``name``, in a literal Python reads back as ``text``."""
+    # backslashes first, so that the escapes added after them stay escapes;
+    # then a final quote, which would end the literal, and three in a row.
+    # Python reads a carriage return in a literal as a newline and refuses a NUL
+    text = text.replace("\\", "\\\\")
+    if text.endswith('"'):
+        text = text[:-1] + '\\"'
+    text = text.replace('"""', '\\"\\"\\"').replace("\r", "\\r").replace("\0", "\\x00")
     return f'{name} = """{text}"""'
 
 

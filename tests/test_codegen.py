@@ -454,7 +454,38 @@ def test_codegen_digest_golden():
     graphs = _codegen_graphs()
     branched = [g for g in graphs if any(label == "fail" for _, _, label in g.edge_multiset())]
     assert len(graphs) > 400 and len(branched) > 20
-    assert _codegen_digest(graphs) == "6f95661985e737017abf74971102cdc027b499b34c2dc019488c9441c3546dd3"
+    assert _codegen_digest(graphs) == "3841454b285817dfb6254f28a451d7a58a7d3fdb8764b0e9c6997bb157e36f14"
+
+
+def _module_values(prompt_module: str) -> dict:
+    """Name -> value of each assignment in an emitted prompt module, as Python reads it."""
+    import ast
+
+    tree = ast.parse(prompt_module)
+    return {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)}
+
+
+_ADVERSARIAL_PROMPTS = (
+    "Answer in \\boxed{}.", 'ends in a quote"', "ends in a backslash\\", 'a"""b', '""""', '\\"""', '"', "\\", "",
+    "crlf\r\nline", "nul\x00byte", "\x0001", "'''", "\\N{BULLET} \\x41 \\u0041 \\n", 'two ""', 'both \\" and """"',
+)
+
+
+def test_the_prompt_module_reads_back_as_the_prompt_texts(gsm8k):
+    from flowevo import PromptTable
+
+    adversarial = [rebuilt(gsm8k, prompts=PromptTable(dict.fromkeys(gsm8k.prompts, text))) for text in _ADVERSARIAL_PROMPTS]
+    checked = 0
+    for graph in _codegen_graphs() + adversarial:
+        try:
+            ir = lower_to_ir(graph)
+        except EmissionError:
+            continue
+        values = _module_values(emit(ir)[1])
+        assert values == dict(ir.prompts)
+        assert values == {name.upper(): text for name, text in graph.prompts.entries.items() if name.upper() in values}
+        checked += bool(values)
+    assert checked > 400
 
 
 # -- products inherit their parent's call steps ------------------------------------------
