@@ -133,6 +133,20 @@ def _chain(graph, partner, seed: int, steps: int) -> None:
         graph = outcome.graphs[0]
 
 
+def test_the_topological_order_passes_on_while_the_ids_and_edges_stay(gsm8k):
+    parent = rebuilt(gsm8k)
+    order = parent.topological_order()
+    p1 = dataclasses.replace(parent.node("P1"), attributes={"analysis": "twice"})
+    assert parent.with_changes(GraphDelta(replaced_nodes=(p1,)))._order is order
+    # an isolated node keeps every edge, but not every id
+    lone = parent.with_changes(GraphDelta(added_nodes=(Node("Z", "CustomOp", {"role": "z"}),)))
+    assert_memos_exact(lone)
+    assert "Z" in lone.topological_order()
+    gone = lone.with_changes(GraphDelta(removed_nodes=("Z",)))
+    assert_memos_exact(gone)
+    assert gone.topological_order() == order
+
+
 @pytest.mark.parametrize("kind", list(OperatorKind))
 def test_products_of_each_operator_kind_inherit_exact_memos(kind):
     # every parent has each memo filled (assert_memos_exact checks, serializes
