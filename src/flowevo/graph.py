@@ -237,7 +237,7 @@ class WorkflowGraph:
         self._bindings = {}  # node id -> port binding, filled by validator.bind_input_ports
         self._findings = {}  # node id -> the node's own soft-check findings, filled by validator.soft_check
         self._lines = {}  # node id -> (declaration, class and out-edge lines), filled by mermaid.serialize_workflow
-        self._refs = None  # node id -> its prompt references, for the nodes with any, filled once by prompt_ref_table()
+        self._refs = None  # node id -> its prompt references, for the nodes with any, see prompt_ref_table()
         self._order = None  # the topological order, filled once by topological_order()
         self._cycles = None  # the nodes on a cycle, filled once by cycle_nodes()
         self._verdict = None  # the soft-check verdict, filled once by validator.validate
@@ -447,12 +447,18 @@ class WorkflowGraph:
 
         Found once per graph (a racing call stores an equal table) when the
         graph first passes it on: ``with_changes`` gives the product this
-        table patched at the nodes the delta changes, and ``prompt_refs``
-        reads it. Read-only for callers.
+        table and the nodes its delta changes, and the product patches it
+        on first read. Read-only for callers.
         """
-        if self._refs is None:
-            self._refs = _collect({}, prompt_refs(self))
-        return self._refs
+        refs = self._refs
+        if type(refs) is not dict:
+            if refs is None:
+                refs = _collect({}, _walk_refs(self, self.nodes))
+            else:  # the parent's table, and the ids and new nodes of this graph's delta
+                table, changed, new_nodes = refs
+                refs = _collect(_snapshot(table, changed), _walk_refs(self, new_nodes))
+            self._refs = refs
+        return refs
 
     # -- equality and derivation ---------------------------------------------
 
@@ -564,7 +570,8 @@ class WorkflowGraph:
         changed = [*delta.removed_nodes, *(node.id for node in new_nodes)]
         edges = delta.removed_edges + delta.added_edges
         child._lines = _snapshot(self._lines, [*changed, *(e.source for e in edges)])
-        child._refs = _collect(_snapshot(self.prompt_ref_table(), changed), prompt_refs(child, new_nodes))
+        refs = self.prompt_ref_table()  # a table is never written once set, so a child may share it
+        child._refs = (refs, changed, new_nodes) if changed else refs
         if not (edges or delta.removed_nodes or delta.added_nodes):
             child._order = self._order
         touched = delta.touched()
@@ -709,19 +716,23 @@ def effective_display(graph: WorkflowGraph, node: Node) -> str:
 
 
 def prompt_refs(graph: WorkflowGraph, nodes=None):
-    """Yield (node id, attribute key, prompt name) for each prompt reference.
+    """An iterator of (node id, attribute key, prompt name) for each prompt reference.
 
     Walks ``nodes`` (nodes of ``graph``; default: all of them) in order, and each
-    node's prompt-ref attributes in schema order. Only identifier values are
-    references; any other value is inline prompt text. Reads the graph's table
-    of references when it has one (see ``WorkflowGraph.prompt_ref_table``).
+    node's prompt-ref attributes in schema order. Reads the graph's table of
+    references when it has one (see ``WorkflowGraph.prompt_ref_table``).
     """
-    table = graph._refs
-    for node in graph.nodes if nodes is None else nodes:
-        if table is not None:
-            for key, name in table.get(node.id, ()):
-                yield node.id, key, name
-            continue
+    nodes = graph.nodes if nodes is None else nodes
+    if graph._refs is None:
+        return _walk_refs(graph, nodes)
+    table = graph.prompt_ref_table()
+    return ((node.id, key, name) for node in nodes for key, name in table.get(node.id, ()))
+
+
+def _walk_refs(graph: WorkflowGraph, nodes):
+    """``prompt_refs`` read from the nodes' attributes: only identifier values are
+    references; any other value is inline prompt text."""
+    for node in nodes:
         schema = graph.schema(node.id)
         for key in () if schema is None else schema.prompt_ref_keys:
             value = node.attributes.get(key)

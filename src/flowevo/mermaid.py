@@ -19,9 +19,9 @@ match of ``_ONE_PAIR_RE``, and every other label by the token walk.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Mapping
-from itertools import chain
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -472,16 +472,14 @@ def _node_decl_line(graph: WorkflowGraph, node: Node) -> str:
     return f'{node.id}["{body}"]'
 
 
-def _node_lines(graph: WorkflowGraph, node: Node) -> tuple:
-    """The lines ``node`` adds to its graph's source: its declaration, its class
-    assignment and its out-edges, and the style class it uses ("" for none)."""
-    schema = graph.schema(node.id)
-    style = schema.style_class if schema is not None else ""
-    edges = tuple(
-        f"  {node.id} --> |{_escape_edge_label(label)}|{target}" if label else f"  {node.id} --> {target}"
-        for target, label in graph._out[node.id]
-    )
-    return "  " + _node_decl_line(graph, node), f"  class {node.id} {style or node.kind}", edges, style
+@functools.lru_cache(maxsize=64)
+def _class_defs(registry: Registry, extra: tuple) -> tuple:
+    """The classDef lines of the standard classes and of the ``extra`` ones, styled as ``registry`` says."""
+    styles = {}
+    for schema in registry.schemas():
+        if schema.style_class:
+            styles[schema.style_class] = schema.style
+    return tuple(f"  classDef {name} {styles.get(name) or 'fill:#ffffff'};" for name in (*STANDARD_CLASSES, *extra))
 
 
 def serialize_workflow(graph: WorkflowGraph) -> str:
@@ -496,24 +494,29 @@ def serialize_workflow(graph: WorkflowGraph) -> str:
     # product of with_changes starts with its parent's lines of the nodes the
     # delta leaves as they were, and a prompt table keeps its entries' lines
     memo = graph._lines
-    for nid in graph._by_id.keys() - memo.keys():  # the write is idempotent: a racing caller stores equal lines
-        memo[nid] = _node_lines(graph, graph._by_id[nid])
+    for nid in graph._by_id.keys() - memo.keys():
+        # a node's declaration and class lines, its out-edge lines as one text
+        # and the style class it uses, all strings, so the garbage collector
+        # can leave the entry alone; the write is idempotent: a racing caller
+        # stores equal lines
+        node, schema = graph._by_id[nid], graph.schema(nid)
+        style = schema.style_class if schema is not None else ""
+        edges = ""
+        for target, label in graph._out[nid]:
+            line = f"  {nid} --> |{_escape_edge_label(label)}|{target}" if label else f"  {nid} --> {target}"
+            edges = f"{edges}\n{line}" if edges else line
+        memo[nid] = ("  " + _node_decl_line(graph, node), f"  class {nid} {style or node.kind}", edges, style)
     decls, classes, edges, used = zip(*map(memo.__getitem__, graph._by_id)) if memo else ((),) * 4
 
     roles = graph.interface_roles()
-    first, last = roles.entries, roles.exits
+    placed = [memo[nid][0] for nid in (*roles.entries, *roles.exits)]
     decls = list(decls)
-    for i in sorted((WorkflowGraph._index_of(graph.nodes, nid) for nid in {*first, *last}), reverse=True):
-        del decls[i]
-    lines = ["flowchart TD", *(memo[nid][0] for nid in first), *decls, *(memo[nid][0] for nid in last), ""]
+    for line in placed:  # a declaration line starts with its node's id, so no two are equal
+        decls.remove(line)
+    lines = ["flowchart TD", *placed[: len(roles.entries)], *decls, *placed[len(roles.entries) :], ""]
 
-    styles = {}
-    for schema in graph.registry.schemas():
-        if schema.style_class:
-            styles[schema.style_class] = schema.style
-    for name in (*STANDARD_CLASSES, *sorted(set(used) - {""} - set(STANDARD_CLASSES))):
-        lines.append(f"  classDef {name} {styles.get(name) or 'fill:#ffffff'};")
-    lines += ["", *classes, "", *chain.from_iterable(edges)]
+    lines += _class_defs(graph.registry, tuple(sorted(set(used).difference(STANDARD_CLASSES, ("",)))))
+    lines += ["", *classes, "", *filter(None, edges)]
 
     prompts = graph.prompts
     if len(prompts):
