@@ -175,7 +175,7 @@ class WorkflowGraph:
     def __init__(self, nodes, edges, prompts=None, domain="math", registry=None):
         by_id: dict[str, Node] = {}
         for node in sorted(nodes, key=_node_id):
-            if not IDENT_RE.match(node.id):
+            if not (node.id.isascii() and node.id.isidentifier()):  # IDENT_RE, without a regex call
                 raise GraphConstructionError(f"bad node id {node.id!r}")
             if node.id in by_id:
                 raise GraphConstructionError(f"duplicate node id {node.id!r}")
