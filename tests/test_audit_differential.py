@@ -35,14 +35,10 @@ def emitted():
     return out
 
 
-def _call_lines(lines: list) -> list:
-    return [i for i, line in enumerate(lines) if " = await self." in line]
-
-
 def _tampered(program: str, rng: random.Random) -> list:
     """Copies of ``program``, each with one defect or oddity the audit must read as the reference did."""
     lines = program.split("\n")
-    calls = _call_lines(lines)
+    calls = [i for i, line in enumerate(lines) if " = await self." in line]
     first, last = lines[calls[0]], lines[calls[-1]]
     binding = first.split(" = ", 1)[0].strip()
     later = last.split(" = ", 1)[0].strip()
@@ -72,10 +68,23 @@ def _tampered(program: str, rng: random.Random) -> list:
     for i in calls:
         if "solutions=[" in lines[i]:
             head, _, rest = lines[i].partition("solutions=[")
-            items, _, tail = rest.partition("], ")
-            kept = ", ".join(items.split(", ")[1:])
-            out.append(with_line(i, f"{head}solutions=[{kept}], {tail}"))  # one solution dropped
+            out.append(with_line(i, f"{head}solutions=[{_without_first_item(rest)}"))  # one solution dropped
     return out
+
+
+def _without_first_item(rest: str) -> str:
+    """``rest``, the text after a list's opening bracket, without the list's first item."""
+    depth = 0
+    for j, ch in enumerate(rest):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            if depth == 0:
+                return rest[j:]  # it was the only item
+            depth -= 1
+        elif ch == "," and depth == 0:
+            return rest[j + 2 :]
+    return rest
 
 
 def test_reports_match_on_emitted_and_tampered_programs(emitted):
