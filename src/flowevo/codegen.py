@@ -184,7 +184,8 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
     order = [nid for nid in topological if nid not in interface_ids]
     if not order:
         raise EmissionError("exit fed directly by entry; nothing to emit")
-    schemas = graph._schemas  # filled by interface_roles(); a valid graph's kinds are all registered
+    # every node's: validate() read any schema the table lacked, and one miss fills them all
+    schemas = graph._schemas  # a valid graph's kinds are all registered
     kinds = {nid: schemas[nid].kind for nid in order}
     present = set(kinds.values())
     if not present <= _OUTPUT_FIELD.keys():

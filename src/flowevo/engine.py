@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,6 +75,10 @@ class EvolutionConfig:
             raise ValueError("num_tries must be >= 1")
         if self.site_budget < 1:
             raise ValueError("site_budget must be >= 1")
+        if self.domain not in ("math", "code"):
+            raise ValueError(f"domain must be math or code (got {self.domain!r})")
+        if self.scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario {self.scenario!r}; known: {', '.join(SCENARIOS)}")
         if self.operator_weights is not None:
             frozen = MappingProxyType({OperatorKind(k): v for k, v in self.operator_weights.items()})
             object.__setattr__(self, "operator_weights", frozen)
@@ -305,22 +308,16 @@ class StructuralJudge:
 
 
 def _shape(graph: WorkflowGraph) -> tuple:
-    """Node signatures, edge keys (a Counter only if an edge repeats, as q=1 forbids) and edge count."""
+    """Node signatures and edge keys. The judge scores only checked graphs, where a repeated
+    edge is a STRUCT error, so each edge has its own key."""
     nodes = frozenset((n.id, n.kind, tuple(n.attributes.items())) for n in graph.nodes)
-    keys = frozenset(e.key() for e in graph.edges)
-    count = len(graph.edges)
-    return nodes, (keys if len(keys) == count else graph.edge_multiset()), count
+    return nodes, frozenset(e.key() for e in graph.edges)
 
 
 def _edit_ratio(shape1: tuple, shape2: tuple) -> float:
-    (n1, e1, m1), (n2, e2, m2) = shape1, shape2
-    if isinstance(e1, frozenset) and isinstance(e2, frozenset):
-        edge_diff = len(e1 ^ e2)
-    else:
-        e1, e2 = Counter(e1), Counter(e2)
-        edge_diff = sum((e1 - e2).values()) + sum((e2 - e1).values())
-    numerator = len(n1 ^ n2) + edge_diff
-    denominator = len(n1) + len(n2) + m1 + m2
+    (n1, e1), (n2, e2) = shape1, shape2
+    numerator = len(n1 ^ n2) + len(e1 ^ e2)
+    denominator = len(n1) + len(n2) + len(e1) + len(e2)
     return numerator / denominator if denominator else 0.0
 
 

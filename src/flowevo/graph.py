@@ -83,13 +83,14 @@ def edge_order(edge: Edge) -> tuple:
 class PromptTable:
     """Named prompt texts referenced by node attributes, stored sorted by name."""
 
+    __slots__ = ("_entries",)
+
     def __init__(self, entries=None):
         entries = dict(sorted((entries or {}).items()))
         for name in entries:
             if not IDENT_RE.match(name):
                 raise GraphConstructionError(f"bad prompt name {name!r}")
         self._entries = entries
-        self._lines = {}  # name -> serialized entry, filled by mermaid.serialize_workflow
 
     @property
     def entries(self):
@@ -121,9 +122,7 @@ class PromptTable:
         merged.update(self._entries)  # existing entries win
         if len(merged) == len(self._entries):
             return self
-        table = PromptTable(merged)
-        table._lines = self._lines.copy()  # every entry of this table stays as it is
-        return table
+        return PromptTable(merged)
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,8 @@ class WorkflowGraph:
         self._assign(tuple(by_id.values()), tuple(edges), prompts, domain, registry, by_id, out, inc)
 
     def _assign(self, nodes, edges, prompts, domain, registry, by_id, out, inc) -> None:
-        """Set the graph's tables and start every memo empty."""
+        """Set the graph's tables and start every memo empty; the per-node memos, dicts keyed
+        by node id, each filled for the ids it lacks, pass to a product by ``_bequeath``."""
         self.nodes = nodes
         self.edges = edges
         self.prompts = prompts
@@ -232,17 +232,17 @@ class WorkflowGraph:
         self._by_id = by_id  # id -> node, in id order; these three tables are never written again
         self._out = out  # id -> ((target, label), ...) in edge order
         self._in = inc  # id -> ((source, label), ...) in edge order
-        self._roles = None
-        self._schemas = None  # node id -> schema, filled once by schema()
+        self._schemas = {}  # node id -> schema, filled by schema()
         self._bindings = {}  # node id -> port binding, filled by validator.bind_input_ports
         self._findings = {}  # node id -> the node's own soft-check findings, filled by validator.soft_check
         self._lines = {}  # node id -> (declaration, class and out-edge lines), filled by mermaid.serialize_workflow
-        self._refs = None  # node id -> its prompt references, for the nodes with any, see prompt_ref_table()
+        self._refs = {}  # node id -> its (attribute key, prompt name) references, filled by prompt_ref_table()
+        self._calls = {}  # node id -> (call step, prompt names, prompt entries), set by codegen.lower_to_ir
+        self._roles = None  # the interface roles, filled once by interface_roles()
         self._order = None  # the topological order, filled once by topological_order()
         self._cycles = None  # the nodes on a cycle, filled once by cycle_nodes()
         self._verdict = None  # the soft-check verdict, filled once by validator.validate
         self._ir = None  # the program IR, filled once by codegen.lower_to_ir
-        self._calls = {}  # node id -> (call step, prompt names, prompt entries), set by codegen.lower_to_ir
 
     # -- basic queries ------------------------------------------------------
 
@@ -258,16 +258,18 @@ class WorkflowGraph:
     def schema(self, node_id: str):
         """The registered schema of the node's kind, or None for an unregistered kind.
 
-        Every node's schema is looked up on the first call and kept; the
-        write is idempotent, since a racing call stores an equal map.
+        Filled on first read for the ids the table lacks (a racing call stores
+        equal entries), as a product of ``with_changes`` starts with its
+        parent's entries of the nodes its delta keeps.
         """
-        if self._schemas is None:
-            by_kind = {kind: self.registry.get(kind) for kind in {node.kind for node in self.nodes}}
-            self._schemas = {nid: by_kind[node.kind] for nid, node in self._by_id.items()}
         try:
             return self._schemas[node_id]
         except KeyError:
-            raise KeyError(f"unknown node id {node_id!r}") from None
+            if node_id not in self._by_id:
+                raise KeyError(f"unknown node id {node_id!r}") from None
+        for nid in self._by_id.keys() - self._schemas.keys():
+            self._schemas[nid] = self.registry.get(self._by_id[nid].kind)
+        return self._schemas[node_id]
 
     def node_ids(self) -> tuple[str, ...]:
         return tuple(self._by_id)
@@ -443,21 +445,16 @@ class WorkflowGraph:
     # -- prompt references -----------------------------------------------------
 
     def prompt_ref_table(self) -> dict:
-        """Node id -> the node's (attribute key, prompt name) references, for the nodes with any.
+        """Node id -> the node's (attribute key, prompt name) references, in schema order.
 
-        Found once per graph (a racing call stores an equal table) when the
-        graph first passes it on: ``with_changes`` gives the product this
-        table and the nodes its delta changes, and the product patches it
-        on first read. Read-only for callers.
+        Filled on first read for the ids it lacks (a racing call stores equal
+        entries), as a product of ``with_changes`` starts with its parent's
+        entries of the nodes its delta keeps. Read-only for callers.
         """
         refs = self._refs
-        if type(refs) is not dict:
-            if refs is None:
-                refs = _collect({}, _walk_refs(self, self.nodes))
-            else:  # the parent's table, and the ids and new nodes of this graph's delta
-                table, changed, new_nodes = refs
-                refs = _collect(_snapshot(table, changed), _walk_refs(self, new_nodes))
-            self._refs = refs
+        if len(refs) != len(self._by_id):
+            for nid in self._by_id.keys() - refs.keys():
+                refs[nid] = _node_refs(self, self._by_id[nid])
         return refs
 
     # -- equality and derivation ---------------------------------------------
@@ -496,7 +493,7 @@ class WorkflowGraph:
                 bisect.insort(edges, edge, key=edge_order)
             edges = tuple(edges)
         nodes, by_id = self.nodes, self._by_id
-        if delta.changes_nodes():
+        if delta.removed_nodes or delta.added_nodes or delta.replaced_nodes:
             nodes = list(nodes)
             for nid in delta.removed_nodes:
                 del nodes[self._index_of(nodes, nid)]
@@ -545,49 +542,31 @@ class WorkflowGraph:
         return i
 
     def _bequeath(self, child: "WorkflowGraph", delta: "GraphDelta") -> None:
-        """Give ``child``, this graph with ``delta`` applied, every memo entry the delta keeps.
-
-        A node's binding reads its kind and in-edges (``delta.rebound``), its
-        declaration and class lines and its prompt references the node value
-        and schema, its edge lines its out-edges, its findings what
-        ``delta.dirty`` covers plus the interface roles, and its call step
-        the node, the kind, binding and branch status of each source (so the
-        successors of touched nodes lose theirs), the roles and the prompts
-        it names. Findings and call steps pass on only while the roles stay
-        equal. Roles read only interface nodes, and the topological order
-        only node ids and edges.
-        """
-        schemas = self._schemas
-        if schemas is not None and delta.changes_nodes():
-            schemas = dict(schemas)
-            for nid in delta.removed_nodes:
-                del schemas[nid]
-            for node in delta.added_nodes + delta.replaced_nodes:
-                schemas[node.id] = self.registry.get(node.kind)
-        child._schemas = schemas
-        child._bindings = _snapshot(self._bindings, delta.rebound(self))
-        new_nodes = delta.added_nodes + delta.replaced_nodes
-        changed = [*delta.removed_nodes, *(node.id for node in new_nodes)]
+        """Give ``child``, this graph with ``delta`` applied, every memo entry the delta keeps."""
         edges = delta.removed_edges + delta.added_edges
-        child._lines = _snapshot(self._lines, [*changed, *(e.source for e in edges)])
-        refs = self.prompt_ref_table()  # a table is never written once set, so a child may share it
-        child._refs = (refs, changed, new_nodes) if changed else refs
         if not (edges or delta.removed_nodes or delta.added_nodes):
-            child._order = self._order
-        touched = delta.touched()
-        kinds = [g.schema(nid) for g in (self, child) for nid in touched if nid in g]
+            child._order = self._order  # the order reads only node ids and edges
+        new_nodes = delta.added_nodes + delta.replaced_nodes
+        kinds = [self.schema(nid) for nid in delta.touched() if nid in self]
+        kinds += [self.registry.get(node.kind) for node in new_nodes]  # the child's new ones
         if not any(schema is not None and schema.is_interface for schema in kinds):
-            child._roles = self._roles
+            child._roles = self._roles  # the roles read only interface nodes
         if self._cycles == frozenset() and child._acyclic_after(delta.added_edges):
             child._cycles = self._cycles
-        if self._findings and child.interface_roles() == self.interface_roles():
-            child._findings = _snapshot(self._findings, delta.dirty(self, child))
-        if self._calls and child.interface_roles() == self.interface_roles():
-            reread = touched | {t for nid in touched for t, _ in child._out.get(nid, ())}
-            old, new = self.prompts, child.prompts
-            if new is not old and new != old:
-                reread.update(nid for nid, (_, names, _) in self._calls.items() if any(old.get(n) != new.get(n) for n in names))
-            child._calls = _snapshot(self._calls, reread)
+        changed = [*delta.removed_nodes, *(node.id for node in new_nodes)]
+        # (per-node memo, whether its entries read the interface roles, the ids whose
+        # entries the child drops); what an entry reads besides the roles:
+        for name, reads_roles, dropped in (
+            ("_schemas", False, lambda: changed),  # the node's kind
+            ("_bindings", False, lambda: delta.rebound(self)),  # the node's kind and in-edges
+            ("_lines", False, lambda: [*changed, *(e.source for e in edges)]),  # the node, its schema, its out-edges
+            ("_refs", False, lambda: changed),  # the node and its schema
+            ("_findings", True, lambda: delta.dirty(self, child)),  # the node, its edges, its sources' output types
+            ("_calls", True, lambda: delta.relowered(self, child)),  # the node, its sources, the prompts it names
+        ):
+            memo = getattr(self, name)
+            if memo and not (reads_roles and child.interface_roles() != self.interface_roles()):
+                setattr(child, name, _snapshot(memo, dropped()))
 
     def _acyclic_after(self, added_edges) -> bool:
         """Whether this graph, an acyclic one with ``added_edges`` added, is acyclic.
@@ -659,9 +638,6 @@ class GraphDelta(NamedTuple):
     replaced_nodes: tuple[Node, ...] = ()
     prompts: PromptTable | None = None
 
-    def changes_nodes(self) -> bool:
-        return bool(self.removed_nodes or self.added_nodes or self.replaced_nodes)
-
     def touched(self) -> set:
         """Ids of the nodes the delta touches: the endpoints of its edges and the nodes it changes."""
         ids = {nid for e in self.removed_edges + self.added_edges for nid in (e.source, e.target)}
@@ -688,6 +664,17 @@ class GraphDelta(NamedTuple):
         ids = self.touched()
         for nid in self.recast(parent):
             ids.update(t for t, _ in product._out[nid])
+        return ids
+
+    def relowered(self, parent: WorkflowGraph, product: WorkflowGraph) -> set:
+        """Ids of the nodes whose call steps the delta may change, if it keeps the interface roles:
+        the touched nodes, the product's successors of each (a call step reads each source's kind,
+        binding and branch status), and the nodes that name a prompt whose text the delta changes."""
+        touched = self.touched()
+        ids = touched | {t for nid in touched for t, _ in product._out.get(nid, ())}
+        old, new = parent.prompts, product.prompts
+        if new is not old and new != old:
+            ids.update(nid for nid, (_, names, _) in parent._calls.items() if any(old.get(n) != new.get(n) for n in names))
         return ids
 
 
@@ -719,32 +706,23 @@ def prompt_refs(graph: WorkflowGraph, nodes=None):
     """An iterator of (node id, attribute key, prompt name) for each prompt reference.
 
     Walks ``nodes`` (nodes of ``graph``; default: all of them) in order, and each
-    node's prompt-ref attributes in schema order. Reads the graph's table of
-    references when it has one (see ``WorkflowGraph.prompt_ref_table``).
+    node's prompt-ref attributes in schema order.
     """
     nodes = graph.nodes if nodes is None else nodes
-    if graph._refs is None:
-        return _walk_refs(graph, nodes)
     table = graph.prompt_ref_table()
-    return ((node.id, key, name) for node in nodes for key, name in table.get(node.id, ()))
+    return ((node.id, key, name) for node in nodes for key, name in table[node.id])
 
 
-def _walk_refs(graph: WorkflowGraph, nodes):
-    """``prompt_refs`` read from the nodes' attributes: only identifier values are
-    references; any other value is inline prompt text."""
-    for node in nodes:
-        schema = graph.schema(node.id)
-        for key in () if schema is None else schema.prompt_ref_keys:
-            value = node.attributes.get(key)
-            if value is not None and IDENT_RE.match(value):
-                yield node.id, key, value
-
-
-def _collect(table: dict, refs) -> dict:
-    """``table`` with each (node id, key, name) of ``refs`` added to its node's entry."""
-    for nid, key, name in refs:
-        table[nid] = table.get(nid, ()) + ((key, name),)
-    return table
+def _node_refs(graph: WorkflowGraph, node: Node) -> tuple:
+    """The node's (attribute key, prompt name) references: only identifier values
+    are references; any other value is inline prompt text."""
+    schema = graph.schema(node.id)
+    refs = ()
+    for key in () if schema is None else schema.prompt_ref_keys:
+        value = node.attributes.get(key)
+        if value is not None and value.isascii() and value.isidentifier():  # IDENT_RE, without a regex call
+            refs += ((key, value),)
+    return refs
 
 
 def type_of_output(graph: WorkflowGraph, node_id: str) -> str | None:

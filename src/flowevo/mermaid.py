@@ -159,8 +159,11 @@ def _unescape_prompt(text: str) -> str:
     return _PROMPT_ESCAPE_RE.sub(lambda m: "\n" if m.group(1) == "n" else m.group(1), text)
 
 
-def _escape_prompt(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+@functools.lru_cache(maxsize=1024)
+def _prompt_line(name: str, text: str) -> str:
+    """The prompt block's line for the entry ``name``: ``text`` with its backslashes, quotes and newlines escaped."""
+    text = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'{name}="{text}"'
 
 
 def split_label(label: str) -> tuple[str, dict]:
@@ -492,7 +495,7 @@ def serialize_workflow(graph: WorkflowGraph) -> str:
     """
     # a node's lines read only the node, its schema and its out-edges, so a
     # product of with_changes starts with its parent's lines of the nodes the
-    # delta leaves as they were, and a prompt table keeps its entries' lines
+    # delta leaves as they were
     memo = graph._lines
     for nid in graph._by_id.keys() - memo.keys():
         # a node's declaration and class lines, its out-edge lines as one text
@@ -518,13 +521,9 @@ def serialize_workflow(graph: WorkflowGraph) -> str:
     lines += _class_defs(graph.registry, tuple(sorted(set(used).difference(STANDARD_CLASSES, ("",)))))
     lines += ["", *classes, "", *filter(None, edges)]
 
-    prompts = graph.prompts
-    if len(prompts):
-        entries = prompts._lines
-        if len(entries) != len(prompts):  # a new table, or one that merged() gave a part of its lines
-            entries = {name: entries.get(name) or f'{name}="{_escape_prompt(text)}"' for name, text in prompts.entries.items()}
-            prompts._lines = entries  # the write is idempotent: a racing caller stores equal lines
-        lines += ["", "<prompt>", *entries.values(), "</prompt>"]
+    if len(graph.prompts):
+        entries = graph.prompts.entries
+        lines += ["", "<prompt>", *map(_prompt_line, entries, entries.values()), "</prompt>"]
     return "\n".join(lines) + "\n"
 
 

@@ -43,7 +43,6 @@ class PortSpec:
 @dataclass(frozen=True)
 class OutputSpec:
     type: str
-    label: str | None = None  # label convention for auto-created edges
 
 
 @dataclass(frozen=True)
@@ -185,8 +184,8 @@ def default_registry() -> Registry:
 #     <label> [accepts=a,b] [optional] [variadic] [ambient] [min=N]
 # ``attributes`` holds one entry per line:
 #     <key> [required] [prompt]
-# ``output`` is ``<type> [label=<edge label>]``. ``interface`` is one of
-# entry/exit/auto. ``domain`` is math/code/any.
+# ``output`` is ``<type>``. ``interface`` is one of entry/exit/auto.
+# ``domain`` is math/code/any.
 # ---------------------------------------------------------------------------
 
 
@@ -259,15 +258,13 @@ def _schemas_of(parser) -> list[NodeTypeSchema]:
         attrs = tuple(
             _parse_attr(line) for line in sec.get("attributes", "").splitlines() if line.strip()
         )
-        output = None
-        if sec.get("output", "").strip():
-            tokens = sec["output"].split()
-            label = None
-            for tok in tokens[1:]:
-                if tok.startswith("label="):
-                    label = tok[6:]
-            output = OutputSpec(tokens[0], label)
+        tokens = sec.get("output", "").split()
+        if len(tokens) > 1:
+            raise RegistryError(f"unknown output token {tokens[1]!r} for {kind}")
+        output = OutputSpec(tokens[0]) if tokens else None
         domain = sec.get("domain", "any").strip()
+        if domain not in ("math", "code", "any"):
+            raise RegistryError(f"bad domain {domain!r} for {kind}")
         role = sec.get("interface", "").strip() or None
         if role not in (None, "entry", "exit", "auto"):
             raise RegistryError(f"bad interface role {role!r} for {kind}")

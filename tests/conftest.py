@@ -75,21 +75,20 @@ def lowering(graph):
 def assert_memos_exact(graph) -> None:
     """Every table and memo of ``graph``, inherited or not, equals a fresh build's of the same value.
 
-    The tables must match in key order too. Findings and the node and
-    prompt-entry lines are compared after ``soft_check`` and
-    ``serialize_workflow`` have run on both graphs (the fresh build gets its
-    own prompt table), so an entry ``graph`` inherited is compared as it was
-    inherited, and every other entry as the graph computed it. Call steps,
-    the topological order and the prompt-ref table are taken before
-    ``graph`` is lowered, and each one ``graph`` holds is compared with the
-    fresh build's (call steps whenever a fresh lowering keeps any: it
-    lowers, with every binding name ``<id>_result``).
+    The tables must match in key order too. Findings and the node lines are
+    compared after ``soft_check`` and ``serialize_workflow`` have run on
+    both graphs (the fresh build gets its own prompt table), so an entry
+    ``graph`` inherited is compared as it was inherited, and every other
+    entry as the graph computed it. The prompt-ref table is compared when
+    first read, before ``graph`` is lowered. Call steps and the topological
+    order are taken before that, and each one ``graph`` holds is compared
+    with the fresh build's (call steps whenever a fresh lowering keeps any:
+    it lowers, with every binding name ``<id>_result``).
     """
-    calls, order, refs = dict(graph._calls), graph._order, graph._refs
+    calls, order = dict(graph._calls), graph._order
     fresh = rebuilt(graph, prompts=PromptTable(graph.prompts.entries))
-    assert list(prompt_refs(graph)) == list(prompt_refs(fresh))  # the fresh build walks its nodes
-    if refs is not None:  # an inherited table, or the parent's and the delta's nodes to patch it with
-        assert graph.prompt_ref_table() == fresh.prompt_ref_table()
+    assert graph.prompt_ref_table() == fresh.prompt_ref_table()
+    assert list(prompt_refs(graph)) == list(prompt_refs(fresh))
     if order is not None:
         assert order == fresh.topological_order()
     assert lowering(graph) == lowering(fresh)
@@ -106,7 +105,6 @@ def assert_memos_exact(graph) -> None:
     assert graph._findings == fresh._findings
     assert serialize_workflow(graph) == serialize_workflow(fresh)
     assert graph._lines == fresh._lines
-    assert list(graph.prompts._lines.items()) == list(fresh.prompts._lines.items())
     for nid in graph.node_ids():
         assert graph.schema(nid) == fresh.schema(nid)
         assert bind_input_ports(graph, nid) == bind_input_ports(fresh, nid)

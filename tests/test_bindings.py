@@ -313,6 +313,20 @@ def test_an_edge_off_an_interface_node_reclassifies_the_roles(gsm8k):
     assert_memos_exact(product)
 
 
+def test_a_role_change_rechecks_the_types_its_untouched_successor_reads():
+    # an entry ENTRY_POINT emits 'entry_point', which P's problem port refuses; an
+    # edge into it makes it midstream, emitting 'any', and P is not touched
+    nodes = [Node(nid, "Interface") for nid in ("PROBLEM", "ENTRY_POINT", "RETURN")]
+    nodes += [Node("C", "CustomOp", {"role": "r"}), Node("P", "ProgrammerOp")]
+    edges = [Edge("PROBLEM", "C"), Edge("ENTRY_POINT", "P"), Edge("C", "RETURN"), Edge("P", "RETURN")]
+    parent = WorkflowGraph(nodes, edges)
+    mismatch = "type mismatch: ENTRY_POINT emits 'entry_point' but port 'problem' accepts problem, solution"
+    assert Diagnostic(STRUCT, ERROR, mismatch, subject="P") in soft_check(parent)
+    product = parent.with_changes(GraphDelta(added_edges=(Edge("PROBLEM", "ENTRY_POINT"),)))
+    assert product.interface_roles().midstream == ("ENTRY_POINT",)
+    assert_memos_exact(product)
+
+
 def test_a_kind_change_rechecks_the_types_its_untouched_successor_reads(gsm8k, tmp_path):
     # an AnalystOp emits 'analysis', which the ensemble's solution port does not accept
     cfg = tmp_path / "analyst.cfg"

@@ -303,6 +303,8 @@ def test_evolve_site_budget_zero_exits_2(tmp_path, corpus_dir, capsys):
         ("weights.substitution = 1.5\nweights.deletion = -0.5\n", [], "deletion must be finite and nonnegative"),
         ("", ["--seed", "-1"], "seed must be >= 0"),
         ("", ["--max-rounds", "-5"], "max_rounds must be >= 0"),
+        ("scenario = nope\n", [], "unknown scenario 'nope'"),
+        ("domain = maths\n", [], "domain must be math or code (got 'maths')"),
         (
             "crossover_rate = 0.5\nweights.substitution = 0.2\nweights.addition = 0.2\nweights.rewiring = 0.2\n"
             "weights.deletion = 0.2\nweights.subgraph_mutation = 0.1\nweights.crossover = 0.1\n",
@@ -563,6 +565,17 @@ def test_validate_malformed_registry_exits_2(tmp_path, capsys, text):
     registry_path.write_text(text, encoding="utf-8")
     assert main(["validate", str(corpus_path("gsm8k_round16")), "--registry", str(registry_path)]) == 2
     assert "bad registry config" in capsys.readouterr().err
+
+
+def test_validate_registry_with_unknown_domain_exits_2(tmp_path, capsys):
+    # a misspelt domain would restrict the kind to no domain a graph can have
+    import flowevo
+
+    registry_path = tmp_path / "maths.cfg"
+    text = Path(flowevo.__file__).with_name("registry.cfg").read_text(encoding="utf-8")
+    registry_path.write_text(text.replace("domain = any", "domain = maths", 1), encoding="utf-8")
+    assert main(["validate", str(corpus_path("gsm8k_round16")), "--registry", str(registry_path)]) == 2
+    assert "bad domain 'maths' for Interface" in capsys.readouterr().err
 
 
 def test_validate_registry_with_percent_style(tmp_path, capsys):

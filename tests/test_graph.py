@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from flowevo import (
@@ -9,8 +10,12 @@ from flowevo import (
     Node,
     PromptTable,
     WorkflowGraph,
+    serialize_workflow,
     type_of_output,
 )
+from flowevo.codegen import emit, lower_to_ir
+from flowevo.graph import GraphDelta
+from flowevo.operators import apply_random
 
 from conftest import rebuilt, shuffled_twin
 
@@ -243,3 +248,23 @@ def test_attributes_and_prompts_are_stored_by_name():
     prompts = PromptTable({"zeta": "z", "alpha": "a", "mid": "m"})
     assert list(prompts) == list(prompts.entries) == ["alpha", "mid", "zeta"]
     assert list(prompts.merged({"beta": "b"})) == ["alpha", "beta", "mid", "zeta"]
+
+
+def test_a_shared_prompt_table_takes_no_attribute(gsm8k):
+    # parent and products share one table value, so serializing, rewriting and
+    # emitting any of them leaves it as it was built
+    prompts, entries = gsm8k.prompts, dict(gsm8k.prompts.entries)
+    node = next(n for n in gsm8k.nodes if n.kind == "ProgrammerOp")
+    product = gsm8k.with_changes(GraphDelta(replaced_nodes=(Node(node.id, node.kind, node.attributes, "Renamed"),)))
+    graphs = [gsm8k, product]
+    for seed in range(4):
+        outcome = apply_random(product, np.random.default_rng(seed))
+        graphs += outcome.graphs if outcome else ()
+    for graph in graphs:
+        serialize_workflow(graph)
+        emit(lower_to_ir(graph))
+    assert product.prompts is prompts and sum(g.prompts is prompts for g in graphs) > 2
+    assert not hasattr(prompts, "__dict__")
+    with pytest.raises(AttributeError):
+        prompts._lines = {}
+    assert dict(prompts.entries) == entries

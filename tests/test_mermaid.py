@@ -22,7 +22,7 @@ from flowevo import (
     validate,
 )
 from flowevo.diagnostics import SourceSpan
-from flowevo.mermaid import _ONE_PAIR_RE, EdgeStmt, NodeDecl, _escape_prompt, _unescape_prompt, split_label
+from flowevo.mermaid import _ONE_PAIR_RE, EdgeStmt, NodeDecl, _prompt_line, _unescape_prompt, split_label
 from flowevo.registry import default_registry
 
 from conftest import CORPUS_NAMES, assert_memos_exact, corpus_path, load_corpus_graph, load_workflow_gen
@@ -166,7 +166,9 @@ def test_prompt_unescape_edge_cases(escaped, text):
 @given(st.text())
 @settings(max_examples=300)
 def test_prompt_escape_round_trip(text):
-    assert _unescape_prompt(_escape_prompt(text)) == text
+    line = _prompt_line("p", text)
+    assert line.startswith('p="') and line.endswith('"')
+    assert _unescape_prompt(line[3:-1]) == text
 
 
 _LABEL_TAIL = st.text(alphabet="ab :,()'\\]\n", max_size=40)

@@ -90,12 +90,13 @@ def test_config_round_trip(tmp_path):
 
 
 def test_default_registry_digest_golden():
-    # pinned from the Python literal the shipped registry.cfg replaced
+    # pinned from the Python literal the shipped registry.cfg replaced, and
+    # again when OutputSpec lost its unread label field
     registry = default_registry()
     text = repr(registry.schemas()) + repr(registry.kinds())
     assert (
         hashlib.sha256(text.encode()).hexdigest()
-        == "aa389ac10881d289d5fe68ec5b0143ada51b248fb26aae2c6edf471cc58329a4"
+        == "564383898e8ac45a9c610692424aa3e55a3b806b6d9c062d7930de0a0c8678d0"
     )
 
 
@@ -151,4 +152,20 @@ def test_malformed_file_is_registry_error(tmp_path, text):
     path = tmp_path / "bad.cfg"
     path.write_bytes(text)
     with pytest.raises(RegistryError, match="bad registry config"):
+        load_registry(path)
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("[kind:Interface]\ndomain = maths\n", "bad domain 'maths' for Interface"),
+        ("[kind:A]\noutput = solution bogus\n", "unknown output token 'bogus' for A"),
+        ("[kind:A]\noutput = solution label=x\n", "unknown output token 'label=x' for A"),
+    ],
+    ids=["unknown-domain", "output-extra-token", "output-label"],
+)
+def test_bad_value_is_registry_error(tmp_path, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(RegistryError, match=message):
         load_registry(path)

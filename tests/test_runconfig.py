@@ -140,6 +140,20 @@ def test_non_finite_or_negative_knobs_rejected(tmp_path, line, message):
         load_run_config(path)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("scenario = nope", "unknown scenario 'nope'; known: math_ensemble_refine, math_wide_ensemble, code_test_tail"),
+        ("domain = maths", "domain must be math or code"),
+    ],
+)
+def test_unknown_scenario_or_domain_rejected(tmp_path, line, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(path)
+
+
 def test_manifest_round_trip(tmp_path):
     config = load_run_config(None, {"seed": 42, "max_rounds": 5})
     path = tmp_path / "manifest.json"
