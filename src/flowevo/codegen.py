@@ -184,9 +184,7 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
     order = [nid for nid in topological if nid not in interface_ids]
     if not order:
         raise EmissionError("exit fed directly by entry; nothing to emit")
-    # every node's: validate() read any schema the table lacked, and one miss fills them all
-    schemas = graph._schemas  # a valid graph's kinds are all registered
-    kinds = {nid: schemas[nid].kind for nid in order}
+    kinds = {nid: graph.schema(nid).kind for nid in order}  # a valid graph's kinds are all registered
     present = set(kinds.values())
     if not present <= _OUTPUT_FIELD.keys():
         nid = next(nid for nid in order if kinds[nid] not in _OUTPUT_FIELD)

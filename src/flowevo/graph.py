@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import re
 from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -19,8 +18,6 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .registry import default_registry
-
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 RESERVED_ENTRY = "PROBLEM"
 RESERVED_AUX_ENTRY = "ENTRY_POINT"
@@ -88,7 +85,7 @@ class PromptTable:
     def __init__(self, entries=None):
         entries = dict(sorted((entries or {}).items()))
         for name in entries:
-            if not IDENT_RE.match(name):
+            if not (name.isascii() and name.isidentifier()):
                 raise GraphConstructionError(f"bad prompt name {name!r}")
         self._entries = entries
 
@@ -159,7 +156,6 @@ class WorkflowGraph:
         "_out",
         "_in",
         "_roles",
-        "_schemas",
         "_bindings",
         "_findings",
         "_lines",
@@ -174,7 +170,7 @@ class WorkflowGraph:
     def __init__(self, nodes, edges, prompts=None, domain="math", registry=None):
         by_id: dict[str, Node] = {}
         for node in sorted(nodes, key=_node_id):
-            if not (node.id.isascii() and node.id.isidentifier()):  # IDENT_RE, without a regex call
+            if not (node.id.isascii() and node.id.isidentifier()):
                 raise GraphConstructionError(f"bad node id {node.id!r}")
             if node.id in by_id:
                 raise GraphConstructionError(f"duplicate node id {node.id!r}")
@@ -232,7 +228,6 @@ class WorkflowGraph:
         self._by_id = by_id  # id -> node, in id order; these three tables are never written again
         self._out = out  # id -> ((target, label), ...) in edge order
         self._in = inc  # id -> ((source, label), ...) in edge order
-        self._schemas = {}  # node id -> schema, filled by schema()
         self._bindings = {}  # node id -> port binding, filled by validator.bind_input_ports
         self._findings = {}  # node id -> the node's own soft-check findings, filled by validator.soft_check
         self._lines = {}  # node id -> (declaration, class and out-edge lines), filled by mermaid.serialize_workflow
@@ -256,20 +251,12 @@ class WorkflowGraph:
         return node_id in self._by_id
 
     def schema(self, node_id: str):
-        """The registered schema of the node's kind, or None for an unregistered kind.
-
-        Filled on first read for the ids the table lacks (a racing call stores
-        equal entries), as a product of ``with_changes`` starts with its
-        parent's entries of the nodes its delta keeps.
-        """
+        """The registered schema of the node's kind, or None for an unregistered kind."""
         try:
-            return self._schemas[node_id]
+            node = self._by_id[node_id]
         except KeyError:
-            if node_id not in self._by_id:
-                raise KeyError(f"unknown node id {node_id!r}") from None
-        for nid in self._by_id.keys() - self._schemas.keys():
-            self._schemas[nid] = self.registry.get(self._by_id[nid].kind)
-        return self._schemas[node_id]
+            raise KeyError(f"unknown node id {node_id!r}") from None
+        return self.registry.get(node.kind)
 
     def node_ids(self) -> tuple[str, ...]:
         return tuple(self._by_id)
@@ -501,7 +488,7 @@ class WorkflowGraph:
                 nodes[self._index_of(nodes, node.id)] = node
             for node in sorted(delta.added_nodes, key=_node_id):
                 i = bisect.bisect_left(nodes, node.id, key=_node_id)
-                if not IDENT_RE.match(node.id):
+                if not (node.id.isascii() and node.id.isidentifier()):
                     raise GraphConstructionError(f"bad node id {node.id!r}")
                 if i < len(nodes) and nodes[i].id == node.id:
                     raise GraphConstructionError(f"duplicate node id {node.id!r}")
@@ -554,19 +541,18 @@ class WorkflowGraph:
         if self._cycles == frozenset() and child._acyclic_after(delta.added_edges):
             child._cycles = self._cycles
         changed = [*delta.removed_nodes, *(node.id for node in new_nodes)]
-        # (per-node memo, whether its entries read the interface roles, the ids whose
-        # entries the child drops); what an entry reads besides the roles:
-        for name, reads_roles, dropped in (
-            ("_schemas", False, lambda: changed),  # the node's kind
-            ("_bindings", False, lambda: delta.rebound(self)),  # the node's kind and in-edges
-            ("_lines", False, lambda: [*changed, *(e.source for e in edges)]),  # the node, its schema, its out-edges
-            ("_refs", False, lambda: changed),  # the node and its schema
-            ("_findings", True, lambda: delta.dirty(self, child)),  # the node, its edges, its sources' output types
-            ("_calls", True, lambda: delta.relowered(self, child)),  # the node, its sources, the prompts it names
-        ):
-            memo = getattr(self, name)
-            if memo and not (reads_roles and child.interface_roles() != self.interface_roles()):
-                setattr(child, name, _snapshot(memo, dropped()))
+        # each per-node memo passes on without the ids whose entries the delta may change; an entry reads:
+        if self._bindings:  # the node's kind and in-edges
+            child._bindings = _snapshot(self._bindings, delta.rebound(self))
+        if self._lines:  # the node, its schema, its out-edges
+            child._lines = _snapshot(self._lines, [*changed, *(e.source for e in edges)])
+        if self._refs:  # the node and its schema
+            child._refs = _snapshot(self._refs, changed)
+        if (self._findings or self._calls) and child.interface_roles() == self.interface_roles():  # and the roles:
+            if self._findings:  # the node, its edges, its sources' output types
+                child._findings = _snapshot(self._findings, delta.dirty(self, child))
+            if self._calls:  # the node, its sources, the prompts it names
+                child._calls = _snapshot(self._calls, delta.relowered(self, child))
 
     def _acyclic_after(self, added_edges) -> bool:
         """Whether this graph, an acyclic one with ``added_edges`` added, is acyclic.
@@ -720,7 +706,7 @@ def _node_refs(graph: WorkflowGraph, node: Node) -> tuple:
     refs = ()
     for key in () if schema is None else schema.prompt_ref_keys:
         value = node.attributes.get(key)
-        if value is not None and value.isascii() and value.isidentifier():  # IDENT_RE, without a regex call
+        if value is not None and value.isascii() and value.isidentifier():
             refs += ((key, value),)
     return refs
 

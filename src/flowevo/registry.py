@@ -130,12 +130,11 @@ class Registry:
 
     def __init__(self, schemas):
         self._schemas: dict[str, NodeTypeSchema] = {}
-        self._aliases: dict[str, str] = {}
+        self._folded: dict[str, NodeTypeSchema] = {}  # lower-case kind -> schema
         for schema in schemas:
             if schema.kind in self._schemas:
                 raise RegistryError(f"duplicate kind {schema.kind!r}")
-            self._schemas[schema.kind] = schema
-            self._aliases[schema.kind.lower()] = schema.kind
+            self._schemas[schema.kind] = self._folded[schema.kind.lower()] = schema
 
     def kinds(self) -> tuple[str, ...]:
         return tuple(self._schemas)
@@ -144,16 +143,17 @@ class Registry:
         return tuple(self._schemas.values())
 
     def resolve_kind(self, name: str) -> str | None:
-        if name in self._schemas:
-            return name
-        return self._aliases.get(name.lower())
+        schema = self.get(name)
+        return None if schema is None else schema.kind
 
     def get(self, kind: str) -> NodeTypeSchema | None:
-        resolved = self.resolve_kind(kind)
-        return self._schemas[resolved] if resolved else None
+        try:
+            return self._schemas[kind]
+        except KeyError:  # not a registered spelling
+            return self._folded.get(kind.lower())
 
     def __contains__(self, kind: str) -> bool:
-        return self.resolve_kind(kind) is not None
+        return self.get(kind) is not None
 
 
 # The classDef order of serialized sources, which differs from the table's

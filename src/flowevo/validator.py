@@ -17,7 +17,7 @@ Rule summary:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagnostics import (
     ERROR,
@@ -45,8 +45,7 @@ from .mermaid import UNCLASSIFIED, lower_to_graph, parse_workflow
 from .registry import NodeTypeSchema, port_accepts
 
 
-@dataclass(frozen=True, slots=True)
-class BindingResult:
+class BindingResult(NamedTuple):
     """Outcome of matching a node's incoming edges against its schema ports.
 
     Read-only: a graph keeps one per node and hands it to every caller.

@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 
 from flowevo.diagnostics import ERROR, SYNTAX, Diagnostic, SourceSpan
-from flowevo.graph import IDENT_RE
 from flowevo.mermaid import (
     ClassAssign,
     EdgeStmt,
@@ -26,6 +25,7 @@ from flowevo.mermaid import (
     split_label,
 )
 
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")  # the node-id and prompt-name rule
 _HEADER_RE = re.compile(r"flowchart\s+(\w+)\s*$")
 _STADIUM_RE = re.compile(r"(\w+)\(\[(.*)\]\)\s*$")
 _RECT_RE = re.compile(r"(\w+)\[\"(.*)\"\]\s*$")
@@ -73,7 +73,7 @@ def reference_parse_workflow(text: str) -> MermaidDocument:
                 error(f"malformed prompt entry: {stripped!r}")
                 continue
             name = match.group(1)
-            if not IDENT_RE.match(name):  # the one rule added since the cascade was frozen
+            if not _IDENT_RE.match(name):  # the one rule added since the cascade was frozen
                 error(f"bad prompt name {name!r}")
                 continue
             if name in prompt_names:
@@ -107,7 +107,7 @@ def reference_parse_workflow(text: str) -> MermaidDocument:
         match = _CLASS_RE.match(stripped) if is_class else None
         if match and not any(tok in stripped for tok in ("-->", "[", "(", "{")):
             ids = tuple(part.strip() for part in match.group(1).split(","))
-            bad = [i for i in ids if not IDENT_RE.match(i)]
+            bad = [i for i in ids if not _IDENT_RE.match(i)]
             if bad:
                 error(f"bad node id in class assignment: {bad[0]!r}")
                 continue
@@ -123,7 +123,7 @@ def reference_parse_workflow(text: str) -> MermaidDocument:
             match = regex.match(stripped)
             if match:
                 source, label, target = match.groups()
-                bad = [i for i in (source, target) if not IDENT_RE.match(i)]
+                bad = [i for i in (source, target) if not _IDENT_RE.match(i)]
                 if bad:
                     error(f"bad node id in edge: {bad[0]!r}")
                 else:
@@ -137,7 +137,7 @@ def reference_parse_workflow(text: str) -> MermaidDocument:
                 else:
                     error(f"unrecognized statement: {stripped!r}")
                 continue
-            if not IDENT_RE.match(decl.id):
+            if not _IDENT_RE.match(decl.id):
                 error(f"bad node id in declaration: {decl.id!r}")
                 continue
             if decl.id in declared:

@@ -68,9 +68,9 @@ def test_binding_is_read_only_and_shared(gsm8k):
     assert bind_input_ports(gsm8k, "P6") is result
     for name in ("bindings", "missing", "unexpected", "overfed"):
         assert isinstance(getattr(result, name), tuple)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         result.bindings = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         result.ambiguous = True
 
 

@@ -83,6 +83,40 @@ def test_unknown_id_raises(gsm8k):
         gsm8k.predecessors("NOPE")
 
 
+def _recast(read):
+    """A parent and its product with the kept node C recast from CustomOp to ProgrammerOp; both
+    read C's schema, and the one named by ``read`` is returned."""
+    parent = WorkflowGraph(
+        [Node("PROBLEM", "Interface"), Node("C", "CustomOp"), Node("RETURN", "Interface")],
+        [Edge("PROBLEM", "C"), Edge("C", "RETURN")],
+    )
+    parent.schema("C")
+    product = parent.with_changes(GraphDelta(replaced_nodes=(Node("C", "ProgrammerOp"),)))
+    product.schema("C")
+    return {"parent": parent, "product": product}[read]
+
+
+@pytest.mark.parametrize(
+    ("build", "node_id", "kind"),
+    [
+        (minimal_graph, "NOPE", KeyError),
+        (lambda: WorkflowGraph([Node("E", "ScEnSembleOp")], []), "E", "ScEnsembleOp"),
+        (lambda: WorkflowGraph([Node("X", "NoSuchOp")], []), "X", None),
+        (lambda: _recast("product"), "C", "ProgrammerOp"),
+        (lambda: _recast("parent"), "C", "CustomOp"),
+    ],
+    ids=["unknown-id", "case-variant-kind", "unregistered-kind", "recast-product", "recast-parent"],
+)
+def test_schema_is_the_registered_schema_of_the_nodes_kind(build, node_id, kind):
+    graph = build()
+    if kind is KeyError:
+        with pytest.raises(KeyError, match=f"unknown node id '{node_id}'"):
+            graph.schema(node_id)
+    else:
+        schema = graph.schema(node_id)
+        assert (None if schema is None else schema.kind) == kind
+
+
 def test_successors_predecessors_consistent(gsm8k, math_graph, humaneval, mbpp):
     for graph in (gsm8k, math_graph, humaneval, mbpp):
         for node_id in graph.node_ids():

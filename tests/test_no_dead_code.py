@@ -1,9 +1,10 @@
 """No definition in the package that neither the package nor the benchmark uses.
 
 The scan reads ``src/flowevo/*.py`` (the package ``__init__`` aside) for
-module-level functions and classes and for the non-dunder methods of those
-classes. A definition is used when its name appears in those modules or in
-``bench/*.py``, as a name, an attribute or an imported name. Neither the
+module-level functions, classes and assigned names (constants), and for the
+non-dunder methods of those classes; dunder names are skipped. A definition
+is used when its name appears in those modules or in ``bench/*.py``, as a
+name that is read, an attribute or an imported name. Neither the
 tests nor the ``__init__`` re-exports count: a name that only a test calls
 is a second public path to keep working.
 """
@@ -26,23 +27,31 @@ ALLOWED = {
 }
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(path: Path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store) and not _dunder(name.id):
+                        yield name.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _dunder(item.name):
                     yield item.name
 
 
 def _uses(path: Path) -> set:
     used = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):  # not a definition
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
