@@ -21,7 +21,7 @@ import numpy as np
 
 from .graph import GraphConstructionError, WorkflowGraph, prompt_refs
 from .mermaid import lower_to_graph, parse_workflow, serialize_workflow
-from .operators import OperatorKind, apply_random, default_operator_weights
+from .operators import OperatorKind, apply_random, check_site_budget, default_operator_weights
 from .sampling import sample_parent, sample_parent_pair
 from .validator import bound_fan_in, validate
 
@@ -73,8 +73,7 @@ class EvolutionConfig:
             raise ValueError("seed must be >= 0")
         if self.num_tries < 1:
             raise ValueError("num_tries must be >= 1")
-        if self.site_budget < 1:
-            raise ValueError("site_budget must be >= 1")
+        check_site_budget(self.site_budget)
         if self.domain not in ("math", "code"):
             raise ValueError(f"domain must be math or code (got {self.domain!r})")
         if self.scenario not in SCENARIOS:
@@ -201,6 +200,7 @@ class OperatorProposer:
     """
 
     def __init__(self, weights=None, site_budget: int = 8):
+        check_site_budget(site_budget)
         self.weights = weights
         self.site_budget = site_budget
 

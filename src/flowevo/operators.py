@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
@@ -740,9 +741,10 @@ def donor_fragments(donor: WorkflowGraph, rng) -> list[Fragment]:
 
 # -- one row per kind: the sites of a graph, and the rewrite at one site ------------------
 #
-# Site lists follow the graph's canonical element order, so a seeded
-# permutation over them replays exactly from the graph value; rewrites that
-# need randomness draw from the same rng.
+# Site lists follow the graph's canonical element order, so a seeded draw of
+# indices into them (``_first_rewrite``) replays exactly from the graph
+# value; rewrites that need randomness draw from the same rng, between
+# those draws.
 
 
 def _substitution_sites(graph):
@@ -772,14 +774,18 @@ def _add_at(graph, site, rng, partner):
 
 
 class _RewiringSites:
-    """The rewiring sites of a graph, drawn by index without being listed.
+    """The viable rewiring sites of a graph, drawn by index without being listed.
 
     A site is (edge, third node, direction): ``to_third`` moves the edge's
     target to the third node, ``from_third`` its source. Index ``i`` is the
     i-th site in list order: edges in graph order, third nodes in id order,
     ``to_third`` before ``from_third``. A rewiring whose product edge already
-    exists is not a site. Each edge's site count comes from two label-keyed
-    adjacency sets, so ``len`` costs O(E) and one site O(log E + V).
+    exists is not a site, and neither is one that leaves a non-interface
+    endpoint stranded, which the guard must reject with W3: ``to_third``
+    needs the old target to keep an in-edge, ``from_third`` the old source
+    to keep an out-edge. Each edge's site count comes from its endpoints'
+    degrees and two label-keyed adjacency sets, so ``len`` costs O(E) and
+    one site O(log E + V).
     """
 
     def __init__(self, graph):
@@ -791,12 +797,22 @@ class _RewiringSites:
         for e in self._edges:
             self._targets.setdefault((e.source, e.label), set()).add(e.target)
             self._sources.setdefault((e.target, e.label), set()).add(e.source)
+
+        def keeps_an_edge(nid, degree):
+            return degree > 1 or ((s := graph.schema(nid)) is not None and s.is_interface)
+
+        self._moves = []  # per edge: the (direction, product edges already there) pairs that are viable
         self._starts = [0]  # index of each edge's first site; the last entry is the total
         for e in self._edges:
             ends = {e.source, e.target}
-            targets, sources = self._targets[e.source, e.label], self._sources[e.target, e.label]
-            taken = len(targets) - len(targets & ends) + len(sources) - len(sources & ends)
-            self._starts.append(self._starts[-1] + 2 * (len(self._ids) - len(ends)) - taken)
+            moves = []
+            if keeps_an_edge(e.target, graph.in_degree(e.target)):
+                moves.append(("to_third", self._targets[e.source, e.label]))
+            if keeps_an_edge(e.source, graph.out_degree(e.source)):
+                moves.append(("from_third", self._sources[e.target, e.label]))
+            self._moves.append(moves)
+            count = sum(len(self._ids) - len(ends) - len(taken - ends) for _, taken in moves)
+            self._starts.append(self._starts[-1] + count)
 
     def __len__(self) -> int:
         return self._starts[-1]
@@ -806,12 +822,11 @@ class _RewiringSites:
             raise IndexError("rewiring site index out of range")
         j = bisect.bisect_right(self._starts, i) - 1
         e = self._edges[j]
-        targets, sources = self._targets[e.source, e.label], self._sources[e.target, e.label]
         skip = i - self._starts[j]
         for third in self._ids:
             if third == e.source or third == e.target:
                 continue
-            for direction, taken in (("to_third", targets), ("from_third", sources)):
+            for direction, taken in self._moves[j]:
                 if third not in taken:
                     if not skip:
                         return (e, third, direction)
@@ -877,12 +892,21 @@ _REWRITES = {
 def _first_rewrite(rng, sites, rewrite, budget=None) -> RewriteOutcome | None:
     """Rewrite at up to ``budget`` sites in seeded random order; the first product wins.
 
-    A failed precondition or a closure-guard rejection discards that attempt
-    whole, and the next site is tried.
+    The order is a sparse Fisher-Yates shuffle, drawn one site at a time:
+    attempt ``i`` draws ``rng.integers(n - i)`` and ``swapped`` holds the
+    positions moved so far, so a draw costs O(attempts), not O(n). Each site
+    is tried at most once, and ``budget=None`` tries every site. A failed
+    precondition or a closure-guard rejection discards that attempt whole,
+    and the next site is tried.
     """
-    for idx in rng.permutation(len(sites))[:budget]:
+    n = len(sites)
+    swapped: dict = {}
+    for i in range(n if budget is None else min(budget, n)):
+        j = i + int(rng.integers(n - i))
+        idx = swapped.get(j, j)
+        swapped[j] = swapped.get(i, i)
         try:
-            return rewrite(sites[int(idx)])
+            return rewrite(sites[idx])
         except (OperatorPreconditionError, RewriteRejectedError):
             continue
     return None
@@ -909,15 +933,27 @@ def _weighted_kind_order(weights: dict, rng) -> list[OperatorKind]:
     return order
 
 
+def check_site_budget(site_budget) -> None:
+    """Raise ``ValueError`` unless ``site_budget`` is an integer of at least 1."""
+    if not isinstance(site_budget, numbers.Integral):
+        raise ValueError(f"site_budget must be an integer (got {site_budget!r})")
+    if site_budget < 1:
+        raise ValueError("site_budget must be >= 1")
+
+
 def apply_random(target, rng, weights=None, site_budget: int = 8) -> RewriteOutcome | None:
     """Apply one randomly chosen operator at a randomly chosen valid site.
 
     ``target`` is a graph or a (primary, partner) pair; crossover needs the
-    partner. The operator kind is drawn by weight; kinds whose sites are all
-    inapplicable (or rejected by the closure guard within the site budget)
-    fall through to the next drawn kind. Returns None when no rewrite
-    applies anywhere, which callers treat as a resample signal.
+    partner. The operator kind is drawn by weight. Each kind then tries up
+    to ``site_budget`` of its sites (an integer >= 1, else ``ValueError``),
+    drawn uniformly without replacement one at a time, and the first
+    product the closure guard accepts wins. A kind whose tried sites are
+    all inapplicable or rejected falls through to the next drawn kind.
+    Returns None when no rewrite applies anywhere, which callers treat as a
+    resample signal.
     """
+    check_site_budget(site_budget)
     if isinstance(target, WorkflowGraph):
         primary, partner = target, None
     else:

@@ -454,7 +454,7 @@ def test_codegen_digest_golden():
     graphs = _codegen_graphs()
     branched = [g for g in graphs if any(label == "fail" for _, _, label in g.edge_multiset())]
     assert len(graphs) > 400 and len(branched) > 20
-    assert _codegen_digest(graphs) == "3841454b285817dfb6254f28a451d7a58a7d3fdb8764b0e9c6997bb157e36f14"
+    assert _codegen_digest(graphs) == "971e9ced793577143d0653d9a18883ab31c171f3b53ef44fc1485c11efa7109f"
 
 
 def _module_values(prompt_module: str) -> dict:
@@ -534,8 +534,9 @@ _PAIRS = [(a, b) for a in CORPUS_NAMES for b in CORPUS_NAMES if a != b and _DOMA
 @pytest.mark.parametrize("a, b", _PAIRS)
 def test_products_lower_as_fresh_graphs_on_corpus_pairs(a, b):
     # small graphs: a rewrite touches a large share of their calls; the code pair reaches branches
+    # (200 steps: a chain that rewires more often reaches a branch less often per step)
     first, second = load_corpus_graph(a), load_corpus_graph(b)
-    products, inherited, held, branched = _inheriting_chains(first, second, CORPUS_NAMES.index(a), 100, 10)
+    products, inherited, held, branched = _inheriting_chains(first, second, CORPUS_NAMES.index(a), 200, 10)
     assert products > 50 and inherited > held // 3
     assert branched > 10 or first.domain != "code"
 
@@ -549,7 +550,7 @@ def test_products_lower_as_fresh_graphs_on_generated_graphs(size, seed):
 
     text = load_workflow_gen().generate(size, random.Random(seed), f"c{size}").text
     graph = lower_to_graph(parse_workflow(text))[0]
-    products, inherited, held, _ = _inheriting_chains(graph, None, seed, 20, 20)
+    products, inherited, held, _ = _inheriting_chains(graph, None, seed, 100, 20)  # five chains of 20
     assert products > 10 and inherited > held * 2 // 3
 
 
@@ -649,16 +650,16 @@ def test_the_audit_reads_the_text_not_the_inherited_steps(gsm8k):
 
 LARGE_REWRITE_DIGESTS = {  # window -> (serialized products, emitted programs and audit reports)
     0: (
-        "c69462bf005a0768fb6299de643474fcee0e87ca70decb773c018b36a228b3cd",
-        "c3571f9670d9a0c720d5d3ac37eeb08e5afc7daf3d5e6292191752ce0359d0d5",
+        "b52620569996e00fc01fb3841004009f6ff3d907db0809f7cf31f73a089a313a",
+        "d7acb4650680b7b1b6b599bba8baea461e3a8dc294dbbfbe8da525f9e1786376",
     ),
     1: (
-        "a62f44973f22351b0eb5ca2add43c758ca053ae0324d2b008213d9597a1eccf8",
-        "7d6289771a50808ccf4d7b7950ddaf0d2d66dfde4828feb437172b015f469205",
+        "6d389910bc8f10ef01224fee0bcc4707e0a30a6f9d8e54ee381429c6feb5be9e",
+        "f848f1bcbccb5df20e05e9f3becbd34ec4d621a29f818940bb40b2195192ab5b",
     ),
     2: (
-        "0a166c403d2eaaff601a8400be007c2a5c065bca0fad83883641596b9b906939",
-        "d0727a1594b8524644736c54af4fd338391e5641628695296e2bd758ee202b4c",
+        "a4d2d4b772d8ada6982f80381f04e1a2d0e89377f1fb30eee874d0a7e390ca11",
+        "04615f87168bb17cabc8c2485b902af580d4986e53d616787f87ec6e222c3712",
     ),
 }
 

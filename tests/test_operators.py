@@ -15,6 +15,7 @@ from flowevo.operators import (
     OperatorPreconditionError,
     RewriteRejectedError,
     _RewiringSites,
+    _first_rewrite,
     _weighted_kind_order,
     add_node,
     apply_random,
@@ -28,7 +29,7 @@ from flowevo.operators import (
 
 from conftest import CORPUS_NAMES, load_corpus_graph, load_workflow_gen, rebuilt, shuffled_twin
 from kind_order_reference import reference_kind_order
-from rewiring_sites_reference import reference_rewiring_sites
+from rewiring_sites_reference import detached_end, split_rewiring_sites
 
 
 def two_node_minimal():
@@ -388,8 +389,8 @@ def test_modification_record_wrapper(gsm8k):
 
 
 def test_apply_random_seed42_golden(gsm8k, math_graph):
-    # frozen after the first derivation: seed 42 with default weights picks
-    # a subgraph mutation replacing P5 with an ensemble motif
+    # frozen when sites were drawn one at a time: seed 42 with default
+    # weights picks a subgraph mutation replacing P4 with an ensemble-refine motif
     import hashlib
 
     from flowevo import serialize_workflow
@@ -398,11 +399,11 @@ def test_apply_random_seed42_golden(gsm8k, math_graph):
         (gsm8k, math_graph), np.random.default_rng(42), default_operator_weights(0.10)
     )
     assert outcome.applied is OperatorKind.SUBGRAPH_MUTATION
-    assert outcome.description == "mutate subgraph {P5} -> ensemble-4 (5 nodes)"
+    assert outcome.description == "mutate subgraph {P4} -> ensemble-refine-2 (4 nodes)"
     child = outcome.graphs[0]
-    assert (len(child.nodes), len(child.edges)) == (14, 21)
+    assert (len(child.nodes), len(child.edges)) == (13, 18)
     digest = hashlib.sha256(serialize_workflow(child).encode()).hexdigest()
-    assert digest == "69d3b31967fbdf467af211fdc64cfa7e6a1ddf6dbd67363b04d6576766cbf326"
+    assert digest == "685494acbb2c17a1876d109be5075d667765598cd643f629b8f215c0ca899f44"
 
 
 def test_crossover_renames_only_on_collision():
@@ -484,18 +485,19 @@ def test_mutate_rejects_duplicate_fragment_ids(gsm8k):
         mutate_subgraph(gsm8k, {"C"}, fragment)
 
 
-# frozen after the first derivation: one digest per weight setting over every
-# ordered corpus pair (and each graph alone) for seeds 0-2; any drift means
-# site enumeration, rng draw order, or an operator's product changed
+# frozen when sites were drawn one at a time and only viable rewiring sites
+# counted: one digest per weight setting over every ordered corpus pair (and
+# each graph alone) for seeds 0-2; any drift means site enumeration, rng draw
+# order, or an operator's product changed
 _APPLY_RANDOM_DIGESTS = {
-    "substitution": "515ca9ca22c98b28eb0fcfc7eb16f523996c17375f3f7200de424c066043e896",
-    "addition": "3bc23b0f890892a45ee00a0cf664da2402fdaa8ca7cb4c1b311bcd624697978a",
-    "rewiring": "62acd1e3c851f5b1504ab447fc5e9c0920e5aee2d4787f06e63112635721ca45",
+    "substitution": "5a4daea4e3f5fb6c6ae1486ae6e4bdb314c3e35d935d8f00dd53f9d8449d391a",
+    "addition": "3dd0f6ce4e9d4eb27acb088b8bb39f7bc7a203defae60c83fbdb00be4052e175",
+    "rewiring": "6efd83e44763d2422d2da6cabfdb36ded3cee4aa35847f70172947377813866d",
     "deletion": "facceecb4df87d2f3c30fab0cb7737c193918236fe28e3ce024eb18318ad5d87",
-    "subgraph_mutation": "deb02562f9c9e98d70bf488827de8628ee08942aac8c3809f1d3a6e4639e179b",
+    "subgraph_mutation": "0a97cd67dc9abef0a9c1a7789d305c227649dd05341c4401c37664542cd83e6a",
     "crossover": "4d8031e643e5cb5b12ec339933378702eab0fecd3ad0e86872b513894009ca2c",
-    "default": "a15c9bc55d8a5c8729bcbc65745d133cf2c707c0a7650b00c4cc292d5fa88be8",
-    "uneven": "208efa39f21c5671fae7cedce6bb068cfd96e192f110f27ca492319fa3725f37",
+    "default": "3f424f4a9b3864f5192dd06b0316a501ab26fe120118bca3dde4b8f911bc804c",
+    "uneven": "c0cfa62c0b16a493179fb438699c57448801c50638af7c62b95d767b24a5eac3",
 }
 
 # four kinds at four different weights: every kind order draw picks among
@@ -630,7 +632,7 @@ def _hand_built_site_graphs():
 def _assert_sites_match(graph, sample=None):
     import random
 
-    expected = reference_rewiring_sites(graph)
+    expected, _ = split_rewiring_sites(graph)
     sites = _RewiringSites(graph)
     assert len(sites) == len(expected)
     indices = range(len(expected)) if sample is None else random.Random(len(expected)).sample(
@@ -658,6 +660,117 @@ def test_rewiring_sites_match_the_listed_order_on_generated_graphs():
 @pytest.mark.parametrize("case", sorted(_hand_built_site_graphs()))
 def test_rewiring_sites_match_the_listed_order_on_hand_built_graphs(case):
     _assert_sites_match(_hand_built_site_graphs()[case])
+
+
+def _assert_dropped_sites_are_rejected(graph, sample=None):
+    """Each move the viability rule drops fails in ``rewire_edge``, and its product has a W3 error."""
+    import random
+
+    from flowevo import soft_check
+
+    _, dropped = split_rewiring_sites(graph)
+    if sample is not None and sample < len(dropped):
+        dropped = random.Random(len(dropped)).sample(dropped, sample)
+    for site in dropped:
+        edge, third, direction = site
+        # a type mismatch fails the precondition before the guard sees the product
+        with pytest.raises((OperatorPreconditionError, RewriteRejectedError)) as exc_info:
+            rewire_edge(graph, edge.key(), third, direction)
+        if direction == "to_third":
+            moved = Edge(edge.source, third, edge.label)
+        else:
+            moved = Edge(third, edge.target, edge.label)
+        edges = list(graph.edges)
+        edges.remove(edge)
+        product = rebuilt(graph, edges=edges + [moved])
+        stranded = {d.subject for d in soft_check(product) if d.rule == "W3" and d.is_error}
+        assert detached_end(site) in stranded, site
+        if exc_info.type is RewriteRejectedError:
+            assert detached_end(site) in {d.subject for d in exc_info.value.diagnostics if d.rule == "W3"}, site
+    return len(dropped)
+
+
+def test_dropped_rewiring_sites_are_rejected_on_the_corpus(corpus_graphs):
+    assert sum(_assert_dropped_sites_are_rejected(graph) for graph in corpus_graphs.values()) > 100
+
+
+def test_dropped_rewiring_sites_are_rejected_on_generated_graphs():
+    for graph in _generated_graphs((10, 17, 30), seed=9):
+        assert _assert_dropped_sites_are_rejected(graph) > 0
+    for graph in _generated_graphs((100, 300), seed=10):
+        assert _assert_dropped_sites_are_rejected(graph, sample=300) == 300
+
+
+@pytest.mark.parametrize("case", sorted(_hand_built_site_graphs()))
+def test_dropped_rewiring_sites_are_rejected_on_hand_built_graphs(case):
+    _assert_dropped_sites_are_rejected(_hand_built_site_graphs()[case])
+
+
+# -- the site draw ------------------------------------------------------------------
+
+
+def _drawn(n, budget, seed=0):
+    """The site indices ``_first_rewrite`` tries, in order, when every rewrite fails."""
+    tried = []
+
+    def fail(site):
+        tried.append(site)
+        raise (OperatorPreconditionError if len(tried) % 2 else RewriteRejectedError)("no product")
+
+    assert _first_rewrite(np.random.default_rng(seed), range(n), fail, budget) is None
+    return tried
+
+
+def _dense_shuffle_prefix(n, budget, seed=0):
+    """The same draws applied to a whole index array: Fisher-Yates, one swap per attempt."""
+    rng, order = np.random.default_rng(seed), list(range(n))
+    for i in range(n if budget is None else min(budget, n)):
+        j = i + int(rng.integers(n - i))
+        order[i], order[j] = order[j], order[i]
+    return order[: n if budget is None else min(budget, n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 300])
+def test_first_rewrite_tries_distinct_sites_up_to_the_budget(n):
+    for budget in (1, 2, 3, 8, 9, 10, 299, 300, 301, None):
+        for seed in range(3):
+            tried = _drawn(n, budget, seed)
+            assert len(set(tried)) == len(tried) == (n if budget is None else min(budget, n))
+            if budget is None:
+                assert sorted(tried) == list(range(n))
+            assert _drawn(n, budget, seed) == tried
+            assert tried == _dense_shuffle_prefix(n, budget, seed)
+
+
+def test_first_rewrite_draws_each_site_first_equally_often():
+    counts = np.bincount([_drawn(9, 1, seed)[0] for seed in range(9000)], minlength=9)
+    sigma = math.sqrt(9000 * (1 / 9) * (8 / 9))
+    assert np.all(np.abs(counts - 1000) < 4 * sigma), counts
+
+
+def test_first_rewrite_builds_no_array_of_the_site_count():
+    import tracemalloc
+
+    _drawn(10, 8)  # warm any first-call allocation outside the traced window
+    tracemalloc.start()
+    try:
+        tried = _drawn(2_050_000, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(set(tried)) == 8 and peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("budget, message", [(0, ">= 1"), (-1, ">= 1"), (2.5, "an integer")])
+def test_bad_site_budgets_are_rejected(gsm8k, budget, message):
+    from flowevo.engine import OperatorProposer
+
+    with pytest.raises(ValueError, match=f"site_budget must be {message}"):
+        apply_random(gsm8k, np.random.default_rng(0), site_budget=budget)
+    with pytest.raises(ValueError, match=f"site_budget must be {message}"):
+        OperatorProposer(None, budget)
+    with pytest.raises(ValueError, match=f"site_budget must be {message}"):
+        EvolutionConfig(site_budget=budget)
 
 
 def _construction_variants(name):

@@ -138,7 +138,8 @@ def test_screen_is_exact_on_random_edge_swaps(source, seed):
 
 
 def test_chains_take_both_paths():
-    diff = _chain(_generated(100, 5), None, 5, 30)
+    # 80 steps: with only viable rewiring sites drawn, early rejections are rarer per step
+    diff = _chain(_generated(100, 5), None, 5, 80)
     assert diff.early > 5 and diff.full_checks > 5
 
 
