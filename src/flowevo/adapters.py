@@ -91,9 +91,12 @@ class SubprocessProposer(_Adapter):
             },
         }
         response = self._call(payload)
-        if not isinstance(response.get("text"), str):
+        text, modification = response.get("text"), response.get("modification", "")
+        if not isinstance(text, str):
             raise AdapterError("proposer response lacks a string 'text'")
-        return Proposal(response["text"], response.get("modification", ""))
+        if not isinstance(modification, str):
+            raise AdapterError(f"proposer 'modification' is not a string: {modification!r}")
+        return Proposal(text, modification)
 
 
 class SubprocessJudge(_Adapter):
@@ -128,6 +131,6 @@ class SubprocessEvaluator(_Adapter):
     def evaluate(self, graph) -> float:
         response = self._call({"kind": "evaluate", "source": mermaid.serialize_workflow(graph)})
         score = response.get("score")
-        if not isinstance(score, (int, float)) or not 0.0 <= float(score) <= 1.0:
-            raise AdapterError(f"evaluator score out of range: {score!r}")
+        if isinstance(score, bool) or not isinstance(score, (int, float)) or not 0.0 <= score <= 1.0:
+            raise AdapterError(f"evaluator score is not a number in [0, 1]: {score!r}")
         return float(score)

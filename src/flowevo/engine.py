@@ -158,7 +158,7 @@ class JudgeScore:
         object.__setattr__(self, "dims", MappingProxyType(dict(self.dims)))
         for name in JUDGE_DIMENSIONS:
             value = self.dims.get(name)
-            if not isinstance(value, int) or not 1 <= value <= 10:
+            if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= 10:
                 raise ValueError(f"judge dimension {name} must be an int in [1, 10], got {value!r}")
 
     @property

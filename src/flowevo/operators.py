@@ -8,12 +8,9 @@ rewrite as a ``GraphDelta`` against the parent; the closure guard then
 decides the product, which is rejected wholesale when it fails, so no
 partially rewritten state is ever observable.
 
-The guard builds each product with ``with_changes`` and decides it in two
-steps, both read from that product. ``local_findings`` first gives W1, the
-interface-role findings and the own findings of the nodes the delta
-touches; most of these are inherited, and any error among them rejects the
-product with those findings, sorted. A product with no such error gets the
-full ``validate``, which reuses the findings already found.
+The guard builds each product with ``with_changes`` and decides it by
+``validate`` alone; the product inherits the per-node findings its delta
+keeps, so the full check finds only the others anew.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from types import MappingProxyType
 
 from .graph import Edge, GraphDelta, Node, WorkflowGraph, prompt_refs, type_of_output
 from .registry import NodeTypeSchema, port_accepts
-from .validator import bind_input_ports, local_findings, validate
+from .validator import bind_input_ports, validate
 
 
 class OperatorKind(enum.Enum):
@@ -56,8 +53,8 @@ class OperatorPreconditionError(Exception):
 class RewriteRejectedError(Exception):
     """The rewritten product failed re-validation (closure guard).
 
-    ``diagnostics`` holds the full findings, or, for a product the early
-    exit rejects, its ``local_findings``.
+    ``diagnostics`` holds the product's full findings, as ``soft_check``
+    reports them.
     """
 
     def __init__(self, message, diagnostics=()):
@@ -77,27 +74,19 @@ class RewriteOutcome:
         return f"<modification>{self.description}</modification>"
 
 
-def _reject(applied: OperatorKind, diagnostics) -> RewriteRejectedError:
-    errors = [d for d in diagnostics if d.is_error]
-    return RewriteRejectedError(
-        f"{applied.value} product failed validation: " + "; ".join(d.render() for d in errors[:4]),
-        diagnostics=diagnostics,
-    )
-
-
 def _guard(pairs, applied: OperatorKind, description: str) -> RewriteOutcome:
-    """Build each (parent, delta) pair's product; reject on a local error, then on the full check."""
+    """Build each (parent, delta) pair's product; reject the first one that does not validate."""
     graphs = []
     for parent, delta in pairs:
         graph = parent.with_changes(delta)
-        found = local_findings(graph, delta.touched())
-        if any(d.is_error for d in found):
-            raise _reject(applied, found)
-        graphs.append(graph)
-    for graph in graphs:
         verdict = validate(graph)
         if verdict.q != 1:
-            raise _reject(applied, verdict.diagnostics)
+            errors = [d for d in verdict.diagnostics if d.is_error]
+            raise RewriteRejectedError(
+                f"{applied.value} product failed validation: " + "; ".join(d.render() for d in errors[:4]),
+                diagnostics=verdict.diagnostics,
+            )
+        graphs.append(graph)
     return RewriteOutcome(tuple(graphs), applied, description)
 
 

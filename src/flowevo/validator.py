@@ -125,44 +125,22 @@ def _bind_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
 def soft_check(graph: WorkflowGraph) -> list[Diagnostic]:
     """Run every structural rule; total over arbitrary constructed graphs.
 
-    The graph-wide rules run on every call, and each node's own findings
-    are read through ``node_findings``.
+    The graph-wide rules run on every call. Each node's own findings are
+    found once and kept on the graph value; a product of ``with_changes``
+    starts with its parent's findings of the nodes the delta leaves as they
+    were (see ``WorkflowGraph.with_changes``).
     """
     out = _check_w1(graph) + _check_w2(graph) + _check_roles(graph) + _check_prompts(graph)
     cycle = "node lies on a directed cycle"
     out += [Diagnostic(STRUCT, ERROR, cycle, subject=nid) for nid in sorted(graph.cycle_nodes())]
     findings = graph._findings
     for nid in graph._by_id:
-        found = findings.get(nid)  # read inline: most nodes' findings are memoized already
-        out += node_findings(graph, nid) if found is None else found
+        found = findings.get(nid)
+        if found is None:
+            # the write is idempotent: a racing caller stores equal findings
+            found = findings[nid] = _own_findings(graph, nid)
+        out += found
     return sort_diagnostics(out)
-
-
-def local_findings(graph: WorkflowGraph, node_ids) -> list[Diagnostic]:
-    """W1, the interface-role findings and the own findings of ``node_ids``, sorted.
-
-    Ids the graph does not hold are skipped. Each finding is one that
-    ``soft_check(graph)`` reports, so an error among them implies q=0
-    before any graph-wide rule runs.
-    """
-    out = _check_w1(graph) + _check_roles(graph)
-    for nid in node_ids:
-        if nid in graph._by_id:
-            out += node_findings(graph, nid)
-    return sort_diagnostics(out)
-
-
-def node_findings(graph: WorkflowGraph, nid: str) -> tuple:
-    """One node's own findings, found once and kept on the graph value.
-
-    A product of ``with_changes`` starts with its parent's findings of the
-    nodes the delta leaves as they were (see ``WorkflowGraph.with_changes``).
-    """
-    # the write is idempotent: a racing caller stores equal findings
-    found = graph._findings.get(nid)
-    if found is None:
-        found = graph._findings[nid] = _own_findings(graph, nid)
-    return found
 
 
 def _check_w1(graph):
@@ -198,12 +176,12 @@ def _check_w2(graph):
         if from_entry and to_exit:
             continue
         if not from_entry and not to_exit:
-            detail = "unreachable from entry and cannot reach exit"
+            message = "node is unreachable from entry and cannot reach exit"
         elif not from_entry:
-            detail = "unreachable from entry"
+            message = "node is unreachable from entry"
         else:
-            detail = "cannot reach exit"
-        out.append(Diagnostic(W2, ERROR, f"node is {detail}", subject=nid))
+            message = "node cannot reach exit"
+        out.append(Diagnostic(W2, ERROR, message, subject=nid))
     return out
 
 

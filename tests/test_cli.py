@@ -599,6 +599,9 @@ _BAD_REPLY = f"{sys.executable} {Path(__file__).parent / 'data' / 'bad_reply_ada
         ("judge_cmd", f"{_BAD_REPLY} judge-out-of-range"),
         ("evaluator_cmd", f"{_BAD_REPLY} not-an-object"),
         ("proposer_cmd", f"{_BAD_REPLY} text-not-a-string"),
+        ("proposer_cmd", f"{_BAD_REPLY} modification-not-a-string"),
+        ("judge_cmd", f"{_BAD_REPLY} judge-true"),
+        ("evaluator_cmd", f"{_BAD_REPLY} score-true"),
     ],
     ids=[
         "false",
@@ -606,6 +609,9 @@ _BAD_REPLY = f"{sys.executable} {Path(__file__).parent / 'data' / 'bad_reply_ada
         "judge-out-of-range",
         "evaluator-not-an-object",
         "proposer-text-not-a-string",
+        "proposer-modification-not-a-string",
+        "judge-true",
+        "evaluator-score-true",
     ],
 )
 def test_evolve_failing_adapter_exits_1(tmp_path, corpus_dir, key, command):

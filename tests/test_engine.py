@@ -282,6 +282,8 @@ def test_judge_score_range_enforced():
             "workflow_coherence", "innovation", "complexity_balance",
             "prompt_quality", "modification_rationale",
         )})
+    with pytest.raises(ValueError):  # a JSON true is not the score 1
+        JudgeScore(dict.fromkeys(JUDGE_DIMENSIONS, True))
 
 
 def test_synthetic_evaluator_features(gsm8k, seed_minimal):

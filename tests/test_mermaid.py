@@ -730,4 +730,4 @@ def test_front_end_digest_golden():
     assert len(sources) > 200
     for expected in PARSER_MESSAGES + LOWERING_MESSAGES:
         assert any(expected in m for m in messages), expected
-    assert digest.hexdigest() == "e7bab9d3fd5f983f948a6efd496826839a251667aa79dfa9bf192ffbdf86d77c"
+    assert digest.hexdigest() == "792508a9deb743ca5bb66d21d020b7e43fbcec043c2cfc60928b81e083aad690"

@@ -53,7 +53,20 @@ def test_w2_after_edge_removal(gsm8k):
     diags = soft_check(broken)
     w2 = [d for d in diags if d.rule == "W2"]
     assert any(d.subject == "C" for d in w2)
-    assert "cannot reach exit" in [d for d in w2 if d.subject == "C"][0].message
+    assert [d.message for d in w2 if d.subject == "C"] == ["node cannot reach exit"]
+
+
+def test_w2_messages():
+    # B only feeds the exit, A -> C dead-ends, D has no edge at all
+    graph = WorkflowGraph(
+        [Node("PROBLEM", "Interface"), *(Node(n, "CustomOp", {"role": "x"}) for n in "ABCD"), Node("RETURN", "Interface")],
+        [Edge("PROBLEM", "A"), Edge("A", "C"), Edge("A", "RETURN"), Edge("B", "RETURN")],
+    )
+    assert [(d.subject, d.message) for d in soft_check(graph) if d.rule == "W2"] == [
+        ("B", "node is unreachable from entry"),
+        ("C", "node cannot reach exit"),
+        ("D", "node is unreachable from entry and cannot reach exit"),
+    ]
 
 
 def test_w5_on_trimmed_ensemble(gsm8k):
