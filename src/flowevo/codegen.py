@@ -499,8 +499,24 @@ _IF_LINE_RE = re.compile(r"^\s*if not (\w+)\[")
 # a double-quoted literal with backslash escapes, within one line
 _STRING_RE = re.compile(r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"')
 _WORD_RE = re.compile(r"\w+")
-_ASCII_NON_WORD = str.maketrans({c: " " for c in range(128) if not (chr(c).isalnum() or chr(c) in "_\n")})
+_ASCII_NON_WORD = str.maketrans({c: " " for c in range(128) if not (chr(c).isalnum() or chr(c) == "_")})
 _LIST_PUNCTUATION_RE = re.compile(r"[\[\],]")
+
+
+@functools.lru_cache(maxsize=1024)
+def _read_line(line: str):
+    """What ``structural_diff`` reads in a line: a call line's (binding, argument text, argument
+    words with string literals taken out, in order, and as a set), a branch condition's tested
+    binding, or None; a chain's products share most lines, so each is read once while cached."""
+    match = _CALL_LINE_RE.match(line)
+    if match is None:
+        match = _IF_LINE_RE.match(line)
+        return match[1] if match else None
+    binding, args_text = match.group(1, 3)
+    stripped = _STRING_RE.sub("", args_text)  # no literal spans two lines
+    # on ASCII text a word is a run of [A-Za-z0-9_]
+    words = tuple(stripped.translate(_ASCII_NON_WORD).split() if stripped.isascii() else _WORD_RE.findall(stripped))
+    return binding, args_text, words, frozenset(words)
 
 
 @dataclass
@@ -529,15 +545,14 @@ def structural_diff(program_text: str, graph: WorkflowGraph) -> DiffReport:
     ir = lower_to_ir(graph)
     report = DiffReport()
 
-    call_lines: list[tuple[str, str]] = []  # (binding, argument text) in program order
+    call_lines: list[tuple] = []  # _read_line's reading of each call line, in program order
     branch_conditions: list[str] = []
-    for line in program_text.splitlines():
-        match = _CALL_LINE_RE.match(line)
-        if match:
-            call_lines.append(match.group(1, 3))
-        elif match := _IF_LINE_RE.match(line):  # a call line is never a branch condition
-            branch_conditions.append(match[1])
-    found = dict(call_lines)
+    for read in map(_read_line, program_text.splitlines()):
+        if type(read) is tuple:
+            call_lines.append(read)
+        elif read is not None:
+            branch_conditions.append(read)
+    found = {read[0]: read for read in call_lines}  # binding -> its (last) call line's reading
 
     expected: dict[str, CallStep] = {}
     sugar_bindings = set()
@@ -560,15 +575,9 @@ def structural_diff(program_text: str, graph: WorkflowGraph) -> DiffReport:
     # each call line assigns a fresh binding, and reads only bindings assigned
     # above it: no word of its arguments, string literals taken out, is one
     # that no line above assigns
-    stripped = _STRING_RE.sub("", "\n".join([args_text for _, args_text in call_lines]))
-    if stripped.isascii():  # then a word is a run of [A-Za-z0-9_]
-        rows, words_of = stripped.translate(_ASCII_NON_WORD).split("\n"), str.split
-    else:
-        rows, words_of = stripped.split("\n"), _WORD_RE.findall
     pending = set(found)  # the bindings no line above assigns
-    for (binding, _), row in zip(call_lines, rows):
-        words = words_of(row)
-        if not pending.isdisjoint(words):
+    for binding, _, words, word_set in call_lines:
+        if not pending.isdisjoint(word_set):
             report.flow_mismatches += [f"{binding} reads {name} before any line assigns it" for name in words if name in pending]
         if binding not in pending:
             report.orphan_calls.append(f"{binding} (assigned twice)")
@@ -584,13 +593,13 @@ def structural_diff(program_text: str, graph: WorkflowGraph) -> DiffReport:
         target_binding = binding_of_node.get(edge.target)
         if source_binding is None or target_binding is None:
             continue  # already reported as missing
-        consumer_args = found.get(target_binding, "")
-        consumed = source_binding in consumer_args
+        consumer_words = found[target_binding][3] if target_binding in found else ()
+        consumed = source_binding in consumer_words
         if not consumed and edge.label in ("fail", "pass"):
             consumed = source_binding in branch_conditions
         if not consumed and source_binding in branch_conditions and source_binding in result_of_test:
             # branch result feeds downstream through its result variable
-            consumed = result_of_test[source_binding] in consumer_args
+            consumed = result_of_test[source_binding] in consumer_words
         if not consumed:
             report.flow_mismatches.append(
                 f"{edge.source}->{edge.target}: {target_binding} does not consume {source_binding}"
@@ -599,9 +608,9 @@ def structural_diff(program_text: str, graph: WorkflowGraph) -> DiffReport:
     for step in ir.call_steps():
         if step.kind != "ScEnsembleOp":
             continue
-        args_text = found.get(step.binding)
-        if args_text is None:
+        if step.binding not in found:
             continue
+        args_text = found[step.binding][1]
         solutions = step.args.get("solutions", ())
         rendered = args_text.split("solutions=[", 1)
         if len(rendered) != 2:

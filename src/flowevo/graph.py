@@ -654,10 +654,14 @@ class GraphDelta(NamedTuple):
 
     def relowered(self, parent: WorkflowGraph, product: WorkflowGraph) -> set:
         """Ids of the nodes whose call steps the delta may change, if it keeps the interface roles:
-        the touched nodes, the product's successors of each (a call step reads each source's kind,
-        binding and branch status), and the nodes that name a prompt whose text the delta changes."""
-        touched = self.touched()
-        ids = touched | {t for nid in touched for t, _ in product._out.get(nid, ())}
+        the touched nodes; the product's successors of each recast node and of each source of an
+        added or removed ``fail`` edge, since a call step reads only its sources' kind, binding
+        (fixed by the id) and branch status; and the nodes that name a prompt whose text the
+        delta changes."""
+        ids = self.touched()
+        sources = {e.source for e in self.removed_edges + self.added_edges if e.label == "fail"}
+        for nid in sources.union(self.recast(parent)):
+            ids.update(t for t, _ in product._out.get(nid, ()))
         old, new = parent.prompts, product.prompts
         if new is not old and new != old:
             ids.update(nid for nid, (_, names, _) in parent._calls.items() if any(old.get(n) != new.get(n) for n in names))

@@ -3,7 +3,10 @@
 ``reference_structural_diff`` runs the call-line and branch-condition
 regexes on every line, strips the string literals of each call line and
 tests every word of it; the differential test compares its reports with
-the current function's on emitted and tampered program texts.
+the current function's on emitted and tampered program texts. One rule has
+changed since it was frozen: an edge's source counts as consumed only where
+its binding is a word of the consumer's arguments with string literals taken
+out, not wherever it occurs in their text.
 """
 
 from __future__ import annotations
@@ -77,13 +80,13 @@ def reference_structural_diff(program_text: str, graph: WorkflowGraph) -> DiffRe
         target_binding = binding_of_node.get(edge.target)
         if source_binding is None or target_binding is None:
             continue  # already reported as missing
-        consumer_args = found.get(target_binding, "")
-        consumed = source_binding in consumer_args
+        consumer_words = _WORD_RE.findall(_STRING_RE.sub("", found.get(target_binding, "")))
+        consumed = source_binding in consumer_words
         if not consumed and edge.label in ("fail", "pass"):
             consumed = source_binding in branch_conditions
         if not consumed and source_binding in branch_conditions and source_binding in result_of_test:
             # branch result feeds downstream through its result variable
-            consumed = result_of_test[source_binding] in consumer_args
+            consumed = result_of_test[source_binding] in consumer_words
         if not consumed:
             report.flow_mismatches.append(
                 f"{edge.source}->{edge.target}: {target_binding} does not consume {source_binding}"

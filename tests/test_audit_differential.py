@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowevo.codegen import EmissionError, emit, lower_to_ir, structural_diff
+from flowevo.codegen import EmissionError, _read_line, emit, lower_to_ir, structural_diff
 
 from conftest import load_corpus_graph
 from structural_diff_reference import reference_structural_diff
@@ -20,7 +20,11 @@ from test_codegen import _codegen_graphs
 
 
 def assert_same_report(text: str, graph) -> None:
-    assert structural_diff(text, graph) == reference_structural_diff(text, graph), repr(text)
+    """The audit's report equals the reference's, with every line read afresh and then from the cache."""
+    expected = reference_structural_diff(text, graph)
+    _read_line.cache_clear()
+    assert structural_diff(text, graph) == expected, ("cold", text)
+    assert structural_diff(text, graph) == expected, ("warm", text)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +58,7 @@ def _tampered(program: str, rng: random.Random) -> list:
         with_line(i, line[:-1] + ', note="a\\"b\\\\")'),  # escaped quotes and a final backslash
         with_line(i, f'{head}({later[:2]}"x"{later[2:]}, {args}'),  # a literal between two words
         with_line(i, f'{head}(x="{later}", y="{binding}", {args}'),  # binding names inside literals
+        with_line(calls[0], first[:-1] + f", a={later}, b={later})"),  # one pending binding read twice
         with_line(i, line[:-1] + f", né={later})"),  # a non-ASCII word
         with_line(i, line[:-1] + f", n=\u2014{later}\xa0)"),  # non-ASCII characters that are not word characters
         program.replace(binding, binding.replace("_", "_é", 1)),  # a non-ASCII binding

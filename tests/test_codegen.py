@@ -344,6 +344,26 @@ def test_diff_ignores_binding_names_inside_literals(gsm8k):
     assert structural_diff(program, graph).is_empty()
 
 
+@pytest.mark.parametrize("analysis", ['""', '"x_result"'], ids=["suffix", "literal"])
+def test_diff_reads_a_binding_only_as_a_whole_word_outside_literals(analysis):
+    # X and AX both feed P: x_result is a suffix of ax_result, and a literal holds no binding
+    nodes = [Node("PROBLEM", "Interface"), Node("RETURN", "Interface"), _custom("X"), _custom("AX")]
+    nodes.append(Node("P", "ProgrammerOp", {"analysis": "a"}))
+    edges = [Edge("PROBLEM", "X", "input"), Edge("PROBLEM", "AX", "input"), Edge("AX", "P", "problem")]
+    edges += [Edge("X", "P", "analysis"), Edge("P", "RETURN")]
+    graph = WorkflowGraph(nodes, edges)
+    program, _ = emit(lower_to_ir(graph))
+    line = "p_result = await self.programmer(problem=ax_result['response'], analysis=x_result['response'])"
+    assert line in program and structural_diff(program, graph).is_empty()
+    tampered = program.replace("analysis=x_result['response']", f"analysis={analysis}")
+    assert structural_diff(tampered, graph).to_dict() == {
+        "missing_calls": [],
+        "orphan_calls": [],
+        "flow_mismatches": ["X->P: p_result does not consume x_result"],
+        "arity_mismatches": [],
+    }
+
+
 def test_fill_reports_missing_hole():
     with pytest.raises(EmissionError, match="missing template hole"):
         fill("hello {{name}}", {})
@@ -552,6 +572,32 @@ def test_products_lower_as_fresh_graphs_on_generated_graphs(size, seed):
     graph = lower_to_graph(parse_workflow(text))[0]
     products, inherited, held, _ = _inheriting_chains(graph, None, seed, 100, 20)  # five chains of 20
     assert products > 10 and inherited > held * 2 // 3
+
+
+def test_products_relower_every_call_step_their_delta_can_change():
+    # chains of 15 rewrites from each corpus graph, each parent lowered before its next
+    # rewrite: a product keeps a reader's step only when no source of it is recast or
+    # gains or loses a fail arm, and must lower and emit as a fresh build of its value
+    import numpy as np
+
+    from flowevo.operators import apply_random
+
+    products = inherited = 0
+    for name in (*CORPUS_NAMES, "seed_math_minimal"):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            current = load_corpus_graph(name)
+            lower_to_ir(current)
+            for _ in range(15):
+                outcome = apply_random(current, rng)
+                if outcome is None:
+                    continue
+                for product in outcome.graphs:
+                    products += 1
+                    inherited += bool(product._calls)
+                    assert lowering(product) == lowering(rebuilt(product)), (name, seed)
+                current = outcome.graphs[0]
+    assert products > 2500 and inherited > products // 2
 
 
 def test_a_merged_prompt_table_resolves_a_name_on_an_untouched_node(gsm8k):
