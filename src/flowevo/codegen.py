@@ -189,7 +189,8 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
     if not present <= _OUTPUT_FIELD.keys():
         nid = next(nid for nid in order if kinds[nid] not in _OUTPUT_FIELD)
         raise EmissionError(f"kind {graph.node(nid).kind!r} has no emission semantics")
-    inputs = functools.cache(lambda nid: _inputs(graph, nid))  # read only for the calls built here
+    # read only for the calls built here, each of a node in ``order``
+    inputs = functools.lru_cache(maxsize=len(order))(lambda nid: _inputs(graph, nid))
     # binding names other than <id>_result depend on the order of ids that
     # differ only by case, which a rewrite of other nodes can change, so then
     # no call step is kept
@@ -406,7 +407,7 @@ def load_templates(directory) -> EmissionTemplate:
     return EmissionTemplate(program, prompts_module, branch, MappingProxyType(calls))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def default_templates() -> EmissionTemplate:
     """The shipped template set, read once per process."""
     return load_templates(Path(__file__).parent / "templates" / "default")

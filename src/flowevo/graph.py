@@ -531,8 +531,6 @@ class WorkflowGraph:
     def _bequeath(self, child: "WorkflowGraph", delta: "GraphDelta") -> None:
         """Give ``child``, this graph with ``delta`` applied, every memo entry the delta keeps."""
         edges = delta.removed_edges + delta.added_edges
-        if not (edges or delta.removed_nodes or delta.added_nodes):
-            child._order = self._order  # the order reads only node ids and edges
         new_nodes = delta.added_nodes + delta.replaced_nodes
         kinds = [self.schema(nid) for nid in delta.touched() if nid in self]
         kinds += [self.registry.get(node.kind) for node in new_nodes]  # the child's new ones

@@ -9,12 +9,19 @@ per line. The in-repo hard check replaces an external compiler run: a
 source passes when every statement parses within this dialect.
 
 The parser reads each line once. Blank lines, comments and the prompt
-markers are told apart by string tests; every other line is classified by
-one match of ``_STATEMENT_RE``, whose alternatives are the statement forms
-in order of precedence. Ids and prompt names are tested with
-``str.isascii() and str.isidentifier()``, which for ASCII text is exactly
-``[A-Za-z_][A-Za-z0-9_]*``. A label of the one-pair shape is decoded by one
-match of ``_ONE_PAIR_RE``, and every other label by the token walk.
+markers are told apart by string tests; every other statement line is
+classified by one match of ``_STATEMENT_RE``, whose alternatives are the
+statement forms in order of precedence. That classification reads the
+line's text alone, so it is kept in a bounded cache keyed by the stripped
+line and runs once per distinct text: sources that share lines (a proposal
+and its parent's canonical text) share the work. Spans, the prompt block,
+duplicate declarations, conflicting class assignments, a second header and
+the findings about the whole text depend on where a line sits and what came
+before it, so the parser computes them afresh and caches none of them. Ids
+and prompt names are tested with ``str.isascii() and str.isidentifier()``,
+which for ASCII text is exactly ``[A-Za-z_][A-Za-z0-9_]*``. A label of the
+one-pair shape is decoded by one match of ``_ONE_PAIR_RE``, and every other
+label by the token walk.
 """
 
 from __future__ import annotations
@@ -258,6 +265,41 @@ def _quote_attr(value: str) -> str:
 # -- parsing ------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
+def _classify_line(stripped: str) -> tuple:
+    """What the statement line ``stripped`` (without its outer blanks) decides alone, as one of
+    ``("edge", source, target, label)``, ``("decl", id, shape, display, attributes)``, ``("assign",
+    ids, class name)``, ``("class_def", name)``, ``("header", direction)`` or ``("error", message)``."""
+    match = _STATEMENT_RE.match(stripped)
+    kind = match.lastgroup if match else None
+    if kind == "edge":
+        source, pipe_label, text_label, target = match.group(9, 10, 11, 12)
+        if not (source.isascii() and source.isidentifier() and target.isascii() and target.isidentifier()):
+            bad = target if source.isascii() and source.isidentifier() else source
+            return ("error", f"bad node id in edge: {bad!r}")
+        label = pipe_label or text_label
+        return ("edge", source, target, (_unescape_label(label.strip()) or None) if label else None)
+    if kind == "assign":
+        ids = tuple(map(str.strip, match[6].split(",")))
+        bad = [i for i in ids if not (i.isascii() and i.isidentifier())]
+        if bad:
+            return ("error", f"bad node id in class assignment: {bad[0]!r}")
+        return ("assign", ids, match[7])
+    if kind == "class_def":
+        return ("class_def", match[4])
+    if kind == "header":
+        return ("header", match[2])
+    if kind is not None:  # a declaration; ``kind`` is its shape
+        node_id, label = match.group(13, match.lastindex)
+        if not (node_id.isascii() and node_id.isidentifier()):
+            return ("error", f"bad node id in declaration: {node_id!r}")
+        display, attrs = split_label(label)
+        return ("decl", node_id, kind, display, MappingProxyType(attrs))
+    if _UNTERMINATED_DECL_RE.match(stripped):
+        return ("error", f"unterminated string in node declaration: {stripped!r}")
+    return ("error", f"unrecognized statement: {stripped!r}")
+
+
 def parse_workflow(text: str) -> MermaidDocument:
     """Parse source text into a document; findings become diagnostics, never raises."""
     decls: list[NodeDecl] = []
@@ -292,6 +334,9 @@ def parse_workflow(text: str) -> MermaidDocument:
         span = tuple.__new__(SourceSpan, (lineno, len(raw) - len(raw.lstrip()) + 1, len(stripped)))
 
         if in_prompt:
+            # prompt entries are not cached: the benchmark's check_stream sources
+            # each tag their prompt texts, so no two share an entry, and caching
+            # them read 442-455 ops/s there against 470-483 uncached (2 vCPUs)
             match = _PROMPT_ENTRY_RE.match(stripped)
             if not match:
                 error(f"malformed prompt entry: {stripped!r}", span)
@@ -312,49 +357,32 @@ def parse_workflow(text: str) -> MermaidDocument:
             in_prompt = True
             continue
 
-        match = _STATEMENT_RE.match(stripped)
-        kind = match.lastgroup if match else None
+        statement = _classify_line(stripped)
+        kind = statement[0]
         if kind == "edge":
-            source, pipe_label, text_label, target = match.group(9, 10, 11, 12)
-            if not (source.isascii() and source.isidentifier() and target.isascii() and target.isidentifier()):
-                bad = target if source.isascii() and source.isidentifier() else source
-                error(f"bad node id in edge: {bad!r}", span)
-                continue
-            label = pipe_label or text_label
-            label = (_unescape_label(label.strip()) or None) if label else None
+            _, source, target, label = statement
             edges.append(tuple.__new__(EdgeStmt, (span, source, target, label)))
+        elif kind == "decl":
+            _, node_id, shape, display, attrs = statement
+            if node_id in declared:
+                error(f"duplicate node declaration {node_id!r}", span, node_id)
+            declared.add(node_id)
+            decls.append(tuple.__new__(NodeDecl, (span, node_id, shape, display, attrs)))
         elif kind == "assign":
-            ids = tuple(map(str.strip, match[6].split(",")))
-            bad = [i for i in ids if not (i.isascii() and i.isidentifier())]
-            if bad:
-                error(f"bad node id in class assignment: {bad[0]!r}", span)
-                continue
-            name = match[7]
+            _, ids, name = statement
             for node_id in ids:
                 previous = assigned.setdefault(node_id, name)
                 if previous != name:
                     error(f"conflicting class assignment for {node_id}: {previous} vs {name}", span, node_id)
             assigns.append(ClassAssign(span, ids, name))
         elif kind == "class_def":
-            class_defs.append((match[4], span))
+            class_defs.append((statement[1], span))
         elif kind == "header":
             if direction is not None:
                 error("duplicate flowchart header", span)
-            direction = match[2]
-        elif kind is not None:  # a declaration; ``kind`` is its shape
-            node_id, label = match.group(13, match.lastindex)
-            if not (node_id.isascii() and node_id.isidentifier()):
-                error(f"bad node id in declaration: {node_id!r}", span)
-                continue
-            if node_id in declared:
-                error(f"duplicate node declaration {node_id!r}", span, node_id)
-            declared.add(node_id)
-            display, attrs = split_label(label)
-            decls.append(tuple.__new__(NodeDecl, (span, node_id, kind, display, MappingProxyType(attrs))))
-        elif _UNTERMINATED_DECL_RE.match(stripped):
-            error(f"unterminated string in node declaration: {stripped!r}", span)
+            direction = statement[1]
         else:
-            error(f"unrecognized statement: {stripped!r}", span)
+            error(statement[1], span)
 
     # the two findings about the whole text point at its last and first line
     if in_prompt:

@@ -168,7 +168,7 @@ STANDARD_CLASSES = (
 )
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def default_registry() -> Registry:
     """The table in the shipped ``registry.cfg``, loaded once per process.
 

@@ -1,7 +1,8 @@
 """The one-alternation parser against the frozen regex cascade it replaced.
 
 Both parsers must build ``repr``-identical documents: the same statement
-tables, spans and diagnostics, in the same order.
+tables, spans and diagnostics, in the same order, with every statement line
+classified afresh and then read from the line cache.
 """
 
 from __future__ import annotations
@@ -12,13 +13,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowevo import parse_workflow
+from flowevo.mermaid import _classify_line
 
 from conftest import load_workflow_gen
 from parse_reference import reference_parse_workflow
 
 
 def assert_same_parse(text: str) -> None:
-    assert repr(parse_workflow(text)) == repr(reference_parse_workflow(text)), text
+    expected = repr(reference_parse_workflow(text))
+    _classify_line.cache_clear()
+    assert repr(parse_workflow(text)) == expected, ("cold", text)
+    assert repr(parse_workflow(text)) == expected, ("warm", text)
+
+
+def assert_same_parses(*texts: str) -> None:
+    """Each text parses as the reference does, read in turn with one cache, so later texts hit earlier lines."""
+    _classify_line.cache_clear()
+    for text in texts:
+        assert repr(parse_workflow(text)) == repr(reference_parse_workflow(text)), text
 
 
 # ids that are identifiers, that are \w but not identifiers (digits first,
@@ -126,3 +138,34 @@ def test_parse_matches_reference_on_a_check_stream_window():
     for window in range(3):
         for source in workflow_gen.check_stream_batch(random.Random(f"1/{window}"), window, 60):
             assert_same_parse(source.text)
+
+
+# a cached line still gets its own span and the findings of its position
+def test_a_repeated_declaration_is_a_duplicate_on_a_cache_hit():
+    line = 'A["Custom<br/>(role: r)"]'
+    doc = parse_workflow(f"flowchart TD\n{line}\n{line}")
+    assert [d.message for d in doc.diagnostics] == ["duplicate node declaration 'A'"]
+    assert_same_parses(f"flowchart TD\n{line}", f"flowchart TD\n{line}\n  {line}\n{line}")
+
+
+def test_a_cached_class_line_conflicts_with_an_earlier_assignment():
+    texts = ("flowchart TD\nclass A,B CustomOp", "flowchart TD\nclass B TestOp\nclass A,B CustomOp\nclass A,B CustomOp")
+    assert_same_parses(*texts)
+    doc = parse_workflow(texts[1])
+    assert [d.span.line for d in doc.diagnostics] == [3, 4]
+    assert doc.diagnostics[0].message == "conflicting class assignment for B: TestOp vs CustomOp"
+
+
+def test_a_cached_line_takes_the_span_of_where_it_sits():
+    first = parse_workflow("flowchart TD\nA --> B")
+    second = parse_workflow("flowchart TD\n\n    A --> B")
+    assert first.edges[0][1:] == second.edges[0][1:]
+    assert (first.edges[0].span.line, first.edges[0].span.column) == (2, 1)
+    assert (second.edges[0].span.line, second.edges[0].span.column) == (3, 5)
+    assert_same_parses("flowchart TD\nA --> B\nflowchart LR", "flowchart TD\n\n    A --> B\n  flowchart LR")
+
+
+def test_a_bad_id_line_is_a_finding_each_time_it_is_read():
+    text = 'flowchart TD\n1x["a"]\nA --> 2y\nclass é CustomOp'
+    assert_same_parses(text, text, "flowchart TD\n\n  1x[\"a\"]")
+    assert len(parse_workflow(text).diagnostics) == 3
