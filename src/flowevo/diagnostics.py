@@ -48,9 +48,8 @@ class SourceSpan(_SpanFields):
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One validator or parser finding."""
+class Diagnostic(NamedTuple):
+    """One validator or parser finding: an immutable tuple of its five fields."""
 
     rule: str
     severity: str

@@ -137,6 +137,22 @@ class InterfaceRoles:
         return self.problem_entries + self.aux_entries
 
 
+def auto_role(node_id: str, in_pairs, out_pairs) -> str:
+    """The ``InterfaceRoles`` field an auto-role interface node falls in, by the degree
+    convention, given its incoming and outgoing (node id, label) pairs: a node with only
+    out-edges is an entry (auxiliary when it is ``ENTRY_POINT`` or all its out-edges are
+    labeled ``entry_point``), one with only in-edges an exit; W3 rejects the other two."""
+    if in_pairs and out_pairs:
+        return "midstream"
+    if in_pairs:
+        return "exits"
+    if not out_pairs:
+        return "isolated"
+    if node_id == RESERVED_AUX_ENTRY or {label for _, label in out_pairs} == {"entry_point"}:
+        return "aux_entries"
+    return "problem_entries"
+
+
 class WorkflowGraph:
     """Immutable workflow graph with prebuilt adjacency indexes.
 
@@ -290,33 +306,20 @@ class WorkflowGraph:
         return self._roles
 
     def _classify_interfaces(self) -> InterfaceRoles:
-        problem, aux, exits, mid, isolated = [], [], [], [], []
+        roles = {field: [] for field in InterfaceRoles.__dataclass_fields__}
         for nid in self._by_id:
             schema = self.schema(nid)
             if schema is None or not schema.is_interface:
                 continue
             role = schema.interface_role
             if role == "entry":
-                (aux if nid == RESERVED_AUX_ENTRY else problem).append(nid)
-                continue
-            if role == "exit":
-                exits.append(nid)
-                continue
-            # auto role: classify by the degree convention
-            indeg, outdeg = len(self._in[nid]), len(self._out[nid])
-            if indeg == 0 and outdeg > 0:
-                labels = {label for _, label in self._out[nid]}
-                if nid == RESERVED_AUX_ENTRY or labels == {"entry_point"}:
-                    aux.append(nid)
-                else:
-                    problem.append(nid)
-            elif outdeg == 0 and indeg > 0:
-                exits.append(nid)
-            elif indeg == 0 and outdeg == 0:
-                isolated.append(nid)
+                role = "aux_entries" if nid == RESERVED_AUX_ENTRY else "problem_entries"
+            elif role == "exit":
+                role = "exits"
             else:
-                mid.append(nid)
-        return InterfaceRoles(tuple(problem), tuple(aux), tuple(exits), tuple(mid), tuple(isolated))
+                role = auto_role(nid, self._in[nid], self._out[nid])
+            roles[role].append(nid)
+        return InterfaceRoles(**{field: tuple(ids) for field, ids in roles.items()})
 
     # -- reachability -------------------------------------------------------
 
@@ -498,10 +501,7 @@ class WorkflowGraph:
         out, inc = self._out, self._in
         if edges is not self.edges or delta.removed_nodes or delta.added_nodes:
             out, inc = dict(out), dict(inc)
-            for add, changed in ((False, delta.removed_edges), (True, delta.added_edges)):
-                for e in changed:
-                    out[e.source] = _edited(out.get(e.source, ()), (e.target, e.label), add)
-                    inc[e.target] = _edited(inc.get(e.target, ()), (e.source, e.label), add)
+            delta.apply_edges(out, inc)
             dangling = [e for e in delta.added_edges if e.source not in by_id or e.target not in by_id]
             for nid in delta.removed_nodes:
                 if nid not in by_id:
@@ -553,10 +553,12 @@ class WorkflowGraph:
                 child._calls = _snapshot(self._calls, delta.relowered(self, child))
 
     def _acyclic_after(self, added_edges) -> bool:
-        """Whether this graph, an acyclic one with ``added_edges`` added, is acyclic.
+        """Whether no added ``s -> t`` has ``t`` reaching ``s`` in this graph.
 
-        A cycle would run through some added s -> t, with t reaching s. Past
-        twice the node count in all, the searches stop and answer False.
+        For an acyclic graph with ``added_edges`` added, that is whether it is
+        acyclic: a cycle would run through some added edge. Past twice the node
+        count in all, the searches stop and answer False; the search for one
+        edge never gets that far.
         """
         budget = 2 * len(self._by_id)
         for edge in added_edges:
@@ -621,6 +623,15 @@ class GraphDelta(NamedTuple):
     added_nodes: tuple[Node, ...] = ()
     replaced_nodes: tuple[Node, ...] = ()
     prompts: PromptTable | None = None
+
+    def apply_edges(self, out: dict, inc: dict) -> None:
+        """Take one occurrence of each removed edge out of, then put each added edge into,
+        the adjacency maps ``out`` and ``inc`` (node id -> (neighbor id, label) pairs in
+        edge order), in place; an id a map lacks starts with no pairs."""
+        for add, changed in ((False, self.removed_edges), (True, self.added_edges)):
+            for e in changed:
+                out[e.source] = _edited(out.get(e.source, ()), (e.target, e.label), add)
+                inc[e.target] = _edited(inc.get(e.target, ()), (e.source, e.label), add)
 
     def touched(self) -> set:
         """Ids of the nodes the delta touches: the endpoints of its edges and the nodes it changes."""

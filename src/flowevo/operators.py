@@ -11,6 +11,12 @@ partially rewritten state is ever observable.
 The guard builds each product with ``with_changes`` and decides it by
 ``validate`` alone; the product inherits the per-node findings its delta
 keeps, so the full check finds only the others anew.
+
+``apply_random`` checks each rewiring, deletion and mutation site before
+the guard builds its product (``_doomed``), and does not build a product
+the check condemns. Those operators draw nothing from the rng once a site
+or fragment is picked, so the check changes no draw and no product, only
+which products are built. The public operators never run it.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from types import MappingProxyType
 
-from .graph import Edge, GraphDelta, Node, WorkflowGraph, prompt_refs, type_of_output
+from .graph import Edge, GraphDelta, Node, WorkflowGraph, auto_role, prompt_refs, type_of_output
 from .registry import NodeTypeSchema, port_accepts
-from .validator import bind_input_ports, validate
+from .validator import _bind_ports, bind_input_ports, own_findings, validate
 
 
 class OperatorKind(enum.Enum):
@@ -88,6 +94,59 @@ def _guard(pairs, applied: OperatorKind, description: str) -> RewriteOutcome:
             )
         graphs.append(graph)
     return RewriteOutcome(tuple(graphs), applied, description)
+
+
+def _doomed(parent: WorkflowGraph, delta: GraphDelta) -> bool:
+    """Whether the product of ``delta`` must fail the closure guard, read from the parent
+    and the delta without building it.
+
+    The product's edges at the nodes the delta touches are the parent's,
+    patched by the delta, and each test asks the code that states its rule:
+    ``graph.auto_role`` of each touched auto-role interface, which W3
+    rejects midstream or isolated; for one added edge ``s -> t`` whose
+    removed edges each leave ``s`` or enter ``t``, so that none lies on a
+    path from ``t`` to ``s``, the parent's cycle search from ``t``; and
+    ``validator.own_findings`` of each touched node, on its product edges
+    and binding. A source's output type is the parent's; none is read for a
+    node the delta adds or replaces, nor for an interface it moves to
+    another role. So a condemned product has an error-severity finding. W1
+    and W2 are not read, and the guard decides every product that passes.
+    """
+    unread = {n.id: n for n in delta.added_nodes + delta.replaced_nodes}
+    touched = delta.touched()
+    out = {nid: parent._out.get(nid, ()) for nid in touched}
+    inc = {nid: parent._in.get(nid, ()) for nid in touched}
+    delta.apply_edges(out, inc)
+    kept = [nid for nid in touched if nid in unread or nid not in delta.removed_nodes]
+    nodes = [unread[nid] if nid in unread else parent._by_id[nid] for nid in kept]
+    for node in nodes:
+        schema = parent.registry.get(node.kind)
+        if schema is not None and schema.interface_role == "auto" and node.id not in unread:
+            role = auto_role(node.id, inc[node.id], out[node.id])
+            if role in ("midstream", "isolated"):
+                return True
+            if role != auto_role(node.id, parent._in[node.id], parent._out[node.id]):
+                unread[node.id] = node
+    if len(delta.added_edges) == 1:
+        (edge,) = delta.added_edges
+        if all(e.source == edge.source or e.target == edge.target for e in delta.removed_edges):
+            if not parent._acyclic_after(delta.added_edges):
+                return True
+    for node in nodes:
+        nid = node.id
+        # a kept node of the same kind with the same in-edges binds as in the parent
+        rebound = nid in unread or inc[nid] is not parent._in[nid]
+        binding = _bind_ports(parent.registry.get(node.kind), inc[nid]) if rebound else None
+        if any(d.is_error for d in own_findings(parent, node, inc[nid], out[nid], binding, unread)):
+            return True
+    return False
+
+
+def _checked(parent: WorkflowGraph, applied: OperatorKind, delta: GraphDelta, description: str) -> RewriteOutcome:
+    """``_guard`` for one site ``apply_random`` draws: a product ``_doomed`` condemns is not built."""
+    if _doomed(parent, delta):
+        raise OperatorPreconditionError(f"{applied.value} product would fail validation")
+    return _guard([(parent, delta)], applied, description)
 
 
 def _port_fed_by(graph: WorkflowGraph, target: str, source: str, label):
@@ -181,6 +240,12 @@ def add_node(graph: WorkflowGraph, edge, new_node: Node) -> RewriteOutcome:
 
 def rewire_edge(graph: WorkflowGraph, existing, third: str, direction: str) -> RewriteOutcome:
     """Disconnect (v_a, v_b) and connect (v_a, v_c) or (v_c, v_b)."""
+    delta, description = _rewiring(graph, existing, third, direction)
+    return _guard([(graph, delta)], OperatorKind.REWIRING, description)
+
+
+def _rewiring(graph: WorkflowGraph, existing, third: str, direction: str) -> tuple[GraphDelta, str]:
+    """``rewire_edge``'s preconditions, then its delta and description."""
     source, target = existing[0], existing[1]
     label = existing[2] if len(existing) > 2 else ...
     victim = _find_edge(graph, source, target, label)
@@ -218,7 +283,7 @@ def rewire_edge(graph: WorkflowGraph, existing, third: str, direction: str) -> R
     description = (
         f"rewire edge {source}->{target} to {new_edge.source}->{new_edge.target}"
     )
-    return _guard([(graph, delta)], OperatorKind.REWIRING, description)
+    return delta, description
 
 
 # -- node deletion ------------------------------------------------------------------
@@ -226,6 +291,12 @@ def rewire_edge(graph: WorkflowGraph, existing, third: str, direction: str) -> R
 
 def delete_node(graph: WorkflowGraph, node_id: str) -> RewriteOutcome:
     """Delete a linear (fan-in 1, fan-out 1) node and bridge its neighbors."""
+    delta, description = _deletion(graph, node_id)
+    return _guard([(graph, delta)], OperatorKind.DELETION, description)
+
+
+def _deletion(graph: WorkflowGraph, node_id: str) -> tuple[GraphDelta, str]:
+    """``delete_node``'s preconditions, then its delta and description."""
     if node_id not in graph:
         raise OperatorPreconditionError(f"unknown node {node_id!r}")
     node = graph.node(node_id)
@@ -254,7 +325,7 @@ def delete_node(graph: WorkflowGraph, node_id: str) -> RewriteOutcome:
         removed_nodes=(node_id,),
     )
     description = f"delete node {node_id} ({node.kind}) and bridge {pred}->{succ}"
-    return _guard([(graph, delta)], OperatorKind.DELETION, description)
+    return delta, description
 
 
 # -- subgraph mutation -----------------------------------------------------------------
@@ -336,6 +407,12 @@ def mutate_subgraph(graph: WorkflowGraph, region, replacement: Fragment) -> Rewr
     fragment input node (and symmetrically for outputs), so a fragment with
     a wider boundary fans the surrounding dataflow out across its nodes.
     """
+    delta, description = _mutation(graph, region, replacement)
+    return _guard([(graph, delta)], OperatorKind.SUBGRAPH_MUTATION, description)
+
+
+def _mutation(graph: WorkflowGraph, region, replacement: Fragment) -> tuple[GraphDelta, str]:
+    """``mutate_subgraph``'s preconditions, then its delta and description."""
     region = frozenset(region)
     unknown = [nid for nid in region if nid not in graph]
     if unknown:
@@ -398,7 +475,7 @@ def mutate_subgraph(graph: WorkflowGraph, region, replacement: Fragment) -> Rewr
         f"mutate subgraph {{{', '.join(sorted(region))}}} -> "
         f"{replacement.label} ({len(replacement.nodes)} nodes)"
     )
-    return _guard([(graph, delta)], OperatorKind.SUBGRAPH_MUTATION, description)
+    return delta, description
 
 
 # -- crossover -------------------------------------------------------------------------
@@ -775,6 +852,11 @@ class _RewiringSites:
     to keep an out-edge. Each edge's site count comes from its endpoints'
     degrees and two label-keyed adjacency sets, so ``len`` costs O(E) and
     one site O(log E + V).
+
+    The site list fixes which sites the rng's draws reach, so it leaves in
+    every other site the guard would reject (a fed port, a moved interface
+    role, a cycle); ``_rewire_at`` condemns those before building them
+    (``_doomed``), which changes no draw.
     """
 
     def __init__(self, graph):
@@ -825,7 +907,7 @@ class _RewiringSites:
 
 def _rewire_at(graph, site, rng, partner):
     victim, third, direction = site
-    return rewire_edge(graph, victim.key(), third, direction)
+    return _checked(graph, OperatorKind.REWIRING, *_rewiring(graph, victim.key(), third, direction))
 
 
 def _deletion_sites(graph):
@@ -839,7 +921,7 @@ def _deletion_sites(graph):
 
 
 def _delete_at(graph, node_id, rng, partner):
-    return delete_node(graph, node_id)
+    return _checked(graph, OperatorKind.DELETION, *_deletion(graph, node_id))
 
 
 def _mutation_sites(graph):
@@ -854,7 +936,8 @@ def _mutate_at(graph, node_id, rng, partner):
     fragments = motif_fragments(graph, rng)
     if partner is not None and partner.domain == graph.domain:
         fragments.extend(donor_fragments(partner, rng))
-    outcome = _first_rewrite(rng, fragments, lambda fragment: mutate_subgraph(graph, {node_id}, fragment))
+    kind = OperatorKind.SUBGRAPH_MUTATION
+    outcome = _first_rewrite(rng, fragments, lambda fragment: _checked(graph, kind, *_mutation(graph, {node_id}, fragment)))
     if outcome is None:
         raise OperatorPreconditionError(f"no fragment fits at node {node_id}")
     return outcome
@@ -885,8 +968,10 @@ def _first_rewrite(rng, sites, rewrite, budget=None) -> RewriteOutcome | None:
     attempt ``i`` draws ``rng.integers(n - i)`` and ``swapped`` holds the
     positions moved so far, so a draw costs O(attempts), not O(n). Each site
     is tried at most once, and ``budget=None`` tries every site. A failed
-    precondition or a closure-guard rejection discards that attempt whole,
-    and the next site is tried.
+    precondition, a product the pre-build check (``_doomed``) condemns or a
+    closure-guard rejection discards that attempt whole, and the next site
+    is tried; each costs the same draw, so which of them fails an attempt
+    moves no later draw.
     """
     n = len(sites)
     swapped: dict = {}

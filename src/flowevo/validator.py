@@ -78,21 +78,27 @@ def bind_input_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
     # the write is idempotent: a racing caller stores an equal binding
     result = graph._bindings.get(node_id)
     if result is None:
-        result = graph._bindings[node_id] = _bind_ports(graph, node_id)
+        result = graph._bindings[node_id] = _bind_ports(graph.schema(node_id), graph._in[node_id])
     return result
 
 
 def bound_fan_in(graph: WorkflowGraph, node_id: str, port) -> int:
     """How many of the node's incoming edges ``bind_input_ports`` binds to ``port``."""
-    return sum(1 for _, bound in bind_input_ports(graph, node_id).bindings if bound.label == port.label)
+    return _fed(bind_input_ports(graph, node_id), port)
 
 
-def _bind_ports(graph: WorkflowGraph, node_id: str) -> BindingResult:
-    schema = graph.schema(node_id) or _NO_SCHEMA
+def _fed(result: BindingResult, port) -> int:
+    return sum(1 for _, bound in result.bindings if bound.label == port.label)
+
+
+def _bind_ports(schema: NodeTypeSchema | None, in_pairs) -> BindingResult:
+    """The binding of a node of kind ``schema`` (None: unregistered) whose incoming
+    (source, label) pairs are ``in_pairs``, in canonical predecessor order."""
+    schema = schema or _NO_SCHEMA
     counts: dict = {}
     bindings = []
     leftovers = []  # positions in bindings of the edges no label binds
-    for pair in graph._in[node_id]:
+    for pair in in_pairs:
         port = schema.ports_by_label.get(pair[1]) if pair[1] else None
         if port is None:
             leftovers.append(len(bindings))
@@ -138,7 +144,7 @@ def soft_check(graph: WorkflowGraph) -> list[Diagnostic]:
         found = findings.get(nid)
         if found is None:
             # the write is idempotent: a racing caller stores equal findings
-            found = findings[nid] = _own_findings(graph, nid)
+            found = findings[nid] = own_findings(graph, graph._by_id[nid], graph._in[nid], graph._out[nid])
         out += found
     return sort_diagnostics(out)
 
@@ -191,19 +197,23 @@ def _check_roles(graph):
     return [Diagnostic(W3, ERROR, message, subject=nid) for nid in roles.midstream + roles.isolated]
 
 
-def _own_findings(graph: WorkflowGraph, nid: str) -> tuple:
+def own_findings(graph: WorkflowGraph, node, in_pairs, out_pairs, binding=None, unread=()) -> tuple:
     """The findings about one node: W3-W5, its out-edges, and its ports and their input types.
 
-    They read only the node, its schema, its edges, its predecessors'
-    output types and the graph's domain.
+    They read only the node, its schema, its incoming and outgoing (node id,
+    label) pairs, its port binding, its sources' output types and the
+    graph's domain. ``soft_check`` passes a node of ``graph`` with its own
+    pairs. A rewrite's pre-build check passes a node of the product, its
+    product pairs, its ``binding`` when that is not the parent's, and the
+    ``unread`` sources whose output type in the product may not be the
+    parent's, which get no type check; ``graph`` is the parent.
     """
-    node = graph._by_id[nid]
-    schema = graph.schema(nid)
+    nid = node.id
+    schema = graph.registry.get(node.kind)
     out = []
-    pairs = graph._out[nid]
-    out += [Diagnostic(STRUCT, ERROR, "self-loop edge", subject=f"{nid}->{nid}") for t, _ in pairs if t == nid]
-    if len(pairs) > 1 and len(set(pairs)) < len(pairs):
-        for (target, label), count in Counter(pairs).items():
+    out += [Diagnostic(STRUCT, ERROR, "self-loop edge", subject=f"{nid}->{nid}") for t, _ in out_pairs if t == nid]
+    if len(out_pairs) > 1 and len(set(out_pairs)) < len(out_pairs):
+        for (target, label), count in Counter(out_pairs).items():
             if count > 1:
                 suffix = f" labeled {label!r}" if label else ""
                 message = f"duplicate edge{suffix} (x{count})"
@@ -213,7 +223,7 @@ def _own_findings(graph: WorkflowGraph, nid: str) -> tuple:
         if nid in RESERVED_IDS:
             message = f"reserved node {nid} must be classified as Interface, not {node.kind}"
             out.append(Diagnostic(W3, ERROR, message, subject=nid))
-        elif not graph._in[nid] or not pairs:
+        elif not in_pairs or not out_pairs:
             message = f"node of kind {node.kind} plays an entry/exit role but is not an Interface"
             out.append(Diagnostic(W3, ERROR, message, subject=nid))
 
@@ -235,8 +245,10 @@ def _own_findings(graph: WorkflowGraph, nid: str) -> tuple:
             message = f"missing required attribute {attr.key!r} for kind {schema.kind}"
             out.append(Diagnostic(W4, ERROR, message, subject=nid))
 
+    if schema.fan_in_ports or not schema.is_interface:
+        result = binding if binding is not None else bind_input_ports(graph, nid)
     for port in schema.fan_in_ports:
-        fed = bound_fan_in(graph, nid, port)
+        fed = _fed(result, port)
         if fed < port.min_count:
             message = (
                 f"{schema.kind} node has {fed} incoming connection"
@@ -245,12 +257,11 @@ def _own_findings(graph: WorkflowGraph, nid: str) -> tuple:
             out.append(Diagnostic(W5, ERROR, message, subject=nid))
 
     if schema.is_interface:
-        if schema.interface_role == "entry" and graph._in[nid]:
+        if schema.interface_role == "entry" and in_pairs:
             out.append(Diagnostic(STRUCT, ERROR, "entry interface must not receive input", subject=nid))
-        if schema.interface_role == "exit" and pairs:
+        if schema.interface_role == "exit" and out_pairs:
             out.append(Diagnostic(STRUCT, ERROR, "exit interface must not produce output", subject=nid))
         return tuple(out)
-    result = bind_input_ports(graph, nid)
     for port in result.missing:
         out.append(Diagnostic(STRUCT, ERROR, f"missing required input {port.label!r}", subject=nid))
     for source, label in result.unexpected:
@@ -260,6 +271,8 @@ def _own_findings(graph: WorkflowGraph, nid: str) -> tuple:
     if result.ambiguous:
         out.append(Diagnostic(STRUCT, WARNING, "ambiguous port binding resolved by edge order", subject=nid))
     for (source, label), port in result.bindings:
+        if source in unread:
+            continue
         payload = type_of_output(graph, source)  # None is the exit-produces-output rule's
         if payload is not None and not port_accepts(port, payload):
             message = (

@@ -7,11 +7,18 @@ rejection with ``soft_check`` of a product built independently of the
 parent, and each accepted product, tables, memos and serialized text
 included, with a fresh build, over ``apply_random`` chains and random edge
 swaps.
+
+``apply_random``'s site path checks each rewiring, deletion and mutation
+site with ``operators._doomed`` before it builds the product. The last
+section checks that check against the public operators, which build every
+product: each site it condemns is one they reject.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from unittest.mock import patch
 
 import numpy as np
@@ -22,7 +29,26 @@ from hypothesis import strategies as st
 from flowevo import Edge, Node, WorkflowGraph, lower_to_graph, operators, parse_workflow, validate
 from flowevo.diagnostics import ERROR, STRUCT, W1, W3, Diagnostic
 from flowevo.graph import GraphDelta
-from flowevo.operators import OperatorKind, RewriteRejectedError, apply_random, delete_node, rewire_edge
+from flowevo.operators import (
+    Fragment,
+    OperatorKind,
+    OperatorPreconditionError,
+    RewriteRejectedError,
+    _deletion,
+    _deletion_sites,
+    _doomed,
+    _mutation,
+    _mutation_sites,
+    _rewiring,
+    _RewiringSites,
+    apply_random,
+    delete_node,
+    donor_fragments,
+    motif_fragments,
+    mutate_subgraph,
+    rewire_edge,
+)
+from flowevo.registry import NodeTypeSchema, Registry, default_registry
 from flowevo.validator import soft_check
 
 from conftest import CORPUS_NAMES, assert_memos_exact, load_corpus_graph, load_workflow_gen
@@ -228,3 +254,258 @@ def test_stranded_interface_and_reserved_exits_keep_their_own_findings(exit_id, 
     stranded = f"node of kind {exit_kind} plays an entry/exit role but is not an Interface"
     assert stranded not in [d.message for d in found]
     assert found == tuple(soft_check(_product(graph, delta)))
+
+
+# -- the pre-build check: each condemned site is one the public operator rejects ----------
+
+
+def _sites(graph, partner, seed: int, sample=None):
+    """(public operator, its delta builder, arguments) for the rewiring, deletion and
+    mutation sites of ``graph``: every site, or ``sample`` rewiring and mutation sites."""
+    pick = random.Random(seed)
+    rewiring = _RewiringSites(graph)
+    indices = range(len(rewiring))
+    if sample is not None and sample < len(rewiring):
+        indices = pick.sample(indices, sample)
+    for i in indices:
+        edge, third, direction = rewiring[i]
+        yield rewire_edge, _rewiring, (graph, edge.key(), third, direction)
+    for node_id in _deletion_sites(graph):
+        yield delete_node, _deletion, (graph, node_id)
+    regions = _mutation_sites(graph)
+    if sample is not None and sample < len(regions):
+        regions = pick.sample(regions, sample)
+    rng = np.random.default_rng(seed)
+    for node_id in regions:
+        fragments = motif_fragments(graph, rng)
+        if partner is not None and partner.domain == graph.domain:
+            fragments += donor_fragments(partner, rng)
+        for fragment in fragments:
+            yield mutate_subgraph, _mutation, (graph, {node_id}, fragment)
+
+
+def _assert_condemned_sites_are_rejected(graph, partner=None, seed: int = 0, sample=None) -> Counter:
+    """Each site whose delta ``_doomed`` condemns fails in its public operator's guard;
+    returns the condemned and the passed sites by operator."""
+    tally = Counter()
+    for public, delta_of, args in _sites(graph, partner, seed, sample):
+        try:
+            delta, _ = delta_of(*args)
+        except OperatorPreconditionError:
+            continue
+        if _doomed(graph, delta):
+            tally[public.__name__] += 1
+            with pytest.raises(RewriteRejectedError):
+                public(*args)
+        else:
+            tally[public.__name__ + " passed"] += 1
+    return tally
+
+
+def test_condemned_sites_are_rejected_on_the_corpus(corpus_graphs):
+    graphs = list(corpus_graphs.values())
+    tally = Counter()
+    for graph, partner in zip(graphs, graphs[1:] + graphs[:1]):
+        tally += _assert_condemned_sites_are_rejected(graph, partner)
+    # no corpus deletion duplicates an edge; the chains and hand-built cases condemn deletions
+    assert tally["rewire_edge"] > 100 and tally["mutate_subgraph"] > 10, tally
+    for name in ("rewire_edge", "delete_node", "mutate_subgraph"):
+        assert tally[name + " passed"] > 0, tally
+
+
+def test_condemned_sites_are_rejected_on_generated_graphs():
+    rng = random.Random(11)
+    tally = Counter()
+    for size in (10, 17, 30, 60, 100, 300):
+        graph, partner = (_generated(size, rng.getrandbits(32)) for _ in range(2))
+        tally += _assert_condemned_sites_are_rejected(graph, partner, size, sample=None if size < 60 else 150)
+    assert tally["rewire_edge"] > 100 and tally["mutate_subgraph"] > 100, tally
+    for name in ("rewire_edge", "delete_node", "mutate_subgraph"):
+        assert tally[name + " passed"] > 0, tally
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from(CORPUS_NAMES),
+    st.sampled_from(CORPUS_NAMES),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+)
+def test_condemned_sites_are_rejected_on_corpus_chains(first, second, seed, steps):
+    # every site of each graph of the chain, and each delta the chain's own draws condemn
+    graph, partner = load_corpus_graph(first), load_corpus_graph(second)
+    condemned = []
+
+    def recording(parent, delta):
+        doomed = _DOOMED(parent, delta)
+        if doomed:
+            condemned.append((parent, delta))
+        return doomed
+
+    rng = np.random.default_rng(seed)
+    with patch.object(operators, "_doomed", recording):
+        for _ in range(steps):
+            outcome = apply_random((graph, partner), rng)
+            if outcome is None:
+                break
+            graph = outcome.graphs[0]
+    for parent, delta in condemned:
+        assert validate(_product(parent, delta)).q == 0
+    _assert_condemned_sites_are_rejected(graph, partner, seed)
+
+
+_DOOMED = operators._doomed
+_CHECKED = operators._checked
+
+
+def _node(node_id: str, kind: str) -> Node:
+    return _custom(node_id) if kind == "CustomOp" else Node(node_id, kind)
+
+
+def _graph(edges, kinds=None, registry=None) -> WorkflowGraph:
+    """Nodes named by ``edges`` (source, target[, label]): PROBLEM and RETURN are
+    interfaces, ``kinds`` names the others' kinds, and the rest are CustomOp."""
+    kinds = {"PROBLEM": "Interface", "RETURN": "Interface", **(kinds or {})}
+    ids = sorted({nid for edge in edges for nid in edge[:2]})
+    graph = WorkflowGraph(
+        [_node(nid, kinds.get(nid, "CustomOp")) for nid in ids], [Edge(*edge) for edge in edges], registry=registry
+    )
+    assert validate(graph).q == 1
+    return graph
+
+
+# PROBLEM fans out to A, B and C, which an ensemble E (at least two inputs) joins
+_FAN = [("PROBLEM", n) for n in "ABC"] + [(n, "E") for n in "ABC"] + [("E", "RETURN")]
+_FAN_KINDS = {"E": "ScEnsembleOp"}
+_PAIR = [("PROBLEM", "A"), ("PROBLEM", "B"), ("A", "E"), ("B", "E"), ("E", "RETURN")]
+# P is a ProgrammerOp whose problem port D feeds by label; C feeds E by a label E has no port for
+_LABELED = [("PROBLEM", n) for n in "ABCD"] + [("A", "E"), ("B", "E"), ("C", "E", "problem"), ("D", "P", "problem")]
+_LABELED += [("E", "RETURN"), ("P", "RETURN")]
+_LABELED_KINDS = {"E": "ScEnsembleOp", "P": "ProgrammerOp"}
+# A feeds the ensemble E directly and through X
+_BRIDGE = [("PROBLEM", "A", "input"), ("A", "E"), ("A", "X"), ("E", "RETURN")]
+
+
+def _declared_roles() -> Registry:
+    """The default registry plus an entry kind and an exit kind with declared roles."""
+    declared = [NodeTypeSchema("EntryOp", interface_role="entry"), NodeTypeSchema("ExitOp", interface_role="exit")]
+    return Registry([*default_registry().schemas(), *declared])
+
+
+def _declared_fan():
+    renamed = [tuple({"PROBLEM": "IN", "RETURN": "OUT"}.get(end, end) for end in edge) for edge in _FAN]
+    return _graph(renamed, {**_FAN_KINDS, "IN": "EntryOp", "OUT": "ExitOp"}, _declared_roles())
+
+
+def _fragment(kind: str) -> Fragment:
+    return Fragment(nodes=(_node("F", kind),), inputs=("F",), outputs=("F",), label=kind)
+
+
+_HAND_BUILT = {
+    # (graph, public operator, its delta builder, arguments after the graph, condemned)
+    "auto-role entry gains an in-edge": (
+        lambda: _graph(_FAN, _FAN_KINDS), rewire_edge, _rewiring, (("C", "E"), "PROBLEM", "to_third"), True
+    ),
+    "auto-role exit left without an in-edge": (
+        lambda: _graph(_FAN, _FAN_KINDS), rewire_edge, _rewiring, (("E", "RETURN"), "A", "to_third"), True
+    ),
+    "auto-role exit gains an in-edge": (
+        lambda: _graph(_FAN, _FAN_KINDS), rewire_edge, _rewiring, (("C", "E"), "RETURN", "to_third"), False
+    ),
+    "declared entry gains an in-edge": (_declared_fan, rewire_edge, _rewiring, (("C", "E"), "IN", "to_third"), True),
+    "declared exit gains an in-edge": (_declared_fan, rewire_edge, _rewiring, (("C", "E"), "OUT", "to_third"), False),
+    "unlabeled edge onto a fed port": (
+        lambda: _graph(_FAN, _FAN_KINDS), rewire_edge, _rewiring, (("C", "E"), "B", "to_third"), True
+    ),
+    "labeled edge onto a port already fed": (
+        lambda: _graph(_LABELED, _LABELED_KINDS), rewire_edge, _rewiring, (("C", "E", "problem"), "P", "to_third"), True
+    ),
+    "unlabeled edge onto an open port": (
+        lambda: _graph(_LABELED, _LABELED_KINDS), rewire_edge, _rewiring, (("B", "E"), "P", "to_third"), False
+    ),
+    "ensemble at its W5 minimum loses an input": (
+        lambda: _graph(_PAIR, _FAN_KINDS), rewire_edge, _rewiring, (("A", "E"), "RETURN", "to_third"), True
+    ),
+    "ensemble above its W5 minimum loses an input": (
+        lambda: _graph(_FAN, _FAN_KINDS), rewire_edge, _rewiring, (("C", "E"), "RETURN", "to_third"), False
+    ),
+    "bridge onto an existing edge": (
+        lambda: _graph([*_BRIDGE, ("X", "E")], _FAN_KINDS), delete_node, _deletion, ("X",), True
+    ),
+    "bridge beside an existing edge of another label": (
+        lambda: _graph([*_BRIDGE, ("X", "E", "alt")], _FAN_KINDS), delete_node, _deletion, ("X",), False
+    ),
+    "two inputs onto a fragment without a variadic port": (
+        lambda: _graph(_PAIR, _FAN_KINDS), mutate_subgraph, _mutation, ({"E"}, _fragment("CustomOp")), True
+    ),
+    "two inputs onto a fragment with a variadic port": (
+        lambda: _graph(_PAIR, _FAN_KINDS), mutate_subgraph, _mutation, ({"E"}, _fragment("ScEnsembleOp")), False
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HAND_BUILT))
+def test_condemned_hand_built_sites_are_rejected(case):
+    build, public, delta_of, args, condemned = _HAND_BUILT[case]
+    graph = build()
+    delta, _ = delta_of(graph, *args)
+    assert _doomed(graph, delta) is condemned
+    if condemned:
+        with pytest.raises(RewriteRejectedError):
+            public(graph, *args)
+    else:
+        (product,) = public(graph, *args).graphs
+        assert validate(product).q == 1
+
+
+def test_the_site_path_builds_no_condemned_product_on_fixed_chains():
+    # the products the guard builds and rejects, and the sites the check condemns, by kind
+    built, rejected, condemned = Counter(), Counter(), Counter()
+
+    def counting_guard(pairs, applied, description):
+        built[applied.value] += len(pairs)
+        try:
+            return _GUARD(pairs, applied, description)
+        except RewriteRejectedError:
+            rejected[applied.value] += 1
+            raise
+
+    def counting_checked(parent, applied, delta, description):
+        try:
+            return _CHECKED(parent, applied, delta, description)
+        except OperatorPreconditionError:
+            condemned[applied.value] += 1
+            raise
+
+    with patch.object(operators, "_guard", counting_guard), patch.object(operators, "_checked", counting_checked):
+        for first, second, seed in itertools.product(CORPUS_NAMES, CORPUS_NAMES, range(3)):
+            graph, partner, rng = load_corpus_graph(first), load_corpus_graph(second), np.random.default_rng(seed)
+            for _ in range(8):
+                outcome = apply_random((graph, partner), rng)
+                if outcome is None:
+                    break
+                graph = outcome.graphs[0]
+    # on these chains the check condemns every product the guard would reject
+    assert dict(rejected) == {}
+    assert dict(condemned) == {"deletion": 5, "rewiring": 119, "subgraph_mutation": 147}
+    assert sum(built.values()) == 407
+
+
+def test_an_interface_source_whose_role_changes_has_no_type_read():
+    # EP feeds X's problem port unlabeled and its entry_point port by label, so it is a
+    # problem entry beside PROBLEM and the parent fails; moving its unlabeled edge to
+    # PROBLEM leaves it an auxiliary entry whose entry_point payload X accepts
+    def generator(node_id):
+        return Node(node_id, "CustomCodeGenerateOp", {"instruction": "solve"})
+
+    nodes = [Node("PROBLEM", "Interface"), Node("EP", "Interface"), generator("X"), generator("Y")]
+    nodes.append(Node("RETURN", "Interface"))
+    kept = [Edge("PROBLEM", "Y"), Edge("Y", "RETURN"), Edge("EP", "X", "entry_point"), Edge("X", "RETURN")]
+    graph = WorkflowGraph(nodes, [*kept, Edge("EP", "X")], domain="code")
+    assert validate(graph).q == 0
+    args = (("EP", "X"), "PROBLEM", "from_third")
+    delta, _ = _rewiring(graph, *args)
+    assert not _doomed(graph, delta)
+    (product,) = rewire_edge(graph, *args).graphs
+    assert validate(product).q == 1
+    assert product.interface_roles().aux_entries == ("EP",)
