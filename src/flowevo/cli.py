@@ -1,8 +1,8 @@
 """Command-line surface: validate, mutate, evolve, emit, export-dot.
 
 Exit codes: 0 success, 1 domain failure (invalid workflow, failed run,
-nonempty structural diff), 2 unreadable input or bad configuration,
-3 no applicable rewrite. Every command honors ``--json``.
+nonempty structural diff), 2 unreadable input, unwritable output or bad
+configuration, 3 no applicable rewrite. Every command honors ``--json``.
 """
 
 from __future__ import annotations
@@ -47,12 +47,15 @@ def _fail(message: str, code: int) -> int:
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path`` (``-`` for stdin), without one leading byte-order mark."""
     if path == "-":
-        return sys.stdin.read()
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise OSError(f"{path}: input is not valid UTF-8 ({exc})") from exc
+        text = sys.stdin.read()
+    else:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise OSError(f"{path}: input is not valid UTF-8 ({exc})") from exc
+    return text.removeprefix("\ufeff")
 
 
 def _registry_from(args):
@@ -92,6 +95,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_mutate(args) -> int:
+    if args.seed < 0:
+        return _fail("seed must be >= 0", EXIT_INPUT_FAILURE)
     try:
         registry = _registry_from(args)
         graph = _load_graph(args.path, registry, args.domain)
@@ -169,11 +174,11 @@ def cmd_evolve(args) -> int:
             if config.evaluator_cmd
             else SyntheticTaskEvaluator(evo.scenario)
         )
+        out_dir = Path(args.out) if args.out else Path.cwd()
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ConfigError, RegistryError) as exc:
         return _fail(str(exc), EXIT_INPUT_FAILURE)
 
-    out_dir = Path(args.out) if args.out else Path.cwd()
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         result = run_evolution(seeds, evo, proposer, judge, evaluator)
     except (AdapterError, EvolutionError) as exc:
@@ -185,8 +190,11 @@ def cmd_evolve(args) -> int:
 
     history_path = out_dir / config.history
     manifest_path = out_dir / config.manifest
-    save_history(result.history, history_path)
-    write_manifest(config, manifest_path)
+    try:
+        save_history(result.history, history_path)
+        write_manifest(config, manifest_path)
+    except OSError as exc:
+        return _fail(str(exc), EXIT_INPUT_FAILURE)
 
     ok_rounds = [r for r in result.rounds if r.status == "ok"]
     if args.json:
@@ -238,11 +246,14 @@ def cmd_emit(args) -> int:
         return _fail(str(exc), EXIT_DOMAIN_FAILURE)
     report = structural_diff(program, graph)
     out_dir = Path(args.out) if args.out else Path.cwd()
-    out_dir.mkdir(parents=True, exist_ok=True)
     program_path = out_dir / "workflow.py"
     prompts_path = out_dir / "prompt_custom.py"
-    program_path.write_text(program, encoding="utf-8")
-    prompts_path.write_text(prompts, encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        program_path.write_text(program, encoding="utf-8")
+        prompts_path.write_text(prompts, encoding="utf-8")
+    except OSError as exc:
+        return _fail(str(exc), EXIT_INPUT_FAILURE)
     if args.json:
         print(
             json.dumps(

@@ -189,8 +189,6 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
     if not present <= _OUTPUT_FIELD.keys():
         nid = next(nid for nid in order if kinds[nid] not in _OUTPUT_FIELD)
         raise EmissionError(f"kind {graph.node(nid).kind!r} has no emission semantics")
-    # read only for the calls built here, each of a node in ``order``
-    inputs = functools.lru_cache(maxsize=len(order))(lambda nid: _inputs(graph, nid))
     # binding names other than <id>_result depend on the order of ids that
     # differ only by case, which a rewrite of other nodes can change, so then
     # no call step is kept
@@ -241,7 +239,7 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
         return port_ref(source, "solution", _EMPTY, at)
 
     def port_ref(nid: str, port: str, default: ArgRef, at: str) -> ArgRef:
-        sources = inputs(nid).get(port)
+        sources = _inputs(graph, nid).get(port)
         return ref(sources[0], at) if sources else default
 
     looked_up: list[str] = []  # the prompt names the call being built reads
@@ -276,7 +274,7 @@ def _lower(graph: WorkflowGraph) -> ProgramIR:
             }
         elif kind == "ScEnsembleOp":
             args = {
-                "solutions": tuple(ref(source, at) for source in inputs(nid).get("solution", ())),
+                "solutions": tuple(ref(source, at) for source in _inputs(graph, nid).get("solution", ())),
                 "problem": _PROBLEM,
             }
         elif kind == "TestOp":
@@ -500,7 +498,6 @@ _IF_LINE_RE = re.compile(r"^\s*if not (\w+)\[")
 # a double-quoted literal with backslash escapes, within one line
 _STRING_RE = re.compile(r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"')
 _WORD_RE = re.compile(r"\w+")
-_ASCII_NON_WORD = str.maketrans({c: " " for c in range(128) if not (chr(c).isalnum() or chr(c) == "_")})
 _LIST_PUNCTUATION_RE = re.compile(r"[\[\],]")
 
 
@@ -515,8 +512,7 @@ def _read_line(line: str):
         return match[1] if match else None
     binding, args_text = match.group(1, 3)
     stripped = _STRING_RE.sub("", args_text)  # no literal spans two lines
-    # on ASCII text a word is a run of [A-Za-z0-9_]
-    words = tuple(stripped.translate(_ASCII_NON_WORD).split() if stripped.isascii() else _WORD_RE.findall(stripped))
+    words = tuple(_WORD_RE.findall(stripped))
     return binding, args_text, words, frozenset(words)
 
 

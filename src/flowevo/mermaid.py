@@ -19,9 +19,8 @@ duplicate declarations, conflicting class assignments, a second header and
 the findings about the whole text depend on where a line sits and what came
 before it, so the parser computes them afresh and caches none of them. Ids
 and prompt names are tested with ``str.isascii() and str.isidentifier()``,
-which for ASCII text is exactly ``[A-Za-z_][A-Za-z0-9_]*``. A label of the
-one-pair shape is decoded by one match of ``_ONE_PAIR_RE``, and every other
-label by the token walk.
+which for ASCII text is exactly ``[A-Za-z_][A-Za-z0-9_]*``. Labels are
+decoded by one token walk.
 """
 
 from __future__ import annotations
@@ -183,13 +182,7 @@ def split_label(label: str) -> tuple[str, dict]:
     (with ``\\'`` escapes); a quoted key may be empty. Unbalanced lists,
     which occur in published sources, are recovered by stripping stray
     trailing brackets.
-    The common one-pair shape is decoded by one match of ``_ONE_PAIR_RE``,
-    and every other label by the token walk, which reads that shape alike.
     """
-    match = _ONE_PAIR_RE.match(label)
-    if match:
-        display, key, quoted, plain = match.groups()
-        return display.strip(), {key: plain.strip() if quoted is None else quoted}
     if "<br/>" in label:
         display, _, rest = label.partition("<br/>")
     else:
@@ -208,11 +201,6 @@ def split_label(label: str) -> tuple[str, dict]:
             attrs[_unescape_label(_unquote_attr(key))] = _unescape_label(_unquote_attr(value.strip()))
     return display, attrs
 
-
-# ``Display<br/>(key: value)`` or ``(key: 'value')`` ending the label, with no
-# entity, no ``<`` before the separator, a word key, and a value quoted without
-# escapes or plain without quotes, brackets or commas; strip as the walk does.
-_ONE_PAIR_RE = re.compile(r"([^&<]*)<br/>\((\w+): (?:'([^'\\&]*)'|([^'(),&]*))\)\Z")
 
 # a quoted value (backslash escapes, maybe unterminated), a bracket or comma,
 # or a run of anything else

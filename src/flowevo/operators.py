@@ -12,11 +12,13 @@ The guard builds each product with ``with_changes`` and decides it by
 ``validate`` alone; the product inherits the per-node findings its delta
 keeps, so the full check finds only the others anew.
 
-``apply_random`` checks each rewiring, deletion and mutation site before
+``apply_random`` checks each rewiring site and mutation fragment before
 the guard builds its product (``_doomed``), and does not build a product
 the check condemns. Those operators draw nothing from the rng once a site
 or fragment is picked, so the check changes no draw and no product, only
-which products are built. The public operators never run it.
+which products are built. The public operators never run it, and neither
+does deletion, whose few rejected products cost less than checking every
+deletion site.
 """
 
 from __future__ import annotations
@@ -291,12 +293,6 @@ def _rewiring(graph: WorkflowGraph, existing, third: str, direction: str) -> tup
 
 def delete_node(graph: WorkflowGraph, node_id: str) -> RewriteOutcome:
     """Delete a linear (fan-in 1, fan-out 1) node and bridge its neighbors."""
-    delta, description = _deletion(graph, node_id)
-    return _guard([(graph, delta)], OperatorKind.DELETION, description)
-
-
-def _deletion(graph: WorkflowGraph, node_id: str) -> tuple[GraphDelta, str]:
-    """``delete_node``'s preconditions, then its delta and description."""
     if node_id not in graph:
         raise OperatorPreconditionError(f"unknown node {node_id!r}")
     node = graph.node(node_id)
@@ -325,7 +321,7 @@ def _deletion(graph: WorkflowGraph, node_id: str) -> tuple[GraphDelta, str]:
         removed_nodes=(node_id,),
     )
     description = f"delete node {node_id} ({node.kind}) and bridge {pred}->{succ}"
-    return delta, description
+    return _guard([(graph, delta)], OperatorKind.DELETION, description)
 
 
 # -- subgraph mutation -----------------------------------------------------------------
@@ -921,7 +917,7 @@ def _deletion_sites(graph):
 
 
 def _delete_at(graph, node_id, rng, partner):
-    return _checked(graph, OperatorKind.DELETION, *_deletion(graph, node_id))
+    return delete_node(graph, node_id)
 
 
 def _mutation_sites(graph):
@@ -968,10 +964,10 @@ def _first_rewrite(rng, sites, rewrite, budget=None) -> RewriteOutcome | None:
     attempt ``i`` draws ``rng.integers(n - i)`` and ``swapped`` holds the
     positions moved so far, so a draw costs O(attempts), not O(n). Each site
     is tried at most once, and ``budget=None`` tries every site. A failed
-    precondition, a product the pre-build check (``_doomed``) condemns or a
-    closure-guard rejection discards that attempt whole, and the next site
-    is tried; each costs the same draw, so which of them fails an attempt
-    moves no later draw.
+    precondition, a rewiring or mutation product the pre-build check
+    (``_doomed``) condemns, or a closure-guard rejection discards that
+    attempt whole, and the next site is tried; each costs the same draw, so
+    which of them fails an attempt moves no later draw.
     """
     n = len(sites)
     swapped: dict = {}

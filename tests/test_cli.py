@@ -77,6 +77,16 @@ def test_validate_corpus_ok(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_validate_strips_a_byte_order_mark(tmp_path, capsys):
+    plain = corpus_path("gsm8k_round16")
+    marked = tmp_path / "bom.mmd"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main(["validate", str(plain), "--json"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["validate", str(marked), "--json"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_validate_w5_failure(broken_w5_file, capsys):
     assert main(["validate", str(broken_w5_file)]) == 1
     err = capsys.readouterr().err
@@ -181,6 +191,12 @@ def test_mutate_deterministic(capsys):
     assert main(argv) == 0
     second = json.loads(capsys.readouterr().out)
     assert first == second
+
+
+def test_mutate_negative_seed_exits_2(capsys):
+    assert main(["mutate", str(corpus_path("gsm8k_round16")), "--op", "random", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err and "Traceback" not in err
 
 
 def test_evolve_demo_and_replay(tmp_path, corpus_dir, capsys):
@@ -321,6 +337,14 @@ def test_evolve_bad_knob_exits_2(tmp_path, corpus_dir, capsys, line, flags, mess
     assert message in err and "Traceback" not in err
 
 
+def test_evolve_unusable_out_exits_2(tmp_path, corpus_dir, capsys):
+    config = run_config(tmp_path, corpus_dir, rounds=1)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["evolve", "--config", str(config), "--out", str(blocker / "out")]) == 2
+    assert capsys.readouterr().err.startswith("flowevo: ")
+
+
 def test_evolve_seed_syntax_error_names_seed(tmp_path, capsys):
     seed = tmp_path / "broken_seed.mmd"
     seed.write_text("flowchart TD\n??\n", encoding="utf-8")
@@ -390,6 +414,13 @@ def test_emit_gsm8k(tmp_path, capsys):
     }
     assert (out / "workflow.py").exists()
     assert (out / "prompt_custom.py").exists()
+
+
+def test_emit_unusable_out_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["emit", str(corpus_path("gsm8k_round16")), "--out", str(blocker / "out")]) == 2
+    assert capsys.readouterr().err.startswith("flowevo: ")
 
 
 def test_emit_minimal_nothing_to_emit(two_node_file, tmp_path, capsys):

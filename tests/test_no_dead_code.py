@@ -25,7 +25,7 @@ ALLOWED = {
     "bench/workloads.install_tracing rebinds on the engine module",
     "sample_parent_indices": "the sampling rule acceptance C4 checks the loop's draws against",
     **dict.fromkeys(
-        ("rewire_edge", "delete_node", "mutate_subgraph"),
+        ("rewire_edge", "mutate_subgraph"),
         "a public operator, which builds every product it is asked for; apply_random's site path "
         "builds the same delta and checks it before building, and tests check the condemned sites "
         "against this operator",

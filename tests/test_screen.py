@@ -8,10 +8,11 @@ parent, and each accepted product, tables, memos and serialized text
 included, with a fresh build, over ``apply_random`` chains and random edge
 swaps.
 
-``apply_random``'s site path checks each rewiring, deletion and mutation
-site with ``operators._doomed`` before it builds the product. The last
-section checks that check against the public operators, which build every
-product: each site it condemns is one they reject.
+``apply_random``'s site path checks each rewiring site and mutation
+fragment with ``operators._doomed`` before it builds the product; deletion
+sites go to the guard unchecked. The last section checks that check against
+the public operators, which build every product: each site it condemns is
+one they reject.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from flowevo.operators import (
     OperatorKind,
     OperatorPreconditionError,
     RewriteRejectedError,
-    _deletion,
-    _deletion_sites,
     _doomed,
     _mutation,
     _mutation_sites,
@@ -260,8 +259,8 @@ def test_stranded_interface_and_reserved_exits_keep_their_own_findings(exit_id, 
 
 
 def _sites(graph, partner, seed: int, sample=None):
-    """(public operator, its delta builder, arguments) for the rewiring, deletion and
-    mutation sites of ``graph``: every site, or ``sample`` rewiring and mutation sites."""
+    """(public operator, its delta builder, arguments) for the rewiring and mutation
+    sites of ``graph``: every site, or ``sample`` of each."""
     pick = random.Random(seed)
     rewiring = _RewiringSites(graph)
     indices = range(len(rewiring))
@@ -270,8 +269,6 @@ def _sites(graph, partner, seed: int, sample=None):
     for i in indices:
         edge, third, direction = rewiring[i]
         yield rewire_edge, _rewiring, (graph, edge.key(), third, direction)
-    for node_id in _deletion_sites(graph):
-        yield delete_node, _deletion, (graph, node_id)
     regions = _mutation_sites(graph)
     if sample is not None and sample < len(regions):
         regions = pick.sample(regions, sample)
@@ -307,9 +304,8 @@ def test_condemned_sites_are_rejected_on_the_corpus(corpus_graphs):
     tally = Counter()
     for graph, partner in zip(graphs, graphs[1:] + graphs[:1]):
         tally += _assert_condemned_sites_are_rejected(graph, partner)
-    # no corpus deletion duplicates an edge; the chains and hand-built cases condemn deletions
     assert tally["rewire_edge"] > 100 and tally["mutate_subgraph"] > 10, tally
-    for name in ("rewire_edge", "delete_node", "mutate_subgraph"):
+    for name in ("rewire_edge", "mutate_subgraph"):
         assert tally[name + " passed"] > 0, tally
 
 
@@ -320,7 +316,7 @@ def test_condemned_sites_are_rejected_on_generated_graphs():
         graph, partner = (_generated(size, rng.getrandbits(32)) for _ in range(2))
         tally += _assert_condemned_sites_are_rejected(graph, partner, size, sample=None if size < 60 else 150)
     assert tally["rewire_edge"] > 100 and tally["mutate_subgraph"] > 100, tally
-    for name in ("rewire_edge", "delete_node", "mutate_subgraph"):
+    for name in ("rewire_edge", "mutate_subgraph"):
         assert tally[name + " passed"] > 0, tally
 
 
@@ -401,8 +397,17 @@ def _fragment(kind: str) -> Fragment:
     return Fragment(nodes=(_node("F", kind),), inputs=("F",), outputs=("F",), label=kind)
 
 
+def _bridging(graph: WorkflowGraph, node_id: str) -> tuple[GraphDelta, str]:
+    """The delta ``delete_node`` makes at a linear node, built by hand: the node and its
+    two edges go, and an edge with the out-edge's label bridges its neighbors."""
+    (pred, pred_label), (succ, succ_label) = graph.predecessors(node_id)[0], graph.successors(node_id)[0]
+    removed = (Edge(pred, node_id, pred_label), Edge(node_id, succ, succ_label))
+    return GraphDelta(removed_edges=removed, added_edges=(Edge(pred, succ, succ_label),), removed_nodes=(node_id,)), ""
+
+
 _HAND_BUILT = {
-    # (graph, public operator, its delta builder, arguments after the graph, condemned)
+    # (graph, public operator, its delta builder, arguments after the graph, condemned);
+    # apply_random does not check deletion sites, but the check reads any delta
     "auto-role entry gains an in-edge": (
         lambda: _graph(_FAN, _FAN_KINDS), rewire_edge, _rewiring, (("C", "E"), "PROBLEM", "to_third"), True
     ),
@@ -430,10 +435,10 @@ _HAND_BUILT = {
         lambda: _graph(_FAN, _FAN_KINDS), rewire_edge, _rewiring, (("C", "E"), "RETURN", "to_third"), False
     ),
     "bridge onto an existing edge": (
-        lambda: _graph([*_BRIDGE, ("X", "E")], _FAN_KINDS), delete_node, _deletion, ("X",), True
+        lambda: _graph([*_BRIDGE, ("X", "E")], _FAN_KINDS), delete_node, _bridging, ("X",), True
     ),
     "bridge beside an existing edge of another label": (
-        lambda: _graph([*_BRIDGE, ("X", "E", "alt")], _FAN_KINDS), delete_node, _deletion, ("X",), False
+        lambda: _graph([*_BRIDGE, ("X", "E", "alt")], _FAN_KINDS), delete_node, _bridging, ("X",), False
     ),
     "two inputs onto a fragment without a variadic port": (
         lambda: _graph(_PAIR, _FAN_KINDS), mutate_subgraph, _mutation, ({"E"}, _fragment("CustomOp")), True
@@ -459,7 +464,8 @@ def test_condemned_hand_built_sites_are_rejected(case):
 
 
 def test_the_site_path_builds_no_condemned_product_on_fixed_chains():
-    # the products the guard builds and rejects, and the sites the check condemns, by kind
+    # the products the guard builds and rejects, and the sites the check condemns, by kind;
+    # deletion sites are not checked, so the guard builds and rejects the bridges that duplicate an edge
     built, rejected, condemned = Counter(), Counter(), Counter()
 
     def counting_guard(pairs, applied, description):
@@ -485,10 +491,10 @@ def test_the_site_path_builds_no_condemned_product_on_fixed_chains():
                 if outcome is None:
                     break
                 graph = outcome.graphs[0]
-    # on these chains the check condemns every product the guard would reject
-    assert dict(rejected) == {}
-    assert dict(condemned) == {"deletion": 5, "rewiring": 119, "subgraph_mutation": 147}
-    assert sum(built.values()) == 407
+    # on these chains the check condemns every rewiring and mutation product the guard would reject
+    assert dict(rejected) == {"deletion": 5}
+    assert dict(condemned) == {"rewiring": 119, "subgraph_mutation": 147}
+    assert sum(built.values()) == 412
 
 
 def test_an_interface_source_whose_role_changes_has_no_type_read():
