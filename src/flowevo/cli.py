@@ -1,8 +1,8 @@
 """Command-line surface: validate, mutate, evolve, emit, export-dot.
 
-Exit codes: 0 success, 1 domain failure (invalid workflow, failed run,
-nonempty structural diff), 2 unreadable input, unwritable output or bad
-configuration, 3 no applicable rewrite. Every command honors ``--json``.
+Exit codes: 0 success, 1 domain failure, 2 bad input, output or configuration,
+3 no applicable rewrite. Commands raise, and ``main`` alone picks each failure's
+code: from ``_EXIT_CODES``, or from an ``_Exit``. Every command honors ``--json``.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import shlex
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +39,19 @@ EXIT_DOMAIN_FAILURE = 1
 EXIT_INPUT_FAILURE = 2
 EXIT_NO_REWRITE = 3
 
-_OP_CHOICES = [k.value.replace("_", "-") for k in OperatorKind] + ["random"]
+# ``--op`` value -> the operator weights apply_random draws from (None: its defaults)
+_OP_WEIGHTS = {k.value.replace("_", "-"): {k: 1.0} for k in OperatorKind} | {"random": None}
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"flowevo: {message}", file=sys.stderr)
-    return code
+# The exit code of each failure class a command may raise.
+_EXIT_CODES = {
+    **dict.fromkeys((OSError, RegistryError, LoweringError, ConfigError), EXIT_INPUT_FAILURE),
+    **dict.fromkeys((AdapterError, EvolutionError, EmissionError), EXIT_DOMAIN_FAILURE),
+}
+
+
+class _Exit(Exception):
+    """``_Exit(message, code)``: a failure that no exception class names."""
 
 
 def _read_text(path: str) -> str:
@@ -58,10 +66,12 @@ def _read_text(path: str) -> str:
     return text.removeprefix("\ufeff")
 
 
-def _registry_from(args):
-    if getattr(args, "registry", None):
-        return load_registry(args.registry)
-    return default_registry()
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, ensure_ascii=False))
+
+
+def _registry(path):
+    return load_registry(path) if path else default_registry()
 
 
 def _split_command(command: str) -> list[str]:
@@ -81,11 +91,8 @@ def _load_graph(path: str, registry, domain) -> WorkflowGraph:
 
 
 def cmd_validate(args) -> int:
-    try:
-        text = _read_text(args.path)
-        registry = _registry_from(args)
-    except (OSError, RegistryError) as exc:
-        return _fail(str(exc), EXIT_INPUT_FAILURE)
+    text = _read_text(args.path)
+    registry = _registry(args.registry)
     verdict = validate(text, registry=registry, domain=args.domain)
     if args.json:
         print(verdict.to_json())
@@ -96,43 +103,32 @@ def cmd_validate(args) -> int:
 
 def cmd_mutate(args) -> int:
     if args.seed < 0:
-        return _fail("seed must be >= 0", EXIT_INPUT_FAILURE)
-    try:
-        registry = _registry_from(args)
-        graph = _load_graph(args.path, registry, args.domain)
-        partner = None
-        if args.path2:
-            partner = _load_graph(args.path2, registry, args.domain)
-    except (OSError, RegistryError, LoweringError) as exc:
-        return _fail(str(exc), EXIT_INPUT_FAILURE)
+        raise _Exit("seed must be >= 0", EXIT_INPUT_FAILURE)
+    registry = _registry(args.registry)
+    graph = _load_graph(args.path, registry, args.domain)
+    partner = None
+    if args.path2:
+        partner = _load_graph(args.path2, registry, args.domain)
     for i, g in enumerate((graph, partner)):
         if g is not None and validate(g).q != 1:
-            return _fail(f"input workflow {i + 1} does not validate", EXIT_INPUT_FAILURE)
+            raise _Exit(f"input workflow {i + 1} does not validate", EXIT_INPUT_FAILURE)
 
-    if args.op == "random":
-        weights = None
-    else:
-        kind = OperatorKind(args.op.replace("-", "_"))
-        weights = {kind: 1.0}
     if args.op == "crossover" and partner is None:
-        return _fail("crossover requires two input workflows", EXIT_INPUT_FAILURE)
+        raise _Exit("crossover requires two input workflows", EXIT_INPUT_FAILURE)
 
     rng = np.random.default_rng(args.seed)
     target = graph if partner is None else (graph, partner)
-    outcome = apply_random(target, rng, weights)
+    outcome = apply_random(target, rng, _OP_WEIGHTS[args.op])
     if outcome is None:
-        return _fail("no applicable rewrite", EXIT_NO_REWRITE)
+        raise _Exit("no applicable rewrite", EXIT_NO_REWRITE)
     outputs = [serialize_workflow(g) for g in outcome.graphs]
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "operator": outcome.applied.value,
-                    "modification": outcome.description,
-                    "outputs": outputs,
-                },
-                ensure_ascii=False,
-            )
+        _print_json(
+            {
+                "operator": outcome.applied.value,
+                "modification": outcome.description,
+                "outputs": outputs,
+            }
         )
     else:
         print(("\n%% --- child 2 ---\n").join(outputs), end="")
@@ -141,82 +137,64 @@ def cmd_mutate(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    try:
-        overrides = {
-            "seed": args.seed,
-            "max_rounds": args.max_rounds,
-            "lambda": getattr(args, "lambda_", None),
-            "alpha": args.alpha,
-        }
-        config = load_run_config(args.config, overrides)
-        if not config.seeds:
-            raise ConfigError("config must list at least one seed workflow ('seeds = path.mmd')")
-        registry = load_registry(config.registry) if config.registry else default_registry()
-        base = Path(args.config).parent if args.config else Path.cwd()
-        seeds = []
-        for seed_path in config.seeds:
-            resolved = Path(seed_path)
-            if not resolved.is_absolute():
-                resolved = base / resolved
-            try:
-                seeds.append(_load_graph(str(resolved), registry, config.evolution.domain))
-            except LoweringError as exc:
-                raise ConfigError(f"seed {seed_path}: {exc}") from None
-        evo = config.evolution
-        proposer = (
-            SubprocessProposer(_split_command(config.proposer_cmd))
-            if config.proposer_cmd
-            else OperatorProposer(evo.weights(), evo.site_budget)
-        )
-        judge = SubprocessJudge(_split_command(config.judge_cmd)) if config.judge_cmd else StructuralJudge()
-        evaluator = (
-            SubprocessEvaluator(_split_command(config.evaluator_cmd))
-            if config.evaluator_cmd
-            else SyntheticTaskEvaluator(evo.scenario)
-        )
-        out_dir = Path(args.out) if args.out else Path.cwd()
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (OSError, ConfigError, RegistryError) as exc:
-        return _fail(str(exc), EXIT_INPUT_FAILURE)
+    overrides = {
+        "seed": args.seed,
+        "max_rounds": args.max_rounds,
+        "lambda": args.lambda_,
+        "alpha": args.alpha,
+    }
+    config = load_run_config(args.config, overrides)
+    if not config.seeds:
+        raise ConfigError("config must list at least one seed workflow ('seeds = path.mmd')")
+    registry = _registry(config.registry)
+    base = Path(args.config).parent
+    seeds = []
+    for path in config.seeds:
+        try:  # ``base / path`` is ``path`` when it is absolute
+            seed = _load_graph(str(base / path), registry, config.evolution.domain)
+        except LoweringError as exc:
+            raise ConfigError(f"seed {path}: {exc}") from None
+        errors = validate(seed).errors  # memoized on the graph: run_evolution's own check reads it
+        if errors:
+            raise ConfigError(f"seed {path}: does not validate: " + "; ".join(d.render() for d in errors[:3]))
+        seeds.append(seed)
+    evo = config.evolution
+    proposer = (
+        SubprocessProposer(_split_command(config.proposer_cmd))
+        if config.proposer_cmd
+        else OperatorProposer(evo.weights(), evo.site_budget)
+    )
+    judge = SubprocessJudge(_split_command(config.judge_cmd)) if config.judge_cmd else StructuralJudge()
+    evaluator = (
+        SubprocessEvaluator(_split_command(config.evaluator_cmd))
+        if config.evaluator_cmd
+        else SyntheticTaskEvaluator(evo.scenario)
+    )
+    out_dir = Path(args.out) if args.out else Path.cwd()
+    history_path = out_dir / config.history
+    manifest_path = out_dir / config.manifest
+    for directory in (out_dir, history_path.parent, manifest_path.parent):  # fail before round 1
+        directory.mkdir(parents=True, exist_ok=True)
 
     try:
         result = run_evolution(seeds, evo, proposer, judge, evaluator)
-    except (AdapterError, EvolutionError) as exc:
-        return _fail(str(exc), EXIT_DOMAIN_FAILURE)
     finally:
         for role in (proposer, judge, evaluator):
             if hasattr(role, "close"):
                 role.close()
 
-    history_path = out_dir / config.history
-    manifest_path = out_dir / config.manifest
-    try:
-        save_history(result.history, history_path)
-        write_manifest(config, manifest_path)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INPUT_FAILURE)
+    save_history(result.history, history_path)
+    write_manifest(config, manifest_path)
 
     ok_rounds = [r for r in result.rounds if r.status == "ok"]
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "history": str(history_path),
-                    "manifest": str(manifest_path),
-                    "rounds": [
-                        {
-                            "round": r.round,
-                            "status": r.status,
-                            "operator": r.operator,
-                            "judge_total": r.judge_total,
-                            "score": r.score,
-                        }
-                        for r in result.rounds
-                    ],
-                    "best_score": result.best().score,
-                },
-                ensure_ascii=False,
-            )
+        _print_json(
+            {
+                "history": str(history_path),
+                "manifest": str(manifest_path),
+                "rounds": [asdict(r) for r in result.rounds],
+                "best_score": result.best().score,
+            }
         )
     else:
         for r in result.rounds:
@@ -228,60 +206,48 @@ def cmd_evolve(args) -> int:
         print(f"manifest written to {manifest_path}")
         print(f"best score: {result.best().score:.4f}")
     if config.evolution.max_rounds > 0 and not ok_rounds:
-        return _fail("all rounds failed", EXIT_DOMAIN_FAILURE)
+        raise _Exit("all rounds failed", EXIT_DOMAIN_FAILURE)
     return EXIT_OK
 
 
 def cmd_emit(args) -> int:
+    registry = _registry(args.registry)
+    graph = _load_graph(args.path, registry, args.domain)
     try:
-        registry = _registry_from(args)
-        graph = _load_graph(args.path, registry, args.domain)
         templates = load_templates(args.templates) if args.templates else default_templates()
-    except (OSError, RegistryError, LoweringError, EmissionError) as exc:
-        return _fail(str(exc), EXIT_INPUT_FAILURE)
-    try:
-        ir = lower_to_ir(graph)
-        program, prompts = emit(ir, templates)
-    except EmissionError as exc:
-        return _fail(str(exc), EXIT_DOMAIN_FAILURE)
+    except EmissionError as exc:  # an unusable template set is bad input; emit's EmissionError is not
+        raise ConfigError(str(exc)) from None
+    ir = lower_to_ir(graph)
+    program, prompts = emit(ir, templates)
     report = structural_diff(program, graph)
     out_dir = Path(args.out) if args.out else Path.cwd()
     program_path = out_dir / "workflow.py"
     prompts_path = out_dir / "prompt_custom.py"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        program_path.write_text(program, encoding="utf-8")
-        prompts_path.write_text(prompts, encoding="utf-8")
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INPUT_FAILURE)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    program_path.write_text(program, encoding="utf-8")
+    prompts_path.write_text(prompts, encoding="utf-8")
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "program": str(program_path),
-                    "prompts": str(prompts_path),
-                    "structural_diff": report.to_dict(),
-                },
-                ensure_ascii=False,
-            )
+        _print_json(
+            {
+                "program": str(program_path),
+                "prompts": str(prompts_path),
+                "structural_diff": report.to_dict(),
+            }
         )
     else:
         print(f"program written to {program_path}")
         print(f"prompt module written to {prompts_path}")
     if not report.is_empty():
-        return _fail("structural diff is not empty: " + report.to_json(), EXIT_DOMAIN_FAILURE)
+        raise _Exit("structural diff is not empty: " + report.to_json(), EXIT_DOMAIN_FAILURE)
     return EXIT_OK
 
 
 def cmd_export_dot(args) -> int:
-    try:
-        registry = _registry_from(args)
-        graph = _load_graph(args.path, registry, args.domain)
-    except (OSError, RegistryError, LoweringError) as exc:
-        return _fail(str(exc), EXIT_INPUT_FAILURE)
+    registry = _registry(args.registry)
+    graph = _load_graph(args.path, registry, args.domain)
     dot = export_dot(graph)
     if args.json:
-        print(json.dumps({"dot": dot}, ensure_ascii=False))
+        _print_json({"dot": dot})
     else:
         print(dot, end="")
     return EXIT_OK
@@ -310,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mutate", help="apply one rewrite operator")
     p.add_argument("path", help="workflow file")
     p.add_argument("path2", nargs="?", default=None, help="second parent (crossover)")
-    p.add_argument("--op", required=True, choices=_OP_CHOICES)
+    p.add_argument("--op", required=True, choices=_OP_WEIGHTS)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_mutate)
@@ -342,7 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as exc:
+        message, code = exc.args
+    except tuple(_EXIT_CODES) as exc:
+        message = str(exc)
+        code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
+    print(f"flowevo: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -168,13 +168,13 @@ class JudgeScore:
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """What the CLI reports of one round; the round's parents and modification are in its history entry."""
+
     round: int
     status: str  # "ok" | "skipped"
-    parents: tuple[int, ...]
     operator: str
     judge_total: int
     score: float
-    modification: str
 
 
 @dataclass(frozen=True)
@@ -533,9 +533,7 @@ def run_evolution(seeds, cfg: EvolutionConfig, proposer, judge, evaluator, check
         parents = [history[i] for i in parent_indices]
         candidates = generate_candidates(parents, cfg, proposer, checker, seed_seq.spawn(1)[0])
         if not candidates:
-            rounds.append(
-                RoundRecord(round_no, "skipped", tuple(parent_indices), "-", 0, 0.0, "all tries invalid")
-            )
+            rounds.append(RoundRecord(round_no, "skipped", "-", 0, 0.0))
             continue
         best, scores = judge_select(candidates, parents, history, judge)
         winner = candidates[best]
@@ -556,11 +554,9 @@ def run_evolution(seeds, cfg: EvolutionConfig, proposer, judge, evaluator, check
             RoundRecord(
                 round_no,
                 "ok",
-                tuple(parent_indices),
                 winner.applied.value if winner.applied else "none",
                 scores[best].total,
                 score,
-                winner.modification,
             )
         )
     return EvolutionResult(tuple(history), tuple(rounds))

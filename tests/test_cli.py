@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from flowevo import lower_to_graph, parse_workflow, validate
+from flowevo import cli
 from flowevo.cli import main
 
 from conftest import corpus_path
@@ -364,6 +365,44 @@ def test_evolve_non_utf8_seed_exits_2(tmp_path, capsys):
     assert "input is not valid UTF-8" in capsys.readouterr().err
 
 
+def test_evolve_seed_that_does_not_validate_exits_2(broken_w5_file, tmp_path, capsys):
+    config = tmp_path / "w5.cfg"
+    config.write_text(f"seeds = {broken_w5_file}\n", encoding="utf-8")
+    assert main(["evolve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"flowevo: seed {broken_w5_file}: does not validate: W5 error")
+    assert "Traceback" not in err
+
+
+def test_evolve_creates_missing_history_and_manifest_parents(tmp_path, corpus_dir, capsys):
+    config = run_config(tmp_path, corpus_dir, rounds=2)
+    with config.open("a", encoding="utf-8") as f:
+        f.write("history = missing/h.jsonl\nmanifest = also/missing/m.json\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len((out / "missing" / "h.jsonl").read_text(encoding="utf-8").splitlines()) >= 1
+    assert json.loads((out / "also" / "missing" / "m.json").read_text(encoding="utf-8"))["tool"] == "flowevo"
+
+
+def test_evolve_uncreatable_history_parent_exits_2_before_round_1(tmp_path, corpus_dir, capsys, monkeypatch):
+    config = run_config(tmp_path, corpus_dir, rounds=2)
+    with config.open("a", encoding="utf-8") as f:
+        f.write("history = blocker/h.jsonl\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "blocker").write_text("", encoding="utf-8")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started although its history cannot be written")
+
+    monkeypatch.setattr(cli, "run_evolution", no_run)
+    assert main(["evolve", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("flowevo: ") and captured.out == ""
+    assert [p.name for p in out.iterdir()] == ["blocker"]
+
+
 def test_evolve_adapter_command_with_quoted_path(tmp_path, corpus_dir, capsys):
     import shlex
     import shutil
@@ -667,3 +706,19 @@ def test_evolve_failing_adapter_exits_1(tmp_path, corpus_dir, key, command):
     assert run.returncode == 1
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("flowevo: ")
+
+
+@pytest.mark.parametrize(
+    "failure, code",
+    [*cli._EXIT_CODES.items(), (cli._Exit, cli.EXIT_NO_REWRITE)],
+    ids=[*(cls.__name__ for cls in cli._EXIT_CODES), "_Exit"],
+)
+def test_main_maps_each_failure_class_to_its_exit_code(failure, code, capsys, monkeypatch):
+    def raising(*args, **kwargs):
+        raise failure("boom", code) if failure is cli._Exit else failure("boom")
+
+    monkeypatch.setattr(cli, "validate", raising)
+    assert main(["validate", str(corpus_path("gsm8k_round16"))]) == code
+    captured = capsys.readouterr()
+    assert captured.err == "flowevo: boom\n"  # one line, no traceback
+    assert captured.out == ""
