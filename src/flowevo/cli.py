@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 domain failure, 2 bad input, output or configuration,
 3 no applicable rewrite. Commands raise, and ``main`` alone picks each failure's
-code: from ``_EXIT_CODES``, or from an ``_Exit``. Every command honors ``--json``.
+code: from ``_EXIT_CODES``, or from an ``_Exit``. Each command but ``validate``, whose
+findings are its verdict, reads its workflows through ``_load_graph``. Every command
+honors ``--json``.
 """
 
 from __future__ import annotations
@@ -54,15 +56,15 @@ class _Exit(Exception):
     """``_Exit(message, code)``: a failure that no exception class names."""
 
 
-def _read_text(path: str) -> str:
-    """The UTF-8 text of ``path`` (``-`` for stdin), without one leading byte-order mark."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise OSError(f"{path}: input is not valid UTF-8 ({exc})") from exc
+def _read_text(path: str, name: str) -> str:
+    """The UTF-8 text of ``path`` (``-`` for stdin), without one leading byte-order mark; a
+    file that cannot be read raises an ``OSError`` whose message starts with ``name``."""
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{name}: input is not valid UTF-8 ({exc})") from None
+    except OSError as exc:  # "No such file or directory", without the errno and path again
+        raise OSError(f"{name}: {exc.strerror or exc}") from None
     return text.removeprefix("\ufeff")
 
 
@@ -82,8 +84,17 @@ def _split_command(command: str) -> list[str]:
         raise ConfigError(f"bad command {command!r}: {exc}") from None
 
 
-def _load_graph(path: str, registry, domain) -> WorkflowGraph:
-    graph, _ = lower_to_graph(parse_workflow(_read_text(path)), registry=registry, domain=domain)
+def _load_graph(path: str, registry, domain, name: str = "", validated: bool = True) -> WorkflowGraph:
+    """The graph of workflow file ``path``, read, lowered and, if ``validated``, validated.
+    Each failure is bad input, on one line that starts with ``name`` (default ``input <path>``)."""
+    name = name or f"input {path}"
+    try:
+        graph, _ = lower_to_graph(parse_workflow(_read_text(path, name)), registry=registry, domain=domain)
+    except LoweringError as exc:
+        raise LoweringError(f"{name}: {exc}") from None
+    errors = validate(graph).errors if validated else ()
+    if errors:
+        raise _Exit(f"{name}: does not validate: " + "; ".join(d.render() for d in errors[:3]), EXIT_INPUT_FAILURE)
     return graph
 
 
@@ -91,7 +102,7 @@ def _load_graph(path: str, registry, domain) -> WorkflowGraph:
 
 
 def cmd_validate(args) -> int:
-    text = _read_text(args.path)
+    text = _read_text(args.path, f"input {args.path}")
     registry = _registry(args.registry)
     verdict = validate(text, registry=registry, domain=args.domain)
     if args.json:
@@ -109,10 +120,6 @@ def cmd_mutate(args) -> int:
     partner = None
     if args.path2:
         partner = _load_graph(args.path2, registry, args.domain)
-    for i, g in enumerate((graph, partner)):
-        if g is not None and validate(g).q != 1:
-            raise _Exit(f"input workflow {i + 1} does not validate", EXIT_INPUT_FAILURE)
-
     if args.op == "crossover" and partner is None:
         raise _Exit("crossover requires two input workflows", EXIT_INPUT_FAILURE)
 
@@ -147,17 +154,9 @@ def cmd_evolve(args) -> int:
     if not config.seeds:
         raise ConfigError("config must list at least one seed workflow ('seeds = path.mmd')")
     registry = _registry(config.registry)
-    base = Path(args.config).parent
-    seeds = []
-    for path in config.seeds:
-        try:  # ``base / path`` is ``path`` when it is absolute
-            seed = _load_graph(str(base / path), registry, config.evolution.domain)
-        except LoweringError as exc:
-            raise ConfigError(f"seed {path}: {exc}") from None
-        errors = validate(seed).errors  # memoized on the graph: run_evolution's own check reads it
-        if errors:
-            raise ConfigError(f"seed {path}: does not validate: " + "; ".join(d.render() for d in errors[:3]))
-        seeds.append(seed)
+    base = Path(args.config).parent  # ``base / path`` is ``path`` when it is absolute
+    # each verdict is memoized on its graph: run_evolution's own check reads it
+    seeds = [_load_graph(str(base / path), registry, config.evolution.domain, f"seed {path}") for path in config.seeds]
     evo = config.evolution
     proposer = (
         SubprocessProposer(_split_command(config.proposer_cmd))
@@ -238,13 +237,13 @@ def cmd_emit(args) -> int:
         print(f"program written to {program_path}")
         print(f"prompt module written to {prompts_path}")
     if not report.is_empty():
-        raise _Exit("structural diff is not empty: " + report.to_json(), EXIT_DOMAIN_FAILURE)
+        raise _Exit("structural diff is not empty: " + json.dumps(report.to_dict()), EXIT_DOMAIN_FAILURE)
     return EXIT_OK
 
 
 def cmd_export_dot(args) -> int:
     registry = _registry(args.registry)
-    graph = _load_graph(args.path, registry, args.domain)
+    graph = _load_graph(args.path, registry, args.domain, validated=False)  # an invalid graph exports too
     dot = export_dot(graph)
     if args.json:
         _print_json({"dot": dot})

@@ -529,9 +529,6 @@ class DiffReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def structural_diff(program_text: str, graph: WorkflowGraph) -> DiffReport:
     """Re-extract the call graph from emitted text and compare with the graph.

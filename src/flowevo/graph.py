@@ -176,7 +176,6 @@ class WorkflowGraph:
         "_findings",
         "_lines",
         "_refs",
-        "_order",
         "_cycles",
         "_verdict",
         "_ir",
@@ -250,7 +249,6 @@ class WorkflowGraph:
         self._refs = {}  # node id -> its (attribute key, prompt name) references, filled by prompt_ref_table()
         self._calls = {}  # node id -> (call step, prompt names, prompt entries), set by codegen.lower_to_ir
         self._roles = None  # the interface roles, filled once by interface_roles()
-        self._order = None  # the topological order, filled once by topological_order()
         self._cycles = None  # the nodes on a cycle, filled once by cycle_nodes()
         self._verdict = None  # the soft-check verdict, filled once by validator.validate
         self._ir = None  # the program IR, filled once by codegen.lower_to_ir
@@ -413,9 +411,7 @@ class WorkflowGraph:
         return frozenset(result)
 
     def topological_order(self) -> tuple[str, ...]:
-        """Kahn's algorithm with id tie-breaking, found once per graph; raises on cycles."""
-        if self._order is not None:
-            return self._order
+        """Kahn's algorithm with id tie-breaking; raises on cycles."""
         indeg = {nid: len(self._in[nid]) for nid in self._by_id}
         ready = [nid for nid, d in indeg.items() if d == 0]  # ids in order: already a heap
         order: list[str] = []
@@ -428,9 +424,7 @@ class WorkflowGraph:
                     heapq.heappush(ready, neighbor)
         if len(order) != len(self._by_id):
             raise GraphConstructionError("graph contains a cycle; no topological order")
-        # the write is idempotent: a racing call stores an equal order
-        self._order = order = tuple(order)
-        return order
+        return tuple(order)
 
     # -- prompt references -----------------------------------------------------
 
@@ -568,7 +562,7 @@ class WorkflowGraph:
                 budget -= 1
                 if node == edge.source or budget < 0:
                     return False
-                for succ, _ in self._out[node]:
+                for succ, _ in self._out.get(node, ()):  # a node only the delta adds has no out-edge
                     if succ not in seen:
                         seen.add(succ)
                         stack.append(succ)

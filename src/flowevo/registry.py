@@ -136,9 +136,6 @@ class Registry:
                 raise RegistryError(f"duplicate kind {schema.kind!r}")
             self._schemas[schema.kind] = self._folded[schema.kind.lower()] = schema
 
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(self._schemas)
-
     def schemas(self) -> tuple[NodeTypeSchema, ...]:
         return tuple(self._schemas.values())
 

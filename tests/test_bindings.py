@@ -140,7 +140,7 @@ def test_a_product_computes_its_topological_order_afresh(gsm8k):
     order = parent.topological_order()
     p1 = dataclasses.replace(parent.node("P1"), attributes={"analysis": "twice"})
     same = parent.with_changes(GraphDelta(replaced_nodes=(p1,)))
-    assert same._order is None and same.topological_order() == order
+    assert same.topological_order() == order
     # an isolated node keeps every edge, but not every id
     lone = parent.with_changes(GraphDelta(added_nodes=(Node("Z", "CustomOp", {"role": "z"}),)))
     assert_memos_exact(lone)

@@ -722,3 +722,64 @@ def test_main_maps_each_failure_class_to_its_exit_code(failure, code, capsys, mo
     captured = capsys.readouterr()
     assert captured.err == "flowevo: boom\n"  # one line, no traceback
     assert captured.out == ""
+
+
+# each workflow input a command reads, as (its argv, the name its failure line starts with)
+def _input_args(command: str, path: Path, tmp_path: Path) -> tuple[list, str]:
+    if command == "evolve":
+        config = tmp_path / "seed.cfg"
+        config.write_text(f"seeds = {path}\n", encoding="utf-8")
+        return ["evolve", "--config", str(config), "--out", str(tmp_path / "out")], f"seed {path}"
+    argv = {
+        "mutate": ["mutate", str(path), "--op", "substitution"],
+        "mutate partner": ["mutate", str(corpus_path("gsm8k_round16")), str(path), "--op", "crossover"],
+        "emit": ["emit", str(path), "--out", str(tmp_path / "out")],
+        "export-dot": ["export-dot", str(path)],
+    }[command]
+    return argv, f"input {path}"
+
+
+_UNREADABLE = {
+    "missing": None,
+    "not UTF-8": "flowchart TD\n  PROBLEM([Probl\xe9m])\n".encode("latin-1"),
+    "syntax error": b"flowchart TD\n??\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        (command, case)
+        for command in ("mutate", "mutate partner", "emit", "export-dot", "evolve")
+        for case in [*_UNREADABLE, "does not validate"]
+        if (command, case) != ("export-dot", "does not validate")  # an invalid graph exports
+    ],
+)
+def test_each_input_failure_exits_2_on_one_line_naming_its_file(command, case, broken_w5_file, tmp_path, capsys):
+    path = broken_w5_file if case == "does not validate" else tmp_path / "input.mmd"
+    if _UNREADABLE.get(case):
+        path.write_bytes(_UNREADABLE[case])
+    argv, name = _input_args(command, path, tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"flowevo: {name}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    if case == "does not validate":
+        assert f"{name}: does not validate: W5 error" in err
+
+
+def test_emit_nonempty_structural_diff_is_one_line(tmp_path, capsys):
+    import shutil
+
+    import flowevo
+
+    custom = tmp_path / "templates"
+    shutil.copytree(Path(flowevo.__file__).parent / "templates" / "default", custom)
+    call = custom / "call_ScEnsembleOp.tmpl"
+    call.write_text(call.read_text(encoding="utf-8").replace("solutions=[{{solutions}}], ", ""), encoding="utf-8")
+    argv = ["emit", str(corpus_path("gsm8k_round16")), "--templates", str(custom), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("flowevo: structural diff is not empty: {") and err.count("\n") == 1, err
+    report = json.loads(err.removeprefix("flowevo: structural diff is not empty: "))
+    assert report["flow_mismatches"], report

@@ -3,10 +3,12 @@
 The scan reads ``src/flowevo/*.py`` (the package ``__init__`` aside) for
 module-level functions, classes and assigned names (constants), and for the
 non-dunder methods of those classes; dunder names are skipped. A definition
-is used when its name appears in those modules or in ``bench/*.py``, as a
-name that is read, an attribute or an imported name. Neither the
-tests nor the ``__init__`` re-exports count: a name that only a test calls
-is a second public path to keep working.
+is used when its name appears in those modules or in ``bench/*.py``: a
+module-level one as a name that is read, an attribute or an imported name;
+a method only as an attribute or a string (which ``getattr`` may read), so
+a local variable of the same name does not count. Neither the tests nor the
+``__init__`` re-exports count: a name that only a test calls is a second
+public path to keep working.
 """
 
 from __future__ import annotations
@@ -38,40 +40,49 @@ def _dunder(name: str) -> bool:
 
 
 def _definitions(path: Path):
+    """(name, whether it is a method) of each definition in ``path``, in file order."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
+            yield node.name, False
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store) and not _dunder(name.id):
-                        yield name.id
+                        yield name.id, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _dunder(item.name):
-                    yield item.name
+                    yield item.name, True
 
 
-def _uses(path: Path) -> set:
-    used = set()
+def _uses(path: Path, names: set, members: set) -> None:
+    """Add to ``names`` each name ``path`` reads, imports or takes as an attribute, and to
+    ``members`` each attribute and string, the uses a method counts."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):  # not a definition
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            names.add(node.attr)
+            members.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            members.add(node.value)
         elif isinstance(node, ast.alias):
-            used.add(node.name.split(".")[-1])
-    return used
+            names.add(node.name.split(".")[-1])
 
 
 def _unused() -> list:
     """(module file, name) of each definition with no use, in file order."""
-    used = set()
+    names, members = set(), set()
     for path in MODULES + sorted((ROOT / "bench").glob("*.py")):
-        used |= _uses(path)
-    return [(path.name, name) for path in MODULES for name in _definitions(path) if name not in used]
+        _uses(path, names, members)
+    return [
+        (path.name, name)
+        for path in MODULES
+        for name, method in _definitions(path)
+        if name not in (members if method else names)
+    ]
 
 
 def test_every_definition_has_a_use_outside_the_tests():

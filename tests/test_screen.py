@@ -320,6 +320,43 @@ def test_condemned_sites_are_rejected_on_generated_graphs():
         assert tally[name + " passed"] > 0, tally
 
 
+def _broken_parents():
+    """(parent, partner) for each corpus graph with one of its edges removed, and with each
+    of 10 drawn absent edges added: parents that need not validate, some with a node on one edge."""
+    graphs = [load_corpus_graph(name) for name in CORPUS_NAMES]
+    pick = random.Random(0)
+    for graph, partner in zip(graphs, graphs[1:] + graphs[:1]):
+        for edge in graph.edges:
+            yield graph.with_changes(GraphDelta(removed_edges=(edge,))), partner
+        linked = {(edge.source, edge.target) for edge in graph.edges}
+        absent = [(s, t) for s in graph.node_ids() for t in graph.node_ids() if s != t and (s, t) not in linked]
+        for source, target in pick.sample(absent, 10):
+            yield graph.with_changes(GraphDelta(added_edges=(Edge(source, target),))), partner
+
+
+def test_apply_random_on_broken_parents_raises_nothing_and_builds_valid_products():
+    # a subgraph mutation at a node on one edge may add just one edge, into a node only
+    # its product has, which the pre-build cycle search must read as having no out-edge
+    built = 0
+    for parent, partner in _broken_parents():
+        for kind in OperatorKind:
+            for seed in range(3):
+                outcome = apply_random((parent, partner), np.random.default_rng(seed), {kind: 1.0})
+                for product in outcome.graphs if outcome is not None else ():
+                    assert validate(product).q == 1
+                    built += 1
+    assert built > 100, built
+
+
+def test_condemned_sites_are_rejected_on_broken_parents():
+    tally = Counter()
+    for seed, (parent, partner) in enumerate(_broken_parents()):
+        tally += _assert_condemned_sites_are_rejected(parent, partner, seed)
+    assert tally["rewire_edge"] > 100 and tally["mutate_subgraph"] > 100, tally
+    for name in ("rewire_edge", "mutate_subgraph"):
+        assert tally[name + " passed"] > 0, tally
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     st.sampled_from(CORPUS_NAMES),
